@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InputRejected, NumericalFailure
 from .linalg import (
     as_matrix,
+    as_pair,
     commutator,
     frobenius_inner,
     frobenius_norm,
@@ -47,17 +48,22 @@ class TOperator:
         return self.x.T @ inner - inner @ self.x.T
 
 
+def _unit(x, name: str) -> tuple:
+    """Validated nonzero matrix scaled to unit Frobenius norm, and its norm."""
+    xm = as_matrix(x, name)
+    nrm = frobenius_norm(xm)
+    if nrm == 0.0:
+        raise InputRejected(f"{name} must be nonzero")
+    return xm / nrm, nrm
+
+
 def t_operator(x) -> TOperator:
     """Build the T operator of a nonzero matrix, rescaled to ||x|| = 1.
 
     Columns are the images of the standard basis matrices E_ij in
     row-major order, so matrix[:, i*n + j] = vec([X^T, [X, E_ij]]).
     """
-    xm = as_matrix(x, "x")
-    nrm = frobenius_norm(xm)
-    if nrm == 0.0:
-        raise InputRejected("x must be nonzero")
-    xu = xm / nrm
+    xu, _ = _unit(x, "x")
     n = xu.shape[0]
     basis = np.eye(n * n).reshape(n * n, n, n)
     inner = xu @ basis - basis @ xu
@@ -73,7 +79,12 @@ def t_spectrum(x) -> np.ndarray:
 
 def bw_spectral_slack(x) -> SlackReport:
     """Spectral form of the bound: lambda_max(T) <= 2 for unit X."""
-    lhs = float(t_spectrum(x)[0])
+    return spectral_report(t_spectrum(x))
+
+
+def spectral_report(values: np.ndarray) -> SlackReport:
+    """The spectral bound read off an already computed descending T spectrum."""
+    lhs = float(values[0])
     rhs = 2.0
     return SlackReport("bw-spectral", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
 
@@ -83,16 +94,13 @@ def bw_slack(x, y) -> SlackReport:
 
     The weaker constant-3 bound is asserted alongside as a sanity layer.
     """
-    xm = as_matrix(x, "x")
-    ym = as_matrix(y, "y")
-    if xm.shape != ym.shape:
-        raise InputRejected(f"dimension mismatch: {xm.shape} vs {ym.shape}")
+    xm, ym = as_pair(x, y, "x", "y")
     lhs = norm_sq(commutator(xm, ym))
     scale = norm_sq(xm) * norm_sq(ym)
     rhs = 2.0 * scale
     tol = default_tol(lhs)
     if lhs > 3.0 * scale + tol:
-        raise AssertionError(f"constant-3 sanity bound violated: {lhs} > 3 * {scale}")
+        raise NumericalFailure(f"constant-3 sanity bound violated: {lhs} > 3 * {scale}")
     return SlackReport("bottcher-wenzel", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=tol)
 
 
@@ -105,11 +113,7 @@ def partner_eigenvector(x, y) -> np.ndarray:
     legitimately be zero when the eigenvalue is zero.
     """
     top = t_operator(x)
-    ym = as_matrix(y, "y")
-    ynorm = frobenius_norm(ym)
-    if ynorm == 0.0:
-        raise InputRejected("y must be nonzero")
-    yu = ym / ynorm
+    yu, ynorm = _unit(y, "y")
     ty = top.apply(yu)
     alpha = frobenius_inner(yu, ty)
     residual = frobenius_norm(ty - alpha * yu)
@@ -136,10 +140,7 @@ def svd_reduction(x, y):
     Returns (lam, b, c) with b = Q2 Y Q2^-1 and c = Q1^-1 Y Q1, so that
     ||[X, Y]|| = ||diag(lam) b - c diag(lam)||.
     """
-    xm = as_matrix(x, "x")
-    ym = as_matrix(y, "y")
-    if xm.shape != ym.shape:
-        raise InputRejected(f"dimension mismatch: {xm.shape} vs {ym.shape}")
+    xm, ym = as_pair(x, y, "x", "y")
     dec = svd(xm)
     b = dec.q2 @ ym @ dec.q2.T
     c = dec.q1.T @ ym @ dec.q1
@@ -153,11 +154,7 @@ def small_s1_check(x, y) -> SlackReport:
     ||Lambda B - C Lambda||^2 <= 2 ||Y||^2 whenever the top singular value
     satisfies s_1^2 <= 1/2.
     """
-    xm = as_matrix(x, "x")
-    nrm = frobenius_norm(xm)
-    if nrm == 0.0:
-        raise InputRejected("x must be nonzero")
-    xu = xm / nrm
+    xu, _ = _unit(x, "x")
     lam, b, c = svd_reduction(xu, y)
     if lam[0] ** 2 > 0.5 + 1e-12:
         raise InputRejected(
@@ -177,10 +174,7 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
     and border -(b_1i c_1i + b_i1 c_i1) has top eigenvalue at most
     Delta + sum_i b_i1^2 + sum_j c_1j^2.
     """
-    bm = as_matrix(b, "b")
-    cm = as_matrix(c, "c")
-    if bm.shape != cm.shape:
-        raise InputRejected(f"dimension mismatch: {bm.shape} vs {cm.shape}")
+    bm, cm = as_pair(b, c, "b", "c")
     n = bm.shape[0]
     if n < 2:
         raise InputRejected("n must be >= 2")
@@ -228,13 +222,9 @@ def maximize_ratio(n: int, seed: int, max_iters: int, x0=None) -> RatioSearchRes
         raise InputRejected("max_iters must be >= 0")
     stream = RandomStream(seed)
     if x0 is not None:
-        x = as_matrix(x0, "x0")
+        x, _ = _unit(x0, "x0")
         if x.shape[0] != n:
             raise InputRejected(f"x0 must be {n}x{n}")
-        nrm = frobenius_norm(x)
-        if nrm == 0.0:
-            raise InputRejected("x0 must be nonzero")
-        x = x / nrm
     else:
         x = stream.gaussian_matrix(n)
         x /= frobenius_norm(x)

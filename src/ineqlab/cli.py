@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bw import bw_slack, bw_spectral_slack, t_spectrum
+from .bw import bw_slack, bw_spectral_slack, spectral_report, t_spectrum
 from .campaigns import run_bw_campaign, run_ddvv_campaign, run_search_campaign
 from .copositive import copositive_oracle, copositive_property_k
 from .curvature import (
@@ -27,6 +27,7 @@ from .curvature import (
 )
 from .ddvv import canonical_reduce, ddvv_slack
 from .errors import InputRejected, NumericalFailure
+from .report import TOL_COEFF
 from .serialize import (
     canonical_form_json,
     curvature_json,
@@ -44,18 +45,45 @@ from .serialize import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--trials", type=int, default=1000, help="number of seeded trials")
-    p.add_argument("--n", type=int, default=3, help="matrix dimension")
-    p.add_argument("--m", type=int, default=3, help="tuple length / codimension")
-    p.add_argument("--c", type=float, default=None,
-                   help="ambient curvature override (curvature command)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="fixed tolerance override (default: 1e-9*(1+|lhs|) per trial)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--input", default=None, help="input file")
-    p.add_argument("--output", default=None, help="output file (default: stdout)")
+_ARGUMENTS = {
+    "--seed": dict(type=int, default=0, help="64-bit master seed"),
+    "--trials": dict(type=int, default=1000, help="number of seeded trials"),
+    "--n": dict(type=int, default=3, help="matrix dimension"),
+    "--m": dict(type=int, default=3, help="tuple length / codimension"),
+    "--c": dict(type=float, default=None, help="ambient curvature override"),
+    "--r": dict(type=int, default=1, help="sphere-split parameter for the clifford model"),
+    "--tol": dict(type=float, default=None,
+                  help="fixed tolerance override (default: 1e-9*(1+|lhs|) per trial)"),
+    "--max-iters": dict(type=int, default=200),
+    "--oracle": dict(type=int, default=None, metavar="RESOLUTION",
+                     help="cross-check with the simplex-lattice oracle"),
+    "--model": dict(choices=("veronese", "clifford"), default=None),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--input": dict(default=None, help="input file"),
+    "--output": dict(default=None, help="output file (default: stdout)"),
+    "name": dict(choices=("clifford", "veronese")),
+}
+
+# Each subcommand takes exactly the arguments its handler reads.
+_COMMANDS = {
+    "ddvv-verify": ("verify the DDVV inequality on seeded random symmetric tuples",
+                    ("--seed", "--trials", "--n", "--m", "--tol", "--format", "--input",
+                     "--output")),
+    "bw-verify": ("verify the commutator bound on seeded random pairs",
+                  ("--seed", "--trials", "--n", "--tol", "--format", "--input", "--output")),
+    "bw-search": ("alternating search for the extremal commutator ratio",
+                  ("--seed", "--trials", "--n", "--max-iters", "--format", "--output")),
+    "reduce": ("reduce a tuple to canonical form under O(n) x O(m)",
+               ("--format", "--input", "--output")),
+    "copositive": ("decide copositivity via the principal-submatrix test",
+                   ("--oracle", "--format", "--input", "--output")),
+    "curvature": ("curvature and fundamental-matrix report for an h file",
+                  ("--model", "--r", "--n", "--c", "--format", "--input", "--output")),
+    "models": ("emit the model configurations as h + tuple files",
+               ("name", "--r", "--n", "--output")),
+    "spectrum": ("eigenvalues of the T operator of an input matrix",
+                 ("--format", "--input", "--output")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,31 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ineqlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    names = {
-        "ddvv-verify": "verify the DDVV inequality on seeded random symmetric tuples",
-        "bw-verify": "verify the commutator bound on seeded random pairs",
-        "bw-search": "alternating search for the extremal commutator ratio",
-        "reduce": "reduce a tuple to canonical form under O(n) x O(m)",
-        "copositive": "decide copositivity via the principal-submatrix test",
-        "curvature": "curvature and fundamental-matrix report for an h file",
-        "models": "emit the model configurations as h + tuple files",
-        "spectrum": "eigenvalues of the T operator of an input matrix",
-    }
-    parsers = {}
-    for name, help_text in names.items():
+    for name, (help_text, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
-        parsers[name] = sp
-
-    parsers["bw-search"].add_argument("--max-iters", type=int, default=200)
-    parsers["copositive"].add_argument("--oracle", type=int, default=None, metavar="RESOLUTION",
-                                       help="cross-check with the simplex-lattice oracle")
-    parsers["curvature"].add_argument("--model", choices=("veronese", "clifford"), default=None)
-    parsers["curvature"].add_argument("--r", type=int, default=1,
-                                      help="sphere-split parameter for the clifford model")
-    parsers["models"].add_argument("name", choices=("clifford", "veronese"))
-    parsers["models"].add_argument("--r", type=int, default=1)
+        for arg in arguments:
+            sp.add_argument(arg, **_ARGUMENTS[arg])
     return parser
 
 
@@ -117,15 +124,19 @@ def _summary_fields(summary) -> dict:
 def _tol_fields(args) -> dict:
     if args.tol is not None:
         return {"tol": args.tol, "tol_mode": "fixed"}
-    return {"tol": 1e-9, "tol_mode": "relative(1+|lhs|)"}
+    return {"tol": TOL_COEFF, "tol_mode": "relative(1+|lhs|)"}
+
+
+def _holds(rep, args) -> bool:
+    """Verdict for one report under --tol, or the report's own tolerance."""
+    return rep.slack >= -(args.tol if args.tol is not None else rep.tol)
 
 
 def cmd_ddvv_verify(args) -> int:
     if args.input:
         t = read_tuple_file(args.input)
         rep = ddvv_slack(t)
-        tol = args.tol if args.tol is not None else rep.tol
-        violations = 0 if rep.slack >= -tol else 1
+        violations = 0 if _holds(rep, args) else 1
         doc = {
             "command": "ddvv-verify", "version": __version__, "seed": args.seed,
             "n": t.n, "m": t.m, **_tol_fields(args),
@@ -162,7 +173,7 @@ def cmd_bw_verify(args) -> int:
         x, y = read_pair_file(args.input)
         pair = bw_slack(x, y)
         spec = bw_spectral_slack(x)
-        ok = pair.holds and spec.holds
+        ok = _holds(pair, args) and _holds(spec, args)
         doc = {
             "command": "bw-verify", "version": __version__, "seed": args.seed,
             "n": int(x.shape[0]), **_tol_fields(args),
@@ -247,8 +258,6 @@ def cmd_copositive(args) -> int:
     if not args.input:
         raise InputRejected("copositive requires --input MATRIX_FILE")
     p = read_matrix_file(args.input)
-    if p.shape[0] > 16:
-        raise InputRejected("copositivity checks are capped at m <= 16")
     verdict = copositive_property_k(p)
     oracle = copositive_oracle(p, args.oracle) if args.oracle is not None else None
     agree = None if oracle is None else (oracle.copositive == verdict.copositive)
@@ -273,17 +282,15 @@ def cmd_copositive(args) -> int:
     return 0 if agree in (None, True) else 1
 
 
-def _model_form(args) -> SecondFundamentalForm:
-    if args.model == "veronese":
-        return veronese_tuple()
-    return clifford_model(args.r, args.n)
+def _model_form(name: str, args) -> SecondFundamentalForm:
+    return veronese_tuple() if name == "veronese" else clifford_model(args.r, args.n)
 
 
 def cmd_curvature(args) -> int:
     if args.input:
         form = read_sff_file(args.input)
-    elif getattr(args, "model", None):
-        form = _model_form(args)
+    elif args.model:
+        form = _model_form(args.model, args)
     else:
         raise InputRejected("curvature requires --input H_FILE or --model NAME")
     if args.c is not None:
@@ -309,7 +316,7 @@ def cmd_curvature(args) -> int:
 def cmd_models(args) -> int:
     if not args.output:
         raise InputRejected("models requires --output PREFIX")
-    form = veronese_tuple() if args.name == "veronese" else clifford_model(args.r, args.n)
+    form = _model_form(args.name, args)
     h_path = args.output + "_h.json"
     t_path = args.output + "_tuple.json"
     with open(h_path, "w", encoding="utf-8") as fh:
@@ -325,7 +332,7 @@ def cmd_spectrum(args) -> int:
         raise InputRejected("spectrum requires --input MATRIX_FILE")
     x = read_matrix_file(args.input)
     values = t_spectrum(x)
-    rep = bw_spectral_slack(x)
+    rep = spectral_report(values)
     doc = {
         "command": "spectrum", "version": __version__, "n": int(x.shape[0]),
         "lambda_max": float(values[0]), "eigenvalues": values.tolist(),

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import as_matrix, frobenius_norm, require_symmetric, sym_eigen
+from .linalg import as_symmetric, frobenius_norm, sym_eigen
 
 PROPERTY_K_DIM_CAP = 16
 # eigenvector entries this close to zero carry no sign information
@@ -40,8 +40,7 @@ def copositive_property_k(p) -> CopositivityVerdict:
     copositivity.  The certificate is the entrywise absolute value of the
     violating eigenvector, kept only when it verifiably gives x^T P x < 0.
     """
-    pm = as_matrix(p, "p")
-    require_symmetric(pm, "p")
+    pm = as_symmetric(p, "p")
     m = pm.shape[0]
     if m > PROPERTY_K_DIM_CAP:
         raise InputRejected(
@@ -105,8 +104,7 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     gradient descent.  Copositive iff the best value found stays above
     -1e-9 * (1 + ||p||); otherwise the minimizing point is the certificate.
     """
-    pm = as_matrix(p, "p")
-    require_symmetric(pm, "p")
+    pm = as_symmetric(p, "p")
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]

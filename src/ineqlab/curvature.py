@@ -15,7 +15,7 @@ import numpy as np
 
 from .ddvv import SymmetricTuple
 from .errors import InputRejected
-from .linalg import sym_eigen
+from .linalg import commutator_norms_sq, sym_eigen
 from .report import default_tol
 
 
@@ -30,23 +30,15 @@ class SecondFundamentalForm:
 
     @classmethod
     def from_array(cls, h, c: float) -> "SecondFundamentalForm":
-        arr = np.asarray(h, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise InputRejected(f"h must have shape (m, n, n), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InputRejected("h must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise InputRejected("h entries must be finite")
+        """Validate the slices h[alpha] as a symmetric tuple, and c as finite."""
         if not np.isfinite(c):
             raise InputRejected("ambient curvature c must be finite")
-        defect = float(np.max(np.abs(arr - arr.transpose(0, 2, 1))))
-        if defect > 1e-12 * (1.0 + float(np.max(np.abs(arr)))):
-            raise InputRejected(f"h not symmetric in (i, j): defect {defect:.3e}")
-        return cls(n=arr.shape[1], m=arr.shape[0], c=float(c), h=arr)
+        t = SymmetricTuple.from_matrices(h)
+        return cls(n=t.n, m=t.m, c=float(c), h=t.matrices)
 
     def to_tuple(self) -> SymmetricTuple:
         """The shape operators as a plain symmetric tuple."""
-        return SymmetricTuple.from_matrices(list(self.h))
+        return SymmetricTuple.from_matrices(self.h)
 
 
 @dataclass(frozen=True)
@@ -79,22 +71,6 @@ def traceless(form: SecondFundamentalForm) -> SecondFundamentalForm:
     return SecondFundamentalForm(n=form.n, m=form.m, c=form.c, h=out)
 
 
-def _normal_curvature_sum(h: np.ndarray) -> float:
-    """sum_{i<j} sum_{r<s} (sum_k h^r_ik h^s_jk - h^s_ik h^r_jk)^2.
-
-    For symmetric slices the inner sum is the (i, j) entry of [A_r, A_s],
-    so this equals half of sum_{r<s} ||[A_r, A_s]||^2.
-    """
-    m, n, _ = h.shape
-    iu, ju = np.triu_indices(n, k=1)
-    total = 0.0
-    for r in range(m):
-        for s in range(r + 1, m):
-            comm = h[r] @ h[s] - h[s] @ h[r]
-            total += float(np.sum(comm[iu, ju] ** 2))
-    return total
-
-
 def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
     """Scalar and normal scalar curvature plus the two pinching slacks.
 
@@ -118,7 +94,10 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
         gauss -= float(np.sum(h[al][iu, ju] ** 2))
     rho = form.c + coeff * gauss
 
-    perp_sum = _normal_curvature_sum(h)
+    # sum_{r<s} sum_{i<j} ([A_r, A_s]_ij)^2: commutators of symmetric slices are
+    # antisymmetric, so this is half of sum_{r<s} ||[A_r, A_s]||^2.  Removing the
+    # trace part changes no commutator, so the traceless form has the same sum.
+    perp_sum = 0.5 * float(np.sum(commutator_norms_sq(h)))
     rho_perp = coeff * float(np.sqrt(perp_sum))
 
     h2 = mean_curvature_sq(form)
@@ -129,9 +108,7 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
         float(np.sum((np.diag(t[al])[iu] - np.diag(t[al])[ju]) ** 2)) for al in range(m)
     )
     off_part = sum(float(np.sum(t[al][iu, ju] ** 2)) for al in range(m))
-    shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(
-        np.sqrt(_normal_curvature_sum(t))
-    )
+    shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(np.sqrt(perp_sum))
     return CurvatureReport(
         rho=rho,
         rho_perp=rho_perp,
@@ -144,8 +121,7 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
 def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
     """Gram matrix of the shape operators, its spectrum, and the pinching
     quantity ||sigma||^2 + lambda_2 (lambda_2 := 0 when m = 1)."""
-    stack = form.h
-    s = np.einsum("aij,bij->ab", stack, stack)
+    s = form.to_tuple().gram()
     eig = sym_eigen(s)
     sigma_sq = float(np.trace(s))
     lam2 = float(eig.values[1]) if form.m >= 2 else 0.0

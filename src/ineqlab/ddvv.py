@@ -13,53 +13,114 @@ import numpy as np
 
 from .errors import InputRejected, NumericalFailure
 from .linalg import (
+    SYMMETRY_TOL,
     as_matrix,
+    as_pair,
+    as_symmetric,
     commutator,
-    frobenius_inner,
+    commutator_norms_sq,
     frobenius_norm,
     is_orthogonal,
     norm_sq,
-    require_symmetric,
     sym_eigen,
 )
 from .report import SlackReport, default_tol
 
-ORTHO_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SymmetricTuple:
-    """Ordered tuple (A_1, ..., A_m) of symmetric n x n matrices."""
+    """Ordered tuple (A_1, ..., A_m) of symmetric n x n matrices, held as
+    one read-only float64 array `matrices` of shape (m, n, n)."""
 
     n: int
     m: int
-    matrices: tuple
+    matrices: np.ndarray
 
     @classmethod
     def from_matrices(cls, mats) -> "SymmetricTuple":
-        if len(mats) < 1:
-            raise InputRejected("tuple must contain at least one matrix")
-        validated = []
-        n = None
-        for k, a in enumerate(mats):
-            mat = as_matrix(a, f"member {k + 1}")
-            require_symmetric(mat, f"member {k + 1}")
-            if n is None:
-                n = mat.shape[0]
-            elif mat.shape[0] != n:
-                raise InputRejected(
-                    f"member {k + 1} is {mat.shape[0]}x{mat.shape[0]}, expected {n}x{n}"
-                )
-            validated.append(mat)
-        return cls(n=n, m=len(validated), matrices=tuple(validated))
+        """Validate the members once, as a stack: square, nonempty, finite
+        and symmetric within SYMMETRY_TOL * (1 + ||A_k||)."""
+        try:
+            stack = np.array(mats, dtype=float)
+        except (TypeError, ValueError):  # ragged or non-numeric members
+            stack = np.empty(0)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+            raise InputRejected(_layout_problem(mats))
+        bad = np.nonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
+        if bad.size:
+            raise InputRejected(f"member {bad[0] + 1}: entries must be finite (no NaN/Inf)")
+        defect = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+        allowed = SYMMETRY_TOL * (1.0 + np.sqrt(np.sum(stack * stack, axis=(1, 2))))
+        bad = np.nonzero(defect > allowed)[0]
+        if bad.size:
+            k = bad[0]
+            raise InputRejected(
+                f"member {k + 1}: not symmetric "
+                f"(max |a_ij - a_ji| = {defect[k]:.3e}, allowed {allowed[k]:.3e})"
+            )
+        stack.flags.writeable = False
+        return cls(n=stack.shape[1], m=stack.shape[0], matrices=stack)
 
     def norms_sq(self) -> np.ndarray:
-        return np.array([norm_sq(a) for a in self.matrices])
+        return np.sum(self.matrices * self.matrices, axis=(1, 2))
 
     def gram(self) -> np.ndarray:
         """Gram matrix of Frobenius inner products <A_a, A_b>."""
-        stack = np.stack(self.matrices)
-        return np.einsum("aij,bij->ab", stack, stack)
+        return np.einsum("aij,bij->ab", self.matrices, self.matrices)
+
+
+def _layout_problem(mats) -> str:
+    """Name the first member that keeps `mats` from stacking to (m, n, n)."""
+    if len(mats) < 1:
+        return "tuple must contain at least one matrix"
+    first = np.shape(mats[0])
+    for k, a in enumerate(mats, start=1):
+        shape = np.shape(a)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            return f"member {k}: expected a nonempty square 2-D array, got shape {shape}"
+        if shape != first:
+            return f"member {k} is {shape[0]}x{shape[0]}, expected {first[0]}x{first[0]}"
+    return "members must hold numbers only"
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right float sum; np.sum regroups the additions from 8 terms on."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+# Canonical-position checks: each returns what is wrong, or None.
+
+def _not_diagonal(a: np.ndarray, name: str):
+    off_mass = frobenius_norm(a - np.diag(np.diag(a)))
+    if off_mass > 1e-10 * (1.0 + frobenius_norm(a)):
+        return f"{name} not diagonal (off mass {off_mass:.3e})"
+    return None
+
+
+def _not_unit(a: np.ndarray, name: str):
+    nrm = frobenius_norm(a)
+    if abs(nrm - 1.0) > 1e-10:
+        return f"||{name}|| = {nrm:.12f}, need 1 within 1e-10"
+    return None
+
+
+def _not_orthogonal(gram: np.ndarray):
+    norms = np.sqrt(np.diag(gram))
+    r, s = np.triu_indices(gram.shape[0], k=1)
+    bad = np.nonzero(np.abs(gram[r, s]) > 1e-10 * (1.0 + norms[r] * norms[s]))[0]
+    if bad.size:
+        i, j = r[bad[0]], s[bad[0]]
+        return f"members {i + 1},{j + 1} not orthogonal (<A,B> = {gram[i, j]:.3e})"
+    return None
+
+
+def _not_sorted(norms: np.ndarray, start: int):
+    """Checks that norms[start:] is nonincreasing within 1e-12 relative."""
+    tail = norms[start:]
+    bad = np.nonzero(tail[:-1] < tail[1:] - 1e-12 * (1.0 + tail[1:]))[0]
+    if bad.size:
+        return f"member norms not nonincreasing at member {start + bad[0] + 1}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -75,11 +136,7 @@ class CanonicalForm:
 def ddvv_slack(t: SymmetricTuple) -> SlackReport:
     """DDVV inequality: (sum ||A_r||^2)^2 >= 2 sum_{r<s} ||[A_r, A_s]||^2."""
     lhs = float(np.sum(t.norms_sq())) ** 2
-    rhs = 0.0
-    for r in range(t.m):
-        for s in range(r + 1, t.m):
-            rhs += norm_sq(commutator(t.matrices[r], t.matrices[s]))
-    rhs *= 2.0
+    rhs = 2.0 * _sum_in_order(commutator_norms_sq(t.matrices))
     tol = default_tol(lhs)
     return SlackReport("ddvv", lhs=lhs, rhs=rhs, slack=lhs - rhs, tol=tol)
 
@@ -88,17 +145,13 @@ def group_act(t: SymmetricTuple, p, q) -> SymmetricTuple:
     """Apply (p, q) in O(n) x O(m): conjugate each member by p, mix members by q."""
     pm = as_matrix(p, "p")
     qm = as_matrix(q, "q")
-    if pm.shape[0] != t.n:
-        raise InputRejected(f"p must be {t.n}x{t.n}")
-    if qm.shape[0] != t.m:
-        raise InputRejected(f"q must be {t.m}x{t.m}")
-    if not is_orthogonal(pm, ORTHO_TOL):
-        raise InputRejected("p is not orthogonal within 1e-10")
-    if not is_orthogonal(qm, ORTHO_TOL):
-        raise InputRejected("q is not orthogonal within 1e-10")
-    conjugated = np.stack([pm @ a @ pm.T for a in t.matrices])
-    mixed = np.einsum("rj,jab->rab", qm, conjugated)
-    return SymmetricTuple.from_matrices(list(mixed))
+    for name, g, size in (("p", pm, t.n), ("q", qm, t.m)):
+        if g.shape[0] != size:
+            raise InputRejected(f"{name} must be {size}x{size}")
+        if not is_orthogonal(g):
+            raise InputRejected(f"{name} is not orthogonal within 1e-10")
+    mixed = np.einsum("rj,jab->rab", qm, pm @ t.matrices @ pm.T)
+    return SymmetricTuple.from_matrices(mixed)
 
 
 def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
@@ -113,26 +166,24 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
     """
     gram_eig = sym_eigen(t.gram())
     q = gram_eig.vectors.T
-    mixed = np.einsum("rj,jab->rab", q, np.stack(t.matrices))
+    mixed = np.einsum("rj,jab->rab", q, t.matrices)
 
-    degenerate = frobenius_norm(mixed[0]) <= 1e-14 * (1.0 + frobenius_norm(np.stack(t.matrices)))
+    degenerate = frobenius_norm(mixed[0]) <= 1e-14 * (1.0 + frobenius_norm(t.matrices))
     if degenerate:
         p = np.eye(t.n)
         reduced_stack = mixed
     else:
         lead_eig = sym_eigen(mixed[0])
         p = lead_eig.vectors.T
-        reduced_stack = np.stack([p @ a @ p.T for a in mixed])
+        reduced_stack = p @ mixed @ p.T
         # cosmetic determinism: make the first nonzero diagonal entry of A_1 positive
         diag = np.diag(reduced_stack[0])
         nonzero = np.nonzero(np.abs(diag) > 1e-12 * (1.0 + frobenius_norm(reduced_stack[0])))[0]
         if nonzero.size and diag[nonzero[0]] < 0.0:
-            q = q.copy()
             q[0] *= -1.0
-            reduced_stack = reduced_stack.copy()
             reduced_stack[0] *= -1.0
 
-    reduced = SymmetricTuple.from_matrices(list(reduced_stack))
+    reduced = SymmetricTuple.from_matrices(reduced_stack)
     form = CanonicalForm(reduced=reduced, p=p, q=q, degenerate=degenerate)
     _verify_canonical(t, form)
     return form
@@ -141,23 +192,16 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
 def _verify_canonical(original: SymmetricTuple, form: CanonicalForm) -> None:
     """Postcondition audit; raises NumericalFailure if the reduction is unsound."""
     red = form.reduced
-    a1 = red.matrices[0]
-    off_mass = frobenius_norm(a1 - np.diag(np.diag(a1)))
-    if off_mass > 1e-10 * (1.0 + frobenius_norm(a1)):
-        raise NumericalFailure(f"reduced A_1 not diagonal (off mass {off_mass:.3e})")
     norms = np.sqrt(red.norms_sq())
-    for r in range(red.m):
-        for s in range(r + 1, red.m):
-            inner = frobenius_inner(red.matrices[r], red.matrices[s])
-            if abs(inner) > 1e-10 * (1.0 + norms[r] * norms[s]):
-                raise NumericalFailure(f"members {r + 1},{s + 1} not orthogonal ({inner:.3e})")
-        if r + 1 < red.m and norms[r] < norms[r + 1] - 1e-12 * (1.0 + norms[r + 1]):
-            raise NumericalFailure("member norms not sorted nonincreasing")
+    problem = (_not_diagonal(red.matrices[0], "reduced A_1")
+               or _not_orthogonal(red.gram()) or _not_sorted(norms, 0))
+    if problem:
+        raise NumericalFailure(problem)
     replay = group_act(original, form.p, form.q)
-    for r in range(red.m):
-        err = frobenius_norm(replay.matrices[r] - red.matrices[r])
-        if err > 1e-9 * (1.0 + norms[r]):
-            raise NumericalFailure(f"(p, q) does not reproduce reduced member {r + 1}")
+    errs = np.sqrt(np.sum((replay.matrices - red.matrices) ** 2, axis=(1, 2)))
+    bad = np.nonzero(errs > 1e-9 * (1.0 + norms))[0]
+    if bad.size:
+        raise NumericalFailure(f"(p, q) does not reproduce reduced member {bad[0] + 1}")
 
 
 def lemma1_slack(eta, r) -> SlackReport:
@@ -222,28 +266,14 @@ def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
     sum_{a>=2} ||[A_1, A_a]||^2 <= sum_{a>=2} ||A_a||^2 + ||A_2||^2.
     """
     a1 = t.matrices[0]
-    off_mass = frobenius_norm(a1 - np.diag(np.diag(a1)))
-    if off_mass > 1e-10 * (1.0 + frobenius_norm(a1)):
-        raise InputRejected(f"precondition failed: A_1 not diagonal (off mass {off_mass:.3e})")
-    if abs(frobenius_norm(a1) - 1.0) > 1e-10:
-        raise InputRejected(f"precondition failed: ||A_1|| = {frobenius_norm(a1):.12f}, need 1")
-    norms = np.sqrt(t.norms_sq())
-    for r in range(t.m):
-        for s in range(r + 1, t.m):
-            inner = frobenius_inner(t.matrices[r], t.matrices[s])
-            if abs(inner) > 1e-10 * (1.0 + norms[r] * norms[s]):
-                raise InputRejected(
-                    f"precondition failed: members {r + 1},{s + 1} not orthogonal "
-                    f"(<A,B> = {inner:.3e})"
-                )
-    for r in range(1, t.m - 1):
-        if norms[r] < norms[r + 1] - 1e-12 * (1.0 + norms[r + 1]):
-            raise InputRejected(
-                f"precondition failed: norms of A_2..A_m not nonincreasing at position {r + 1}"
-            )
-    lhs = sum(norm_sq(commutator(a1, t.matrices[a])) for a in range(1, t.m))
-    tail = float(np.sum(t.norms_sq()[1:]))
-    rhs = tail + (norm_sq(t.matrices[1]) if t.m >= 2 else 0.0)
+    norms_sq = t.norms_sq()
+    problem = (_not_diagonal(a1, "A_1") or _not_unit(a1, "A_1")
+               or _not_orthogonal(t.gram()) or _not_sorted(np.sqrt(norms_sq), 1))
+    if problem:
+        raise InputRejected(f"precondition failed: {problem}")
+    lhs = _sum_in_order(commutator_norms_sq(t.matrices)[: t.m - 1])
+    tail = float(np.sum(norms_sq[1:]))
+    rhs = tail + (float(norms_sq[1]) if t.m >= 2 else 0.0)
     return SlackReport("commutator-sum-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs,
                        tol=default_tol(lhs))
 
@@ -251,16 +281,10 @@ def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
 def sharp_pair_bound(a, b) -> SlackReport:
     """Entrywise-sharp pair estimate ||[A, B]||^2 <= ||B||^2 + 2 max(b_ij)^2
     for diagonal unit-norm A and symmetric B."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    require_symmetric(bm, "b")
-    if am.shape != bm.shape:
-        raise InputRejected(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    off_mass = frobenius_norm(am - np.diag(np.diag(am)))
-    if off_mass > 1e-10 * (1.0 + frobenius_norm(am)):
-        raise InputRejected("a must be diagonal")
-    if abs(frobenius_norm(am) - 1.0) > 1e-10:
-        raise InputRejected(f"||a|| = {frobenius_norm(am):.12f}, need 1 within 1e-10")
+    am, bm = as_pair(a, as_symmetric(b, "b"))
+    problem = _not_diagonal(am, "a") or _not_unit(am, "a")
+    if problem:
+        raise InputRejected(problem)
     lhs = norm_sq(commutator(am, bm))
     rhs = norm_sq(bm) + 2.0 * float(np.max(np.abs(bm))) ** 2
     return SlackReport("sharp-pair-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs,
@@ -308,17 +332,15 @@ def sigma_matrix(t: SymmetricTuple) -> np.ndarray:
             f"member {bad[0] + 1} has norm {norms[bad[0]]:.12f}, all members must be unit norm"
         )
     sigma = np.zeros((t.m, t.m))
-    for i in range(t.m):
-        for j in range(i + 1, t.m):
-            sigma[i, j] = sigma[j, i] = norm_sq(commutator(t.matrices[i], t.matrices[j]))
+    r, s = np.triu_indices(t.m, k=1)
+    sigma[r, s] = sigma[s, r] = commutator_norms_sq(t.matrices)
     return sigma
 
 
 def lili_slack(sigma, x) -> SlackReport:
     """Li-Li inequality: sum sigma_ij x_i x_j <= 3/2 (sum x_i)^2 - sum x_i^2
     for nonnegative x."""
-    sm = as_matrix(sigma, "sigma")
-    require_symmetric(sm, "sigma")
+    sm = as_symmetric(sigma, "sigma")
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1 or xv.size != sm.shape[0]:
         raise InputRejected(f"x must be a vector of length {sm.shape[0]}")

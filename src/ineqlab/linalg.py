@@ -40,37 +40,50 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(norm_sq(a)))
 
 
-def frobenius_inner(a, b) -> float:
-    """Frobenius (Hilbert-Schmidt) inner product sum_ij a_ij b_ij."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
+def as_pair(a, b, name_a: str = "a", name_b: str = "b") -> tuple:
+    """Validate two matrices with as_matrix and require equal shapes."""
+    am = as_matrix(a, name_a)
+    bm = as_matrix(b, name_b)
     if am.shape != bm.shape:
         raise InputRejected(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    return am, bm
+
+
+def frobenius_inner(a, b) -> float:
+    """Frobenius (Hilbert-Schmidt) inner product sum_ij a_ij b_ij."""
+    am, bm = as_pair(a, b)
     return float(np.sum(am * bm))
 
 
 def commutator(a, b) -> np.ndarray:
     """Commutator AB - BA."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise InputRejected(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am, bm = as_pair(a, b)
     return am @ bm - bm @ am
 
 
-def symmetry_defect(a: np.ndarray) -> float:
-    """max |a_ij - a_ji|, the absolute deviation from symmetry."""
-    return float(np.max(np.abs(a - a.T))) if a.size else 0.0
+def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
+    """||[A_r, A_s]||^2 for every pair r < s of an (m, n, n) stack, in
+    row-major pair order (0, 1), (0, 2), ..., (m-2, m-1).
+
+    Unchecked: the stack must already be validated (finite, square).  Each
+    value equals norm_sq(commutator(A_r, A_s)) bit for bit.
+    """
+    r, s = np.triu_indices(stack.shape[0], k=1)
+    a, b = stack[r], stack[s]
+    comm = a @ b - b @ a
+    return np.sum(comm * comm, axis=(1, 2))
 
 
-def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    defect = symmetry_defect(a)
-    allowed = SYMMETRY_TOL * (1.0 + frobenius_norm(a))
+def as_symmetric(a, name: str = "matrix") -> np.ndarray:
+    """as_matrix plus symmetry within SYMMETRY_TOL * (1 + ||a||)."""
+    m = as_matrix(a, name)
+    defect = float(np.max(np.abs(m - m.T)))
+    allowed = SYMMETRY_TOL * (1.0 + frobenius_norm(m))
     if defect > allowed:
         raise InputRejected(
             f"{name}: not symmetric (max |a_ij - a_ji| = {defect:.3e}, allowed {allowed:.3e})"
         )
-    return a
+    return m
 
 
 def is_orthogonal(p: np.ndarray, tol: float = 1e-10) -> bool:
@@ -115,8 +128,7 @@ def sym_eigen(a) -> EigenDecomposition:
 
     Rejects inputs whose symmetry defect exceeds 1e-12 * (1 + ||a||).
     """
-    m = as_matrix(a, "a")
-    require_symmetric(m, "a")
+    m = as_symmetric(a, "a")
     sym = 0.5 * (m + m.T)
     try:
         w, v = np.linalg.eigh(sym)
@@ -143,8 +155,7 @@ def vectorize_sym(a) -> np.ndarray:
     followed by the diagonal scaled by 1/sqrt(2), so the squared Euclidean
     norm of the output equals half the squared Frobenius norm of `a`.
     """
-    m = as_matrix(a, "a")
-    require_symmetric(m, "a")
+    m = as_symmetric(a, "a")
     n = m.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     return np.concatenate([m[iu, ju], np.diag(m) / np.sqrt(2.0)])

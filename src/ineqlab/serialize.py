@@ -69,6 +69,36 @@ def _write(obj, out: list) -> None:
 
 
 # ---------------------------------------------------------------------------
+# shared parsing helpers
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputRejected(f"invalid JSON: {exc}") from exc
+
+
+def _read_json(path: str, parse):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse(_decode(fh.read()))
+
+
+def _require(obj, what: str, keys: tuple) -> None:
+    """Check that `obj` is a JSON object with every key, and that the
+    counts 'n' and 'm' among them are positive integers."""
+    if not isinstance(obj, dict):
+        raise InputRejected(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in obj:
+            raise InputRejected(f"{what} JSON missing field '{key}'")
+        value = obj[key]
+        # bool is an int subclass, so `true` would otherwise read as 1
+        if key in ("n", "m") and (isinstance(value, bool) or not isinstance(value, int)
+                                  or value < 1):
+            raise InputRejected(f"field '{key}' must be a positive integer, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # matrices
 
 def matrix_json(a: np.ndarray) -> dict:
@@ -76,14 +106,8 @@ def matrix_json(a: np.ndarray) -> dict:
 
 
 def parse_matrix_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise InputRejected("matrix JSON must be an object")
-    for key in ("n", "entries"):
-        if key not in obj:
-            raise InputRejected(f"matrix JSON missing field '{key}'")
+    _require(obj, "matrix", ("n", "entries"))
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise InputRejected(f"field 'n' must be a positive integer, got {n!r}")
     try:
         entries = np.asarray(obj["entries"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -120,11 +144,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
 def loads_matrix(text: str) -> np.ndarray:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputRejected(f"invalid JSON: {exc}") from exc
-        return parse_matrix_json(obj)
+        return parse_matrix_json(_decode(text))
     return parse_matrix_text(text)
 
 
@@ -141,11 +161,7 @@ def tuple_json(t: SymmetricTuple) -> dict:
 
 
 def parse_tuple_json(obj) -> SymmetricTuple:
-    if not isinstance(obj, dict):
-        raise InputRejected("tuple JSON must be an object")
-    for key in ("n", "m", "matrices"):
-        if key not in obj:
-            raise InputRejected(f"tuple JSON missing field '{key}'")
+    _require(obj, "tuple", ("n", "m", "matrices"))
     mats = obj["matrices"]
     if not isinstance(mats, list) or len(mats) != obj["m"]:
         raise InputRejected("field 'matrices' must be a list of length m")
@@ -156,13 +172,7 @@ def parse_tuple_json(obj) -> SymmetricTuple:
 
 
 def read_tuple_file(path: str) -> SymmetricTuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputRejected(f"invalid JSON: {exc}") from exc
-    return parse_tuple_json(obj)
+    return _read_json(path, parse_tuple_json)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +183,7 @@ def pair_json(x: np.ndarray, y: np.ndarray) -> dict:
 
 
 def parse_pair_json(obj):
-    if not isinstance(obj, dict):
-        raise InputRejected("pair JSON must be an object")
-    for key in ("n", "x", "y"):
-        if key not in obj:
-            raise InputRejected(f"pair JSON missing field '{key}'")
+    _require(obj, "pair", ("n", "x", "y"))
     x = parse_matrix_json(obj["x"])
     y = parse_matrix_json(obj["y"])
     if x.shape[0] != obj["n"] or y.shape[0] != obj["n"]:
@@ -186,13 +192,7 @@ def parse_pair_json(obj):
 
 
 def read_pair_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputRejected(f"invalid JSON: {exc}") from exc
-    return parse_pair_json(obj)
+    return _read_json(path, parse_pair_json)
 
 
 # ---------------------------------------------------------------------------
@@ -203,31 +203,24 @@ def sff_json(form: SecondFundamentalForm) -> dict:
 
 
 def parse_sff_json(obj) -> SecondFundamentalForm:
-    if not isinstance(obj, dict):
-        raise InputRejected("h JSON must be an object")
-    for key in ("n", "m", "c", "h"):
-        if key not in obj:
-            raise InputRejected(f"h JSON missing field '{key}'")
+    _require(obj, "h", ("n", "m", "c", "h"))
+    c = obj["c"]
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise InputRejected(f"field 'c' must be a number, got {c!r}")
     try:
         arr = np.asarray(obj["h"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputRejected(f"field 'h' is not a numeric array: {exc}") from exc
     if arr.ndim != 3:
         raise InputRejected(f"field 'h' must have axes (alpha, i, j), got shape {arr.shape}")
-    form = SecondFundamentalForm.from_array(arr, c=obj["c"])
+    form = SecondFundamentalForm.from_array(arr, c=c)
     if form.n != obj["n"] or form.m != obj["m"]:
         raise InputRejected("fields 'n'/'m' do not match the shape of 'h'")
     return form
 
 
 def read_sff_file(path: str) -> SecondFundamentalForm:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputRejected(f"invalid JSON: {exc}") from exc
-    return parse_sff_json(obj)
+    return _read_json(path, parse_sff_json)
 
 
 # ---------------------------------------------------------------------------

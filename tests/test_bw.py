@@ -14,7 +14,8 @@ from ineqlab.bw import (
     t_operator,
     t_spectrum,
 )
-from ineqlab.errors import InputRejected
+from ineqlab import bw
+from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import commutator, frobenius_inner, frobenius_norm, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed
 
@@ -114,6 +115,12 @@ class TestBwSlack:
         x = np.diag([1.0, 2.0, 3.0])
         rep = bw_slack(x, x @ x)
         assert rep.lhs == 0.0
+
+    def test_sanity_bound_failure_is_numerical(self, monkeypatch):
+        # a commutator kernel off by a factor 2 breaks the constant-3 layer
+        monkeypatch.setattr(bw, "commutator", lambda a, b: 2.0 * (a @ b - b @ a))
+        with pytest.raises(NumericalFailure, match="constant-3"):
+            bw_slack(eij(2, 0, 1), eij(2, 1, 0))
 
     def test_symmetric_pairs_campaign(self):
         # the symmetric specialization of the bound

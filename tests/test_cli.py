@@ -1,10 +1,12 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ineqlab.cli import main
+from ineqlab import bw
+from ineqlab.cli import build_parser, main
 from ineqlab.ddvv import extremal_case_a, extremal_case_b
 from ineqlab.serialize import dumps, matrix_json, pair_json, sff_json, tuple_json
 from ineqlab.curvature import SecondFundamentalForm
@@ -60,6 +62,12 @@ class TestDdvvVerify:
     def test_missing_file_exit(self, capsys):
         assert main(["ddvv-verify", "--input", "/nonexistent/file.json"]) == 2
 
+    def test_bool_count_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "t.json",
+                     '{"n": true, "m": 1, "matrices": [{"n": 1, "entries": [[2.0]]}]}')
+        assert main(["ddvv-verify", "--input", path]) == 2
+        assert "'n' must be a positive integer" in capsys.readouterr().err
+
 
 class TestBwVerify:
     def test_campaign(self, capsys):
@@ -77,6 +85,21 @@ class TestBwVerify:
         assert code == 0
         assert abs(doc["commutator"]["slack"]) <= 1e-12
         assert abs(doc["spectral"]["slack"]) <= 1e-12
+
+    def test_fixed_tolerance_applies_to_input(self, capsys, tmp_path):
+        # fixed tol -1e-6 demands slack >= 1e-6; the sharp pair sits at 0
+        x = np.zeros((2, 2)); x[0, 1] = 1.0
+        path = write(tmp_path, "p.json", dumps(pair_json(x, x.T.copy())))
+        code, doc = run_json(capsys, ["bw-verify", "--input", path, "--tol=-1e-6"])
+        assert code == 1
+        assert doc["tol_mode"] == "fixed"
+
+    def test_sanity_bound_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+        x = np.zeros((2, 2)); x[0, 1] = 1.0
+        path = write(tmp_path, "p.json", dumps(pair_json(x, x.T.copy())))
+        monkeypatch.setattr(bw, "commutator", lambda a, b: 2.0 * (a @ b - b @ a))
+        assert main(["bw-verify", "--input", path]) == 1
+        assert "constant-3" in capsys.readouterr().err
 
     def test_injected_commuting_pair(self, capsys, tmp_path):
         x = np.diag([1.0, 2.0])
@@ -155,6 +178,11 @@ class TestCopositive:
         assert code == 0
         assert doc["property_k"]["copositive"] is True
 
+    def test_over_cap_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "m.json", dumps(matrix_json(np.eye(17))))
+        assert main(["copositive", "--input", path]) == 2
+        assert "cap 16" in capsys.readouterr().err
+
 
 class TestCurvature:
     def test_zero_form(self, capsys, tmp_path):
@@ -176,6 +204,12 @@ class TestCurvature:
                                       "--n", "2"])
         assert code == 0
         assert doc["fundamental"]["sigma_sq"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", ['"x"', "null"])
+    def test_non_numeric_c_rejected(self, capsys, tmp_path, c):
+        path = write(tmp_path, "h.json", '{"n": 2, "m": 1, "c": %s, "h": [[[1, 0], [0, 1]]]}' % c)
+        assert main(["curvature", "--input", path]) == 2
+        assert "'c'" in capsys.readouterr().err
 
     def test_ambient_override(self, capsys, tmp_path):
         form = SecondFundamentalForm.from_array(np.zeros((1, 2, 2)), c=1.0)
@@ -209,6 +243,37 @@ class TestSpectrum:
         assert code == 0
         assert doc["lambda_max"] == pytest.approx(2.0, abs=1e-12)
         assert len(doc["eigenvalues"]) == 4
+
+    def test_solves_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        path = write(tmp_path, "x.txt", "2\n0 1\n0 0\n")
+        code, doc = run_json(capsys, ["spectrum", "--input", path])
+        assert code == 0 and len(calls) == 1
+        assert doc["report"]["lhs"] == doc["lambda_max"]
+
+
+class TestParser:
+    def test_each_subcommand_takes_only_its_arguments(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in sp._actions)
+                  for name, sp in sub.choices.items()}
+        assert counts == {"ddvv-verify": 8, "bw-verify": 7, "bw-search": 6, "reduce": 3,
+                          "copositive": 4, "curvature": 7, "models": 4, "spectrum": 3}
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--trials", "5"],
+        ["models", "veronese", "--seed", "1", "--output", "p"],
+        ["spectrum", "--n", "3"],
+        ["ddvv-verify", "--c", "1"],
+    ])
+    def test_foreign_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import offdiag2
@@ -19,7 +21,7 @@ from ineqlab.ddvv import (
     sigma_matrix,
 )
 from ineqlab.errors import InputRejected
-from ineqlab.linalg import norm_sq
+from ineqlab.linalg import commutator, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -56,6 +58,64 @@ class TestDdvvSlack:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(InputRejected, match="member 2"):
             SymmetricTuple.from_matrices([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("mats,member", [
+        ([np.eye(2), np.eye(2), np.eye(3)], 3),                       # ragged stack
+        ([np.ones(2), np.ones(2)], 1),                                # 1-D members
+        ([np.eye(2), np.ones((2, 3)), np.eye(2)], 2),                 # non-square
+        ([np.eye(2), np.eye(2), np.diag([1.0, np.nan])], 3),          # NaN entry
+        ([np.eye(3), np.triu(np.ones((3, 3))), np.eye(3)], 2),        # asymmetric
+    ], ids=["ragged", "1-D", "non-square", "NaN", "asymmetric"])
+    def test_rejects_bad_member(self, mats, member):
+        with pytest.raises(InputRejected, match=f"member {member}"):
+            SymmetricTuple.from_matrices(mats)
+
+    def test_members_held_as_one_readonly_stack(self):
+        t = random_tuple(RandomStream(12), 4, 3)
+        assert t.matrices.shape == (3, 4, 4) and t.matrices.dtype == np.float64
+        assert not t.matrices.flags.writeable
+
+
+def _pair_norms_in_order(mats):
+    """Reference ||[A_r, A_s]||^2 in row-major pair order, one pair at a time."""
+    return [norm_sq(commutator(a, b)) for a, b in itertools.combinations(mats, 2)]
+
+
+def _sum_in_order(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestCommutatorKernelExactness:
+    """The stacked kernel reproduces the pairwise reference bit for bit over
+    the seeded grid n, m in 1..12."""
+
+    GRID = [(n, m) for n in range(1, 13) for m in range(1, 13)]
+
+    def test_ddvv_rhs_and_sigma(self):
+        for k in range(5 * len(self.GRID)):
+            n, m = self.GRID[k % len(self.GRID)]
+            mats = RandomStream(sub_seed(91, k)).symmetric_tuple(n, m)
+            ref = _pair_norms_in_order(mats)
+            assert ddvv_slack(SymmetricTuple.from_matrices(mats)).rhs == 2.0 * _sum_in_order(ref)
+            units = [a / np.linalg.norm(a) for a in mats]
+            sigma = sigma_matrix(SymmetricTuple.from_matrices(units))
+            pairs = itertools.combinations(range(m), 2)
+            for (r, s), want in zip(pairs, _pair_norms_in_order(units)):
+                assert sigma[r, s] == want and sigma[s, r] == want
+
+    def test_key_lemma_lhs(self):
+        # canonical position needs m <= n(n+1)/2 linearly independent members
+        for k, (n, m) in enumerate(self.GRID):
+            if m > n * (n + 1) // 2:
+                continue
+            red = canonical_reduce(random_tuple(RandomStream(sub_seed(92, k)), n, m)).reduced
+            lead = np.linalg.norm(red.matrices[0])
+            t = SymmetricTuple.from_matrices([a / lead for a in red.matrices])
+            ref = _pair_norms_in_order(t.matrices)[: m - 1]
+            assert key_lemma_slack(t).lhs == _sum_in_order(ref)
 
 
 class TestGroupAct:

@@ -104,6 +104,28 @@ class TestSffFormat:
         with pytest.raises(InputRejected, match="axes"):
             parse_sff_json({"n": 2, "m": 1, "c": 0.0, "h": [[1.0, 0.0], [0.0, 1.0]]})
 
+    @pytest.mark.parametrize("c", ["x", None, True, [1.0]])
+    def test_rejects_non_numeric_c(self, c):
+        with pytest.raises(InputRejected, match="'c'"):
+            parse_sff_json({"n": 1, "m": 1, "c": c, "h": [[[1.0]]]})
+
+
+class TestCountFields:
+    """bool is an int in Python; `true` must not read as n = 1 or m = 1."""
+
+    @pytest.mark.parametrize("parse,doc,key", [
+        (parse_matrix_json, {"n": True, "entries": [[1.0]]}, "n"),
+        (parse_tuple_json, {"n": True, "m": 1, "matrices": [{"n": 1, "entries": [[1.0]]}]}, "n"),
+        (parse_tuple_json, {"n": 1, "m": True, "matrices": [{"n": 1, "entries": [[1.0]]}]}, "m"),
+        (parse_pair_json, {"n": True, "x": {"n": 1, "entries": [[1.0]]},
+                           "y": {"n": 1, "entries": [[1.0]]}}, "n"),
+        (parse_sff_json, {"n": True, "m": 1, "c": 0.0, "h": [[[1.0]]]}, "n"),
+        (parse_sff_json, {"n": 1, "m": True, "c": 0.0, "h": [[[1.0]]]}, "m"),
+    ], ids=["matrix-n", "tuple-n", "tuple-m", "pair-n", "h-n", "h-m"])
+    def test_rejects_bool(self, parse, doc, key):
+        with pytest.raises(InputRejected, match=f"'{key}' must be a positive integer"):
+            parse(doc)
+
 
 class TestReportJson:
     def test_fields(self):
