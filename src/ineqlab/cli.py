@@ -9,6 +9,7 @@ with the same arguments (wall-clock timing appears in text output only).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -98,6 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
         for arg in arguments:
             sp.add_argument(arg, **_ARGUMENTS[arg])
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses: building one costs 10-30x a parse."""
+    return build_parser()
 
 
 def _emit(args, doc: dict, text_lines: list) -> None:
@@ -360,8 +367,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except InputRejected as exc:

@@ -46,18 +46,7 @@ class SymmetricTuple:
             stack = np.empty(0)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
             raise InputRejected(_layout_problem(mats))
-        bad = np.nonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
-        if bad.size:
-            raise InputRejected(f"member {bad[0] + 1}: entries must be finite (no NaN/Inf)")
-        defect = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-        allowed = SYMMETRY_TOL * (1.0 + np.sqrt(np.sum(stack * stack, axis=(1, 2))))
-        bad = np.nonzero(defect > allowed)[0]
-        if bad.size:
-            k = bad[0]
-            raise InputRejected(
-                f"member {k + 1}: not symmetric "
-                f"(max |a_ij - a_ji| = {defect[k]:.3e}, allowed {allowed[k]:.3e})"
-            )
+        check_members(stack)
         stack.flags.writeable = False
         return cls(n=stack.shape[1], m=stack.shape[0], matrices=stack)
 
@@ -67,6 +56,37 @@ class SymmetricTuple:
     def gram(self) -> np.ndarray:
         """Gram matrix of Frobenius inner products <A_a, A_b>."""
         return np.einsum("aij,bij->ab", self.matrices, self.matrices)
+
+
+def check_members(stack: np.ndarray, seeds=None) -> None:
+    """Reject the first non-finite, then the first asymmetric member of an
+    (..., m, n, n) stack; symmetric means within SYMMETRY_TOL * (1 + ||A_k||).
+
+    When the leading axes are trials, `seeds` (shaped like them) holds each
+    trial's seed, and the message names the seed of the offending trial.
+    """
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        _, where = _first_member(~finite, seeds)
+        raise InputRejected(f"{where}: entries must be finite (no NaN/Inf)")
+    defect = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
+    allowed = SYMMETRY_TOL * (1.0 + np.sqrt(np.sum(stack * stack, axis=(-2, -1))))
+    bad = defect > allowed
+    if bad.any():
+        k, where = _first_member(bad, seeds)
+        raise InputRejected(
+            f"{where}: not symmetric "
+            f"(max |a_ij - a_ji| = {defect[k]:.3e}, allowed {allowed[k]:.3e})"
+        )
+
+
+def _first_member(bad: np.ndarray, seeds):
+    """Index of the first True entry of `bad` (leading axes, member) and its label."""
+    k = tuple(np.argwhere(bad)[0])
+    where = f"member {k[-1] + 1}"
+    if seeds is not None:
+        where = f"trial seed {int(seeds[k[:-1]])}, {where}"
+    return k, where
 
 
 def _layout_problem(mats) -> str:
@@ -83,9 +103,12 @@ def _layout_problem(mats) -> str:
     return "members must hold numbers only"
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """Left-to-right float sum; np.sum regroups the additions from 8 terms on."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+def _sum_in_order(values: np.ndarray) -> np.ndarray:
+    """Left-to-right float sum over the last axis; np.sum regroups the
+    additions from 8 terms on."""
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1])
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
 # Canonical-position checks: each returns what is wrong, or None.
@@ -133,10 +156,22 @@ class CanonicalForm:
     degenerate: bool = False
 
 
+def ddvv_sides(stack: np.ndarray) -> tuple:
+    """DDVV sides (sum ||A_r||^2)^2 and 2 sum_{r<s} ||[A_r, A_s]||^2 of an
+    (..., m, n, n) stack, one value per leading index.  Unchecked: the
+    members must already be validated."""
+    total = np.sum(np.sum(stack * stack, axis=(-2, -1)), axis=-1)
+    # Squared as Python floats, i.e. by libm pow(x, 2), which differs from the
+    # correctly rounded x * x in the last bit for about 1 x in 1000; this
+    # keeps every lhs bit for bit what ddvv_slack has always reported.
+    lhs = np.array([v ** 2 for v in total.ravel().tolist()]).reshape(total.shape)
+    rhs = 2.0 * _sum_in_order(commutator_norms_sq(stack))
+    return lhs, rhs
+
+
 def ddvv_slack(t: SymmetricTuple) -> SlackReport:
     """DDVV inequality: (sum ||A_r||^2)^2 >= 2 sum_{r<s} ||[A_r, A_s]||^2."""
-    lhs = float(np.sum(t.norms_sq())) ** 2
-    rhs = 2.0 * _sum_in_order(commutator_norms_sq(t.matrices))
+    lhs, rhs = (float(side) for side in ddvv_sides(t.matrices))
     tol = default_tol(lhs)
     return SlackReport("ddvv", lhs=lhs, rhs=rhs, slack=lhs - rhs, tol=tol)
 
@@ -271,7 +306,7 @@ def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
                or _not_orthogonal(t.gram()) or _not_sorted(np.sqrt(norms_sq), 1))
     if problem:
         raise InputRejected(f"precondition failed: {problem}")
-    lhs = _sum_in_order(commutator_norms_sq(t.matrices)[: t.m - 1])
+    lhs = float(_sum_in_order(commutator_norms_sq(t.matrices)[: t.m - 1]))
     tail = float(np.sum(norms_sq[1:]))
     rhs = tail + (float(norms_sq[1]) if t.m >= 2 else 0.0)
     return SlackReport("commutator-sum-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs,

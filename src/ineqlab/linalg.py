@@ -62,16 +62,18 @@ def commutator(a, b) -> np.ndarray:
 
 
 def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
-    """||[A_r, A_s]||^2 for every pair r < s of an (m, n, n) stack, in
-    row-major pair order (0, 1), (0, 2), ..., (m-2, m-1).
+    """||[A_r, A_s]||^2 for every pair r < s of an (..., m, n, n) stack, in
+    row-major pair order (0, 1), (0, 2), ..., (m-2, m-1) along the last axis.
 
     Unchecked: the stack must already be validated (finite, square).  Each
     value equals norm_sq(commutator(A_r, A_s)) bit for bit.
     """
-    r, s = np.triu_indices(stack.shape[0], k=1)
-    a, b = stack[r], stack[s]
-    comm = a @ b - b @ a
-    return np.sum(comm * comm, axis=(1, 2))
+    r, s = np.triu_indices(stack.shape[-3], k=1)
+    a, b = stack[..., r, :, :], stack[..., s, :, :]
+    comm = a @ b
+    comm -= b @ a
+    comm *= comm
+    return np.sum(comm, axis=(-2, -1))
 
 
 def as_symmetric(a, name: str = "matrix") -> np.ndarray:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ineqlab import bw
+from ineqlab import bw, cli
 from ineqlab.cli import build_parser, main
 from ineqlab.ddvv import extremal_case_a, extremal_case_b
 from ineqlab.serialize import dumps, matrix_json, pair_json, sff_json, tuple_json
@@ -274,6 +274,25 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_back_to_back_calls_share_nothing(self, capsys):
+        code, doc = run_json(capsys, ["ddvv-verify", "--seed", "5", "--trials", "5",
+                                      "--tol", "1e-6"])
+        assert code == 0 and (doc["seed"], doc["tol_mode"]) == (5, "fixed")
+        code, doc = run_json(capsys, ["ddvv-verify", "--trials", "5"])
+        assert code == 0 and (doc["seed"], doc["tol_mode"]) == (0, "relative(1+|lhs|)")
+        assert doc["tol"] == 1e-9 and doc["n"] == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--trials", "5"])
+        assert exc.value.code == 2
+        code, doc = run_json(capsys, ["bw-verify", "--trials", "3", "--n", "2"])
+        assert code == 0 and doc["tol_mode"] == "relative(1+|lhs|)" and doc["seed"] == 0
 
 
 class TestDeterminism:
