@@ -44,8 +44,7 @@ class TOperator:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Direct evaluation of [X^T, [X, Y]] (independent of `matrix`)."""
-        inner = self.x @ y - y @ self.x
-        return self.x.T @ inner - inner @ self.x.T
+        return commutator(self.x.T, commutator(self.x, y))
 
 
 def _unit(x, name: str) -> tuple:
@@ -57,24 +56,27 @@ def _unit(x, name: str) -> tuple:
     return xm / nrm, nrm
 
 
-def t_operator(x) -> TOperator:
-    """Build the T operator of a nonzero matrix, rescaled to ||x|| = 1.
+def t_matrices(xu: np.ndarray) -> np.ndarray:
+    """T operator matrices of unit generators over the leading axes of xu.
 
-    Columns are the images of the standard basis matrices E_ij in
-    row-major order, so matrix[:, i*n + j] = vec([X^T, [X, E_ij]]).
+    Unchecked.  Columns are the images of the standard basis matrices E_ij
+    in row-major order, so matrix[..., :, i*n + j] = vec([X^T, [X, E_ij]]).
     """
+    n = xu.shape[-1]
+    x = xu[..., None, :, :]
+    images = commutator(np.swapaxes(x, -1, -2), commutator(x, np.eye(n * n).reshape(-1, n, n)))
+    return np.swapaxes(images.reshape(xu.shape[:-2] + (n * n, n * n)), -1, -2)
+
+
+def t_operator(x) -> TOperator:
+    """Build the T operator of a nonzero matrix, rescaled to ||x|| = 1."""
     xu, _ = _unit(x, "x")
-    n = xu.shape[0]
-    basis = np.eye(n * n).reshape(n * n, n, n)
-    inner = xu @ basis - basis @ xu
-    images = xu.T @ inner - inner @ xu.T
-    return TOperator(n=n, x=xu, matrix=images.reshape(n * n, n * n).T)
+    return TOperator(n=xu.shape[0], x=xu, matrix=t_matrices(xu))
 
 
 def t_spectrum(x) -> np.ndarray:
     """Eigenvalues of the T operator, descending."""
-    top = t_operator(x)
-    return np.sort(np.linalg.eigvalsh(top.matrix))[::-1]
+    return np.linalg.eigvalsh(t_operator(x).matrix)[::-1]
 
 
 def bw_spectral_slack(x) -> SlackReport:
@@ -89,19 +91,28 @@ def spectral_report(values: np.ndarray) -> SlackReport:
     return SlackReport("bw-spectral", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
 
 
-def bw_slack(x, y) -> SlackReport:
-    """Direct form: ||[X, Y]||^2 <= 2 ||X||^2 ||Y||^2.
+def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
+    """||[X, Y]||^2 and ||X||^2 ||Y||^2 over leading axes, unchecked.
 
-    The weaker constant-3 bound is asserted alongside as a sanity layer.
+    Asserts the weaker constant-3 bound as a sanity layer; a failure names
+    the trial seed when `seeds` (one per leading index) are given.
     """
-    xm, ym = as_pair(x, y, "x", "y")
-    lhs = norm_sq(commutator(xm, ym))
-    scale = norm_sq(xm) * norm_sq(ym)
+    lhs, xx, yy = (np.sum(a * a, axis=(-2, -1)) for a in (commutator(x, y), x, y))
+    scale = xx * yy
+    bad = np.flatnonzero(lhs > 3.0 * scale + default_tol(lhs))
+    if bad.size:
+        k = bad[0]
+        where = "" if seeds is None else f"trial seed {seeds.flat[k]}: "
+        raise NumericalFailure(f"{where}constant-3 sanity bound violated: "
+                               f"{lhs.flat[k]} > 3 * {scale.flat[k]}")
+    return lhs, scale
+
+
+def bw_slack(x, y) -> SlackReport:
+    """Direct form: ||[X, Y]||^2 <= 2 ||X||^2 ||Y||^2."""
+    lhs, scale = map(float, bw_sides(*as_pair(x, y, "x", "y")))
     rhs = 2.0 * scale
-    tol = default_tol(lhs)
-    if lhs > 3.0 * scale + tol:
-        raise NumericalFailure(f"constant-3 sanity bound violated: {lhs} > 3 * {scale}")
-    return SlackReport("bottcher-wenzel", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=tol)
+    return SlackReport("bottcher-wenzel", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
 
 
 def partner_eigenvector(x, y) -> np.ndarray:

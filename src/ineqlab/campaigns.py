@@ -7,8 +7,8 @@ its slack falls below -tol, where tol is the report's own relative
 tolerance unless a fixed override is given.
 
 Trials run in chunks of consecutive k: one RandomStream over the chunk's
-sub-seeds draws all of its inputs as one array with a leading trial axis.
-A DDVV chunk is validated and evaluated as one (trials, m, n, n) stack.
+sub-seeds draws all of its inputs as one array with a leading trial axis,
+which the stacked kernels validate and evaluate with no per-trial loop.
 The chunk size follows from the fixed element budget CHUNK_ELEMENTS, so
 memory stays bounded at any trial count, and a chunk's draws equal the
 per-trial draws bit for bit, so chunking changes no result.
@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bw import bw_slack, bw_spectral_slack, maximize_ratio
+from .bw import bw_sides, maximize_ratio, t_matrices
 from .ddvv import check_members, ddvv_sides
 from .errors import InputRejected
 from .report import default_tol
@@ -113,15 +113,16 @@ def run_bw_campaign(seed: int, trials: int, n: int,
     t0 = time.perf_counter()
     pair_track = _Tracker()
     spec_track = _Tracker()
-    for seeds in _chunks(seed, trials, 2 * n * n):
+    # a trial's T build holds four n^4-element temporaries
+    for seeds in _chunks(seed, trials, 4 * n**4):
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
-        reps = [(bw_slack(x, y), bw_spectral_slack(x)) for x, y in zip(xs, ys)]
-        for track, column in zip((pair_track, spec_track), zip(*reps)):
-            slack = np.array([rep.slack for rep in column])
-            tol = tol_override if tol_override is not None else np.array([r.tol for r in column])
-            track.update(slack, tol, seeds)
+        lhs, scale = bw_sides(xs, ys, seeds)
+        top = np.linalg.eigvalsh(t_matrices(xs / np.linalg.norm(xs, axis=(-2, -1), keepdims=True)))
+        for track, side, bound in ((pair_track, lhs, 2.0 * scale), (spec_track, top[:, -1], 2.0)):
+            tol = tol_override if tol_override is not None else default_tol(side)
+            track.update(bound - side, tol, seeds)
     return BwCampaignSummary(
         commutator=pair_track.summary(trials, t0),
         spectral=spec_track.summary(trials, t0),

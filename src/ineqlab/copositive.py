@@ -11,6 +11,7 @@ cross-validation oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,15 +75,30 @@ _LATTICE_CACHE: dict = {}
 
 
 def _simplex_lattice(m: int, resolution: int) -> np.ndarray:
-    """All points k/resolution with k nonnegative integers summing to resolution."""
+    """All points k/resolution with k nonnegative integers summing to resolution.
+
+    A lattice of more than 2^22 entries (points x m: 32 MiB of float64) is
+    refused before anything is built, and the oldest cached lattices are
+    evicted so that the cache stays within the same budget.
+    """
     key = (m, resolution)
     cached = _LATTICE_CACHE.get(key)
     if cached is None:
-        points = [
-            np.diff((-1,) + bars + (resolution + m - 1,)) - 1
-            for bars in itertools.combinations(range(resolution + m - 1), m - 1)
-        ]
-        cached = np.array(points, dtype=float) / float(resolution)
+        budget = 1 << 22
+        entries = math.comb(resolution + m - 1, m - 1) * m
+        if entries > budget:
+            raise InputRejected(
+                f"oracle lattice at m = {m}, resolution {resolution} has {entries} entries, "
+                f"over the budget of {budget}; lower the resolution"
+            )
+        # stars and bars: m - 1 bar positions among resolution + m - 1 slots
+        slots = resolution + m - 1
+        combos = itertools.chain.from_iterable(itertools.combinations(range(slots), m - 1))
+        bars = np.fromiter(combos, dtype=np.intp, count=entries // m * (m - 1))
+        bars = np.pad(bars.reshape(-1, m - 1), ((0, 0), (1, 1)), constant_values=(-1, slots))
+        cached = (np.diff(bars, axis=1) - 1) / float(resolution)
+        while sum(a.size for a in _LATTICE_CACHE.values()) + cached.size > budget:
+            del _LATTICE_CACHE[next(iter(_LATTICE_CACHE))]
         _LATTICE_CACHE[key] = cached
     return cached
 

@@ -3,8 +3,8 @@ symmetric eigendecomposition, SVD, and the symmetric vectorization map.
 
 Everything operates on plain float64 numpy arrays.  Inputs are validated
 (finite entries, square shape, symmetry where required) and rejected with
-:class:`InputRejected`; backend convergence failures surface as
-:class:`NumericalFailure`.
+:class:`InputRejected`, except by the unchecked commutator kernels;
+convergence failures surface as :class:`NumericalFailure`.
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ def frobenius_inner(a, b) -> float:
     return float(np.sum(am * bm))
 
 
-def commutator(a, b) -> np.ndarray:
-    """Commutator AB - BA."""
-    am, bm = as_pair(a, b)
-    return am @ bm - bm @ am
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Commutator AB - BA over (..., n, n) stacks; unchecked (callers validate)."""
+    comm = a @ b
+    comm -= b @ a
+    return comm
 
 
 def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
@@ -69,9 +70,7 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
     value equals norm_sq(commutator(A_r, A_s)) bit for bit.
     """
     r, s = np.triu_indices(stack.shape[-3], k=1)
-    a, b = stack[..., r, :, :], stack[..., s, :, :]
-    comm = a @ b
-    comm -= b @ a
+    comm = commutator(stack[..., r, :, :], stack[..., s, :, :])
     comm *= comm
     return np.sum(comm, axis=(-2, -1))
 

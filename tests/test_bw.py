@@ -11,13 +11,14 @@ from ineqlab.bw import (
     partner_eigenvector,
     small_s1_check,
     svd_reduction,
+    t_matrices,
     t_operator,
     t_spectrum,
 )
 from ineqlab import bw
 from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import commutator, frobenius_inner, frobenius_norm, norm_sq
-from ineqlab.seeded import RandomStream, sub_seed
+from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -81,6 +82,20 @@ class TestTOperator:
             lhs = frobenius_inner(y1, top.apply(y2))
             rhs = frobenius_inner(commutator(top.x, y1), commutator(top.x, y2))
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
+
+    def test_stacked_kernels_equal_per_matrix(self):
+        # the campaign's stacked commutator, T build and top eigenvalue
+        # reproduce the per-matrix results bit for bit
+        for n in range(1, 13):
+            stream = RandomStream(sub_seeds(404 + n, 0, 3))
+            xs, ys = stream.gaussian_matrix(n), stream.gaussian_matrix(n)
+            tms = t_matrices(xs / np.linalg.norm(xs, axis=(-2, -1), keepdims=True))
+            tops = np.linalg.eigvalsh(tms)[:, -1]
+            for x, y, comm, tm, top in zip(xs, ys, commutator(xs, ys), tms, tops):
+                assert np.array_equal(comm, commutator(x, y))
+                assert np.array_equal(comm, x @ y - y @ x)
+                assert np.array_equal(tm, t_operator(x).matrix)
+                assert top == t_spectrum(x)[0]
 
 
 class TestSpectralSlack:

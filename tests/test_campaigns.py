@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ineqlab import campaigns
+from ineqlab import bw, campaigns
 from ineqlab.bw import bw_slack, bw_spectral_slack
 from ineqlab.campaigns import CHUNK_ELEMENTS, run_bw_campaign, run_ddvv_campaign
 from ineqlab.ddvv import SymmetricTuple, check_members, ddvv_slack
-from ineqlab.errors import InputRejected
+from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
 
@@ -93,6 +93,11 @@ class TestBwCampaign:
         (3, 40, 3, None),
         (-1, 25, 2, 1e-12),
         (2**64 + 5, 1, 4, None),
+        (0, 40, 1, None),
+        (2**63 + 12345, 3, 10, None),  # n = 10 and 12: one trial per chunk
+        (-1, 3, 12, 1e-12),
+        (9, 40, 2, -1.0),  # demands slack >= 1: some trials violate
+        (6, 30, 6, None),  # three chunks of 12 trials at the real budget
     ])
     def test_equals_reference_loop(self, seed, trials, n, tol):
         got = run_bw_campaign(seed, trials, n, tol_override=tol)
@@ -104,6 +109,20 @@ class TestBwCampaign:
         got = run_bw_campaign(12, 20, 3)
         pair, spec = reference_bw(12, 20, 3)
         assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
+
+    def test_faulty_kernel_names_trial_seed(self, monkeypatch):
+        # a commutator kernel off by a factor 2 breaks the constant-3 layer
+        monkeypatch.setattr(bw, "commutator", lambda a, b: 2.0 * (a @ b - b @ a))
+        failing = []
+        for k in range(40):
+            stream = RandomStream(sub_seed(2, k))
+            try:
+                bw_slack(stream.gaussian_matrix(2), stream.gaussian_matrix(2))
+            except NumericalFailure:
+                failing.append(sub_seed(2, k))
+        assert failing and failing[0] != sub_seed(2, 0)  # not the chunk's first trial
+        with pytest.raises(NumericalFailure, match=f"^trial seed {failing[0]}: constant-3"):
+            run_bw_campaign(2, 40, 2)
 
 
 class TestTracker:

@@ -183,6 +183,12 @@ class TestCopositive:
         assert main(["copositive", "--input", path]) == 2
         assert "cap 16" in capsys.readouterr().err
 
+    def test_oversized_oracle_rejected(self, capsys, tmp_path):
+        # m = 8 at resolution 40 is C(47, 7) = 6.3e7 lattice points, about 4 GB
+        path = write(tmp_path, "m.json", dumps(matrix_json(np.eye(8))))
+        assert main(["copositive", "--input", path, "--oracle", "40"]) == 2
+        assert "over the budget" in capsys.readouterr().err
+
 
 class TestCurvature:
     def test_zero_form(self, capsys, tmp_path):
@@ -234,6 +240,19 @@ class TestModelsGolden:
             got = Path(prefix + suffix).read_bytes()
             want = (DATA / (stem + suffix)).read_bytes()
             assert got == want
+
+
+GOLDEN_BW = json.loads((DATA / "golden_bw_cli.json").read_text())
+
+
+class TestBwGolden:
+    """Exit code and JSON stdout of bw-verify (campaigns and --input), spectrum
+    and bw-search, pinned byte for byte; "{data}" in an argv is tests/data."""
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_BW))
+    def test_bytes(self, capsys, argv):
+        code = main([a.replace("{data}", str(DATA)) for a in argv.split()] + ["--format", "json"])
+        assert {"code": code, "stdout": capsys.readouterr().out} == GOLDEN_BW[argv]
 
 
 class TestSpectrum:

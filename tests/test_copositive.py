@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ineqlab import copositive
 from ineqlab.copositive import copositive_oracle, copositive_property_k
 from ineqlab.errors import InputRejected
 from ineqlab.seeded import RandomStream, sub_seed
@@ -72,3 +75,33 @@ class TestOracle:
             stream = RandomStream(sub_seed(311, k))
             p = stream.symmetric_matrix(3)
             assert copositive_property_k(p).copositive == copositive_oracle(p, 24).copositive
+
+    def test_oversized_lattice_rejected_before_building(self):
+        # m = 8 at resolution 40 would hold C(47, 7) * 8 = 5.1e8 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputRejected, match="over the budget of 4194304"):
+                copositive_oracle(np.eye(8), 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert (8, 40) not in copositive._LATTICE_CACHE
+
+    def test_lattice_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(copositive, "_LATTICE_CACHE", {})
+        budget = 1 << 22
+        cache_keys = []
+        # m = 2 lattices of 3e6, 2e6 and 1e6 entries, then the largest one in use
+        for key in [(2, 1_500_000), (2, 1_000_000), (2, 500_000), (4, 40)]:
+            lattice = copositive._simplex_lattice(*key)
+            assert copositive._LATTICE_CACHE[key] is lattice
+            assert sum(a.size for a in copositive._LATTICE_CACHE.values()) <= budget
+            cache_keys.append(list(copositive._LATTICE_CACHE))
+        assert cache_keys == [[(2, 1_500_000)], [(2, 1_000_000)],
+                              [(2, 1_000_000), (2, 500_000)],
+                              [(2, 1_000_000), (2, 500_000), (4, 40)]]
+        # m = 4 at resolution 40 (12341 points) stays cached
+        assert lattice.shape == (12341, 4)
+        assert copositive._simplex_lattice(3, 40) is not lattice
+        assert copositive._simplex_lattice(4, 40) is lattice

@@ -187,6 +187,21 @@ class TestCanonicalReduce:
             if nonzero.size:
                 assert nonzero[0] > 0.0
 
+    def test_dependent_members(self):
+        # m > n(n+1)/2 members are linearly dependent: the Gram matrix has
+        # eigenvalues that vanish up to rounding, and the reduction still holds
+        rng = np.random.default_rng(33)
+        for k in range(60):
+            n = 1 + k % 4
+            m = min(12, n * (n + 1) // 2 + 1 + k % 5)
+            g = rng.standard_normal((m, n, n))
+            for mats in (RandomStream(sub_seed(33, k)).symmetric_tuple(n, m),
+                         g + np.swapaxes(g, 1, 2)):
+                t = SymmetricTuple.from_matrices(mats)
+                before, after = ddvv_slack(t), ddvv_slack(canonical_reduce(t).reduced)
+                assert after.lhs == pytest.approx(before.lhs, rel=1e-9)
+                assert after.rhs == pytest.approx(before.rhs, rel=1e-9, abs=1e-9)
+
 
 class TestLemma1:
     def test_equality_case_one(self):
