@@ -20,6 +20,7 @@ from .linalg import (
     as_matrix,
     as_pair,
     commutator,
+    eigh_descending,
     frobenius_inner,
     frobenius_norm,
     norm_sq,
@@ -212,9 +213,9 @@ class RatioSearchResult:
 
 
 def _top_eigenmatrix(op: TOperator) -> tuple:
-    eig = sym_eigen(op.matrix)
-    vec = eig.vectors[:, 0].reshape(op.n, op.n)
-    return float(eig.values[0]), vec / frobenius_norm(vec)
+    values, vectors = eigh_descending(op.matrix)
+    vec = vectors[:, 0].reshape(op.n, op.n)
+    return float(values[0]), vec / frobenius_norm(vec)
 
 
 def maximize_ratio(n: int, seed: int, max_iters: int, x0=None) -> RatioSearchResult:

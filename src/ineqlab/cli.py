@@ -370,10 +370,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except InputRejected as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (InputRejected, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericalFailure as exc:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import as_symmetric, frobenius_norm, sym_eigen
+from .linalg import as_symmetric, eigh_descending, frobenius_norm
 
 PROPERTY_K_DIM_CAP = 16
 # eigenvector entries this close to zero carry no sign information
@@ -35,11 +35,12 @@ class CopositivityVerdict:
 def copositive_property_k(p) -> CopositivityVerdict:
     """Decide copositivity via the principal-submatrix eigenvector test.
 
-    Every nonempty principal submatrix is eigendecomposed; an eigenvalue
-    below -1e-10 * (1 + ||p||) whose eigenvector is one-signed (all
-    nonnegative or all nonpositive up to the zero tolerance) disproves
-    copositivity.  The certificate is the entrywise absolute value of the
-    violating eigenvector, kept only when it verifiably gives x^T P x < 0.
+    The principal submatrices of each size are eigendecomposed as one
+    stack, smallest size first; an eigenvalue below -1e-10 * (1 + ||p||)
+    whose eigenvector is one-signed (all nonnegative or all nonpositive up
+    to the zero tolerance) disproves copositivity.  The certificate is the
+    entrywise absolute value of the first such eigenvector, kept only when
+    it verifiably gives x^T P x < 0.
     """
     pm = as_symmetric(p, "p")
     m = pm.shape[0]
@@ -50,24 +51,18 @@ def copositive_property_k(p) -> CopositivityVerdict:
         )
     neg_eps = 1e-10 * (1.0 + frobenius_norm(pm))
     for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            idx = np.array(subset)
-            sub = pm[np.ix_(idx, idx)]
-            eig = sym_eigen(sub)
-            for k in range(size):
-                if eig.values[k] >= -neg_eps:
-                    continue
-                vec = eig.vectors[:, k]
-                has_pos = bool(np.any(vec > SIGN_ZERO_TOL))
-                has_neg = bool(np.any(vec < -SIGN_ZERO_TOL))
-                if has_pos and has_neg:
-                    continue
-                certificate = np.zeros(m)
-                certificate[idx] = np.abs(vec)
-                if float(certificate @ pm @ certificate) < 0.0:
-                    return CopositivityVerdict(False, certificate=certificate,
-                                               failing_submatrix=subset)
-                return CopositivityVerdict(False, certificate=None, failing_submatrix=subset)
+        subsets = np.array(list(itertools.combinations(range(m), size)))
+        values, vectors = eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])
+        mixed = np.any(vectors > SIGN_ZERO_TOL, axis=1) & np.any(vectors < -SIGN_ZERO_TOL, axis=1)
+        bad = np.flatnonzero((values < -neg_eps) & ~mixed)
+        if bad.size:
+            # first violation in scan order: subsets lexicographic, eigenvalues descending
+            row, k = divmod(int(bad[0]), size)
+            certificate = np.zeros(m)
+            certificate[subsets[row]] = np.abs(vectors[row, :, k])
+            verified = float(certificate @ pm @ certificate) < 0.0
+            return CopositivityVerdict(False, certificate if verified else None,
+                                       tuple(subsets[row].tolist()))
     return CopositivityVerdict(True)
 
 
@@ -95,8 +90,14 @@ def _simplex_lattice(m: int, resolution: int) -> np.ndarray:
         slots = resolution + m - 1
         combos = itertools.chain.from_iterable(itertools.combinations(range(slots), m - 1))
         bars = np.fromiter(combos, dtype=np.intp, count=entries // m * (m - 1))
-        bars = np.pad(bars.reshape(-1, m - 1), ((0, 0), (1, 1)), constant_values=(-1, slots))
-        cached = (np.diff(bars, axis=1) - 1) / float(resolution)
+        bars = bars.reshape(-1, m - 1)
+        # the gaps between consecutive bars, written straight into the lattice
+        cached = np.empty((bars.shape[0], m))
+        cached[:, 0] = bars[:, 0]
+        np.subtract(bars[:, 1:], bars[:, :-1], out=cached[:, 1:-1])
+        cached[:, 1:-1] -= 1.0
+        np.subtract(slots - 1, bars[:, -1], out=cached[:, -1])
+        cached /= float(resolution)
         while sum(a.size for a in _LATTICE_CACHE.values()) + cached.size > budget:
             del _LATTICE_CACHE[next(iter(_LATTICE_CACHE))]
         _LATTICE_CACHE[key] = cached

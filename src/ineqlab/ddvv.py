@@ -17,6 +17,7 @@ from .linalg import (
     as_matrix,
     as_pair,
     as_symmetric,
+    as_vector,
     commutator,
     commutator_norms_sq,
     frobenius_norm,
@@ -246,11 +247,7 @@ def lemma1_slack(eta, r) -> SlackReport:
     r_ij (i < j):  sum_{i<j} (eta_i - eta_j)^2 r_ij <= sum r_ij + max r_ij.
     Only the strict upper triangle of `r` is read.
     """
-    ev = np.asarray(eta, dtype=float)
-    if ev.ndim != 1 or ev.size < 2:
-        raise InputRejected("eta must be a vector of length >= 2")
-    if not np.all(np.isfinite(ev)):
-        raise InputRejected("eta entries must be finite")
+    ev = as_vector(eta, "eta", lambda k: k >= 2, "a vector of length >= 2", nonnegative=False)
     if abs(float(np.sum(ev))) > 1e-10:
         raise InputRejected(f"sum(eta) = {np.sum(ev):.3e}, must vanish within 1e-10")
     if abs(float(np.sum(ev * ev)) - 1.0) > 1e-10:
@@ -275,13 +272,7 @@ def p_matrix_bound(s) -> SlackReport:
     P has corner sum(s), diagonal s_j, and -s_j on the first row/column;
     its top eigenvalue is at most sum(s) + max(s).
     """
-    sv = np.asarray(s, dtype=float)
-    if sv.ndim != 1 or sv.size < 1:
-        raise InputRejected("s must be a nonempty vector")
-    if not np.all(np.isfinite(sv)):
-        raise InputRejected("s entries must be finite")
-    if np.any(sv < 0.0):
-        raise InputRejected("s entries must be nonnegative")
+    sv = as_vector(s, "s", lambda k: k >= 1, "a nonempty vector")
     k = sv.size
     p = np.zeros((k + 1, k + 1))
     p[0, 0] = np.sum(sv)
@@ -376,13 +367,7 @@ def lili_slack(sigma, x) -> SlackReport:
     """Li-Li inequality: sum sigma_ij x_i x_j <= 3/2 (sum x_i)^2 - sum x_i^2
     for nonnegative x."""
     sm = as_symmetric(sigma, "sigma")
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1 or xv.size != sm.shape[0]:
-        raise InputRejected(f"x must be a vector of length {sm.shape[0]}")
-    if not np.all(np.isfinite(xv)):
-        raise InputRejected("x entries must be finite")
-    if np.any(xv < 0.0):
-        raise InputRejected("x entries must be nonnegative")
+    xv = as_vector(x, "x", lambda k: k == sm.shape[0], f"a vector of length {sm.shape[0]}")
     lhs = float(xv @ sm @ xv)
     total = float(np.sum(xv))
     rhs = 1.5 * total * total - float(np.sum(xv * xv))

@@ -3,7 +3,7 @@ symmetric eigendecomposition, SVD, and the symmetric vectorization map.
 
 Everything operates on plain float64 numpy arrays.  Inputs are validated
 (finite entries, square shape, symmetry where required) and rejected with
-:class:`InputRejected`, except by the unchecked commutator kernels;
+:class:`InputRejected`, except by the unchecked commutator and eigen kernels;
 convergence failures surface as :class:`NumericalFailure`.
 """
 
@@ -29,6 +29,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InputRejected(f"{name}: entries must be finite (no NaN/Inf)")
     return m
+
+
+def as_vector(v, name: str, fits, shape: str, nonnegative: bool = True) -> np.ndarray:
+    """Finite (and by default nonnegative) vector whose size passes `fits`."""
+    out = np.asarray(v, dtype=float)
+    if out.ndim != 1 or not fits(out.size):
+        raise InputRejected(f"{name} must be {shape}")
+    if not np.all(np.isfinite(out)):
+        raise InputRejected(f"{name} entries must be finite")
+    if nonnegative and np.any(out < 0.0):
+        raise InputRejected(f"{name} entries must be nonnegative")
+    return out
 
 
 def norm_sq(a: np.ndarray) -> float:
@@ -124,19 +136,22 @@ class SingularDecomposition:
         return self.q1 @ np.diag(self.lam) @ self.q2
 
 
+def eigh_descending(a: np.ndarray) -> tuple:
+    """Eigenvalues, descending, and unit eigenvectors (vectors[..., :, k] pairs
+    with values[..., k]) of 0.5 * (a + a^T) over (..., n, n) stacks; unchecked."""
+    try:
+        w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    return w[..., ::-1], v[..., ::-1]
+
+
 def sym_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Rejects inputs whose symmetry defect exceeds 1e-12 * (1 + ||a||).
     """
-    m = as_symmetric(a, "a")
-    sym = 0.5 * (m + m.T)
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    return EigenDecomposition(values=w[order], vectors=v[:, order])
+    return EigenDecomposition(*eigh_descending(as_symmetric(a, "a")))
 
 
 def svd(x) -> SingularDecomposition:

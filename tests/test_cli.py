@@ -189,6 +189,14 @@ class TestCopositive:
         assert main(["copositive", "--input", path, "--oracle", "40"]) == 2
         assert "over the budget" in capsys.readouterr().err
 
+    def test_accepted_input_gets_a_verdict(self, capsys, tmp_path):
+        # the 1e-8 asymmetry is within tolerance for ||p|| = 1e6, though not
+        # for the 2 x 2 principal submatrix it sits in
+        path = write(tmp_path, "m.txt", "3\n1e6 0 0\n0 1 0\n0 1e-8 1\n")
+        code, doc = run_json(capsys, ["copositive", "--input", path])
+        assert code == 0
+        assert doc["property_k"]["copositive"] is True
+
 
 class TestCurvature:
     def test_zero_form(self, capsys, tmp_path):
@@ -253,6 +261,26 @@ class TestBwGolden:
     def test_bytes(self, capsys, argv):
         code = main([a.replace("{data}", str(DATA)) for a in argv.split()] + ["--format", "json"])
         assert {"code": code, "stdout": capsys.readouterr().out} == GOLDEN_BW[argv]
+
+
+GOLDEN_COPOSITIVE = json.loads((DATA / "golden_copositive_cli.json").read_text())
+
+
+class TestCopositiveGolden:
+    """Exit code and JSON stdout of copositive, pinned byte for byte.  A case
+    is named m<size>-<kind>.<txt|json> [--oracle R]: m 1..16; PSD plus
+    nonnegative, Gaussian, planted negative pair, g g^T - 0.3 I, exactly
+    tied spectra (-I, I, 0, J - I, (k - 1/2) I - J failing first at size k);
+    its input file text is stored with it."""
+
+    @pytest.mark.parametrize("case", list(GOLDEN_COPOSITIVE))
+    def test_bytes(self, capsys, tmp_path, case):
+        name, *extra = case.split()
+        want = GOLDEN_COPOSITIVE[case]
+        path = write(tmp_path, name, want["input"])
+        code = main(["copositive", "--input", path, *extra, "--format", "json"])
+        assert {"code": code, "stdout": capsys.readouterr().out} == \
+            {"code": want["code"], "stdout": want["stdout"]}
 
 
 class TestSpectrum:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,6 +37,32 @@ class TestPropertyK:
         for _ in range(50):
             g = rng.gaussian_matrix(4)
             assert copositive_property_k(g @ g.T).copositive
+
+    def test_accepted_input_is_not_revalidated(self):
+        # p passes as_symmetric (defect 1e-8 <= 1e-12 * (1 + 1e6)); its
+        # submatrix on {1, 2} alone would not, and must not be checked again
+        p = np.diag([1e6, 1.0, 1.0])
+        p[2, 1] = 1e-8
+        verdict = copositive_property_k(p)
+        assert verdict.copositive
+        assert verdict.certificate is None
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_one_kernel_call_per_subset_size(self, monkeypatch, m):
+        sizes = []
+        kernel = copositive.eigh_descending
+        monkeypatch.setattr(copositive, "eigh_descending",
+                            lambda stack: sizes.append(stack.shape) or kernel(stack))
+        g = RandomStream(sub_seed(333, m)).gaussian_matrix(m)
+        assert copositive_property_k(g @ g.T + np.abs(g + g.T)).copositive
+        assert sizes == [(math.comb(m, s), s, s) for s in range(1, m + 1)]
+        sizes.clear()
+        p = 2.5 * np.eye(m) - np.ones((m, m))
+        verdict = copositive_property_k(p)
+        assert verdict.copositive is (m < 3)
+        assert len(sizes) == min(m, 3)
+        if m >= 3:
+            assert verdict.failing_submatrix == (0, 1, 2)
 
     def test_dimension_cap(self):
         with pytest.raises(InputRejected, match="oracle"):
@@ -87,6 +115,29 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 2**16
         assert (8, 40) not in copositive._LATTICE_CACHE
+
+    @pytest.mark.parametrize("m, resolution", [(3, 400), (4, 60)])
+    def test_lattice_build_peak(self, monkeypatch, m, resolution):
+        # the bar gaps go straight into the lattice, so the build peaks
+        # under twice the lattice it returns
+        monkeypatch.setattr(copositive, "_LATTICE_CACHE", {})
+        tracemalloc.start()
+        try:
+            lattice = copositive._simplex_lattice(m, resolution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * lattice.nbytes
+
+    @pytest.mark.parametrize("m, resolution", [(2, 7), (3, 40), (4, 9), (6, 5)])
+    def test_lattice_bits(self, monkeypatch, m, resolution):
+        # same bits as the padded np.diff construction
+        monkeypatch.setattr(copositive, "_LATTICE_CACHE", {})
+        slots = resolution + m - 1
+        bars = np.array(list(itertools.combinations(range(slots), m - 1)))
+        bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
+        want = (np.diff(bars, axis=1) - 1) / float(resolution)
+        assert np.array_equal(copositive._simplex_lattice(m, resolution), want)
 
     def test_lattice_cache_bounded(self, monkeypatch):
         monkeypatch.setattr(copositive, "_LATTICE_CACHE", {})

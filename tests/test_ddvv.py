@@ -462,6 +462,30 @@ class TestLiLi:
             assert quad <= total + 1e-9 * (1.0 + total)
 
 
+class TestVectorPreconditions:
+    # the messages of the shared vector check, word for word
+    @pytest.mark.parametrize("call, message", [
+        (lambda: lemma1_slack([1.0], np.eye(1)), "eta must be a vector of length >= 2"),
+        (lambda: lemma1_slack(np.eye(2), np.eye(2)), "eta must be a vector of length >= 2"),
+        (lambda: lemma1_slack([S2, np.nan], np.eye(2)), "eta entries must be finite"),
+        (lambda: lemma1_slack([-S2, S2], -np.ones((2, 2))),
+         "weights r_ij must be nonnegative"),
+        (lambda: p_matrix_bound([]), "s must be a nonempty vector"),
+        (lambda: p_matrix_bound(3.0), "s must be a nonempty vector"),
+        (lambda: p_matrix_bound([1.0, np.inf]), "s entries must be finite"),
+        (lambda: p_matrix_bound([1.0, -2.0]), "s entries must be nonnegative"),
+        (lambda: lili_slack(np.zeros((2, 2)), [1.0]), "x must be a vector of length 2"),
+        (lambda: lili_slack(np.zeros((2, 2)), np.ones((2, 1))),
+         "x must be a vector of length 2"),
+        (lambda: lili_slack(np.zeros((2, 2)), [1.0, np.nan]), "x entries must be finite"),
+        (lambda: lili_slack(np.zeros((2, 2)), [1.0, -0.5]), "x entries must be nonnegative"),
+    ])
+    def test_messages(self, call, message):
+        with pytest.raises(InputRejected) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 class TestLemmaChain:
     def test_traceless_chain_and_row_bound(self):
         # canonicalize traceless tuples, rescale the leader to unit norm, then

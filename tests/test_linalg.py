@@ -3,15 +3,17 @@ import pytest
 from conftest import eij, offdiag2
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ineqlab.errors import InputRejected
+from ineqlab.bw import t_operator
+from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import (
     commutator,
+    eigh_descending,
     frobenius_inner,
     svd,
     sym_eigen,
     vectorize_sym,
 )
-from ineqlab.seeded import RandomStream
+from ineqlab.seeded import RandomStream, sub_seeds
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -115,6 +117,49 @@ class TestSymEigen:
             assert np.max(np.abs(dec.reconstruct() - a)) <= 1e-9 * scale
             assert np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(n))) <= 1e-10
             assert np.all(np.diff(dec.values) <= 0.0)
+
+
+class TestEighDescending:
+    def test_stack_equals_per_matrix(self):
+        # one call over a (5, n, n) stack reproduces sym_eigen bit for bit
+        for n in range(1, 13):
+            stack = RandomStream(sub_seeds(77 + n, 0, 5)).symmetric_matrix(n)
+            values, vectors = eigh_descending(stack)
+            assert values.shape == (5, n) and vectors.shape == (5, n, n)
+            for a, w, v in zip(stack, values, vectors):
+                dec = sym_eigen(a)
+                assert np.array_equal(w, dec.values)
+                assert np.array_equal(v, dec.vectors)
+
+    def test_order_equals_argsort_on_tied_t_spectra(self):
+        # T spectra have exact ties (the partner eigenvector, and whole
+        # degenerate blocks for diagonal or nilpotent X); reversing eigh's
+        # ascending output matches the argsort(w)[::-1] reordering
+        rng = RandomStream(91)
+        generators = [np.eye(2), eij(2, 0, 1), eij(3, 0, 2), np.diag([1.0, 2.0, 4.0])]
+        generators += [np.diag(np.arange(n, dtype=float)) for n in range(2, 9)]
+        generators += [rng.gaussian_matrix(n) for n in range(2, 9)]
+        tied = 0
+        for x in generators:
+            t = t_operator(x).matrix
+            values, vectors = eigh_descending(t)
+            w, v = np.linalg.eigh(0.5 * (t + t.T))
+            order = np.argsort(w)[::-1]
+            assert np.array_equal(values, w[order])
+            assert np.array_equal(vectors, v[:, order])
+            tied += bool(np.any(np.diff(w) == 0.0))
+        assert tied >= 10
+
+    def test_symmetrizes_without_checking(self):
+        values, _ = eigh_descending(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        assert_allclose(values, [1.0, -1.0], atol=1e-15)
+
+    def test_nonconvergence_is_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("stub")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailure, match="did not converge: stub"):
+            eigh_descending(np.eye(2))
 
 
 class TestSvd:
