@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import as_symmetric, eigh_descending, frobenius_norm
+from .linalg import as_symmetric, eigh_descending, prescaled_norm
 
 PROPERTY_K_DIM_CAP = 16
 # eigenvector entries this close to zero carry no sign information
@@ -32,15 +32,145 @@ class CopositivityVerdict:
     failing_submatrix: Optional[tuple] = None
 
 
+def _subsets(m: int, size: int) -> np.ndarray:
+    """All size-subsets of range(m), one per row, in itertools.combinations order."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+    count = math.comb(m, size)
+    return np.fromiter(combos, dtype=np.intp, count=count * size).reshape(count, size)
+
+
+def _masks(subsets: np.ndarray) -> np.ndarray:
+    """The rows of `subsets` as bitmasks."""
+    return (1 << subsets).sum(1)
+
+
+def _uncovered(m: int, size: int, covers: np.ndarray) -> np.ndarray:
+    """The size-subsets of range(m) inside no cover (covers are bitmasks),
+    one per row in itertools.combinations order.
+
+    Such a subset meets the complement of every cover, so it holds every
+    index whose leave-one-out set is a cover.  Only the other indices are
+    enumerated; of two equal-size sets the lexicographically smaller holds
+    their least differing element, so the forced indices plus a tail keep
+    the order of the tails.
+    """
+    outside = ((1 << m) - 1) ^ covers
+    forced_mask = int(np.bitwise_or.reduce(outside[(outside & (outside - 1)) == 0], initial=0))
+    forced = [i for i in range(m) if forced_mask >> i & 1]
+    if size < len(forced):
+        return np.zeros((0, size), dtype=np.intp)
+    free = np.array([i for i in range(m) if not forced_mask >> i & 1], dtype=np.intp)
+    subsets = free[_subsets(free.size, size - len(forced))]
+    if forced:
+        subsets = np.sort(np.concatenate(
+            [np.broadcast_to(forced, (len(subsets), len(forced))), subsets], axis=1), axis=1)
+    if covers.size:
+        masks = _masks(subsets)[:, None]
+        subsets = subsets[~np.any((masks & covers) == masks, axis=1)]
+    return subsets
+
+
+def _below(m: int, alive: np.ndarray) -> np.ndarray:
+    """The subsets one smaller than the rows of `alive` whose every
+    one-larger superset is a row of `alive`, in itertools.combinations order."""
+    size = alive.shape[1]
+    children, counts = np.unique(_masks(alive)[:, None] - (1 << alive), return_counts=True)
+    masks = children[counts == m - size + 1]
+    below = np.nonzero((masks[:, None] >> np.arange(m)) & 1)[1].reshape(-1, size - 1)
+    return below[np.lexsort(below.T[::-1])]
+
+
+_NO_COVERS = np.zeros(0, dtype=np.int64)
+
+
+def _violation(pm: np.ndarray, subsets: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+               neg_eps: float) -> Optional[CopositivityVerdict]:
+    """The verdict of the first violation among the eigenpairs (descending)
+    of the principal submatrices on the rows of `subsets` (one size,
+    itertools.combinations order), or None when there is none."""
+    mixed = np.any(vectors > SIGN_ZERO_TOL, axis=1) & np.any(vectors < -SIGN_ZERO_TOL, axis=1)
+    bad = np.flatnonzero((values < -neg_eps) & ~mixed)
+    if not bad.size:
+        return None
+    # first violation in scan order: subsets lexicographic, eigenvalues descending
+    row, k = divmod(int(bad[0]), subsets.shape[1])
+    certificate = np.zeros(pm.shape[0])
+    certificate[subsets[row]] = np.abs(vectors[row, :, k])
+    verified = float(certificate @ pm @ certificate) < 0.0
+    return CopositivityVerdict(False, certificate if verified else None,
+                               tuple(subsets[row].tolist()))
+
+
+def _solve(pm: np.ndarray, subsets: np.ndarray, neg_eps: float) -> tuple:
+    """Eigendecompose the principal submatrices on the rows of `subsets` as
+    one stack; return the verdict of its first violation (or None) and each
+    row's smallest eigenvalue.  The stack's eigenpairs are freed on return."""
+    values, vectors = eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])
+    return _violation(pm, subsets, values, vectors, neg_eps), values[:, -1].copy()
+
+
+# shifted projections tried by the PSD-plus-nonnegative certificate, and
+# the shift as a fraction of ||p||
+SPN_STEPS = 2
+SPN_SHIFT = 0.1
+
+
+def _psd_plus_nonnegative(pm: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                          shift: float, margin: float) -> bool:
+    """Whether sym(p) = X + N is found with N >= 0 entrywise and X's
+    computed smallest eigenvalue >= -margin, from the eigenpairs of sym(p).
+
+    Alternating projections: X = min(Y, sym(p)) entrywise, with Y the
+    previous X (sym(p) first) with its eigenvalues raised to at least
+    `shift`; SPN_STEPS tries.  N = sym(p) - X is exact and nonnegative, so
+    x^T p x >= x^T X x for every x >= 0.
+    """
+    psym = 0.5 * (pm + pm.T)
+    for _ in range(SPN_STEPS):
+        x = np.minimum((vectors * np.maximum(values, shift)) @ vectors.T, psym)
+        values, vectors = eigh_descending(x)
+        if values[-1] >= -margin:
+            return True
+    return False
+
+
 def copositive_property_k(p) -> CopositivityVerdict:
     """Decide copositivity via the principal-submatrix eigenvector test.
 
-    The principal submatrices of each size are eigendecomposed as one
-    stack, smallest size first; an eigenvalue below -1e-10 * (1 + ||p||)
-    whose eigenvector is one-signed (all nonnegative or all nonpositive up
-    to the zero tolerance) disproves copositivity.  The certificate is the
-    entrywise absolute value of the first such eigenvector, kept only when
-    it verifiably gives x^T P x < 0.
+    Each principal submatrix is eigendecomposed; an eigenvalue below
+    neg_eps = 1e-10 * (1 + ||p||) whose eigenvector is one-signed (all
+    nonnegative or all nonpositive up to the zero tolerance) disproves
+    copositivity.  The verdict is that of the first such eigenvector in
+    scan order (subsets by size, then lexicographic; eigenvalues
+    descending), and the certificate its entrywise absolute value, kept
+    only when it verifiably gives x^T P x < 0.
+
+    Two facts let most solves go.  (1) Let x^T S x >= -mu ||x||^2 for
+    every x >= 0, and let (lam, v) be a computed unit eigenpair of S with
+    v >= -w entrywise, w = SIGN_ZERO_TOL.  With v_- the magnitudes of the
+    negative entries, |v| = v + 2 v_- and, up to the eigensolver's residual
+    (about s * eps * ||S||_2, under 4e-15 ||P|| for s <= 16),
+    |v|^T S |v| = lam (1 - 4 ||v_-||^2) + 4 v_-^T S v_-, so
+    lam >= -mu - 4 s w^2 ||S|| - O(s eps ||S||).  For mu near neg_eps/2
+    that is far above -neg_eps: such an S holds no violation.  (2) Such
+    an S is a principal submatrix of a *cover*, a principal submatrix
+    whose computed smallest eigenvalue is >= -neg_eps/2 (Cauchy
+    interlacing), or of p when sym(p) = X + N is found with N >= 0
+    entrywise and X a cover (_psd_plus_nonnegative).
+
+    So p itself is solved first and the call returns at once when p is a
+    cover or has that decomposition.  Otherwise the sizes are solved from
+    both ends, one stack per size, each end in turn while its solves have
+    cost fewer flops (s^3 per size-s matrix) than the other's.  From the
+    top: at each smaller size exactly the subsets all of whose one-larger
+    supersets were solved and are not covers, i.e. the subsets inside no
+    cover; when there are none, nothing smaller needs solving.  From the
+    bottom: the subsets inside no cover found so far, and a violation
+    there is the first in scan order.  When the ends meet, the first
+    violation is the one at the smallest top size.  A matrix's eigenpairs
+    do not depend on the stack it is solved in, so the verdict, failing
+    submatrix and certificate are those of the scan over every subset,
+    bit for bit.
     """
     pm = as_symmetric(p, "p")
     m = pm.shape[0]
@@ -49,20 +179,41 @@ def copositive_property_k(p) -> CopositivityVerdict:
             f"dimension {m} exceeds the principal-submatrix cap {PROPERTY_K_DIM_CAP}; "
             "use the simplex oracle for larger matrices"
         )
-    neg_eps = 1e-10 * (1.0 + frobenius_norm(pm))
-    for size in range(1, m + 1):
-        subsets = np.array(list(itertools.combinations(range(m), size)))
-        values, vectors = eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])
-        mixed = np.any(vectors > SIGN_ZERO_TOL, axis=1) & np.any(vectors < -SIGN_ZERO_TOL, axis=1)
-        bad = np.flatnonzero((values < -neg_eps) & ~mixed)
-        if bad.size:
-            # first violation in scan order: subsets lexicographic, eigenvalues descending
-            row, k = divmod(int(bad[0]), size)
-            certificate = np.zeros(m)
-            certificate[subsets[row]] = np.abs(vectors[row, :, k])
-            verified = float(certificate @ pm @ certificate) < 0.0
-            return CopositivityVerdict(False, certificate if verified else None,
-                                       tuple(subsets[row].tolist()))
+    norm = prescaled_norm(pm)
+    neg_eps = 1e-10 * (1.0 + norm)
+    margin = 0.5 * neg_eps
+    alive = np.arange(m)[None]
+    values, vectors = eigh_descending(pm[None])
+    if values[0, -1] >= -margin:
+        return CopositivityVerdict(True)  # p itself is a cover
+    if _psd_plus_nonnegative(pm, values[0], vectors[0], SPN_SHIFT * norm, margin):
+        return CopositivityVerdict(True)
+    top = [_violation(pm, alive, values, vectors, neg_eps)]  # largest size first
+    covers = _NO_COVERS
+    low, high = 1, m
+    spent_low, spent_high = 0, m**3
+    while low < high and alive.size:
+        if spent_low <= spent_high:
+            subsets = _uncovered(m, low, covers)
+            if subsets.size:
+                verdict, _ = _solve(pm, subsets, neg_eps)
+                if verdict is not None:
+                    return verdict
+            spent_low += subsets.size * low * low
+            low += 1
+        else:
+            high -= 1
+            subsets = _below(m, alive)
+            if not subsets.size:
+                break  # every smaller subset lies inside a cover
+            verdict, lowest = _solve(pm, subsets, neg_eps)
+            top.append(verdict)
+            covers = np.concatenate([covers, _masks(subsets[lowest >= -margin])])
+            alive = subsets[lowest < -margin]
+            spent_high += subsets.size * high * high
+    for verdict in reversed(top):
+        if verdict is not None:
+            return verdict
     return CopositivityVerdict(True)
 
 
@@ -113,6 +264,39 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _refine(pm: np.ndarray, x: np.ndarray, step: float) -> np.ndarray:
+    """Up to 500 projected-gradient steps x <- proj(x - step * 2 P x) from
+    x, ending once no entry moves by 1e-15.
+
+    The matrix product runs in numpy; the rest of a step, on a handful of
+    entries, runs on Python floats, where numpy's per-call cost would be
+    most of the time.  The projection makes the IEEE operations of
+    _project_simplex in the same order, so the bits are the same; a step
+    with a non-finite entry goes to _project_simplex itself.
+    """
+    twice = 2.0 * pm
+    xs = x.tolist()
+    for _ in range(500):
+        v = [a - step * g for a, g in zip(xs, (twice @ x).tolist())]
+        rho = 0
+        if all(map(math.isfinite, v)):
+            css = 0.0
+            for k, t in enumerate(sorted(v, reverse=True), 1):
+                css += t
+                if t - (css - 1.0) / k > 0.0:
+                    rho, theta = k, css - 1.0
+        if rho:
+            theta /= rho
+            nxt = [d if d > 0.0 else 0.0 for d in [t - theta for t in v]]
+        else:
+            nxt = _project_simplex(np.array(v)).tolist()
+        x = np.array(nxt)
+        if all(abs(a - b) < 1e-15 for a, b in zip(nxt, xs)):
+            break
+        xs = nxt
+    return x
+
+
 def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     """Brute-force verdict: minimize x^T P x over the unit simplex.
 
@@ -125,6 +309,7 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]
+    norm = prescaled_norm(pm)
     if m == 1:
         best_x = np.ones(1)
         best_val = float(pm[0, 0])
@@ -135,18 +320,11 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
         best_x, best_val = lattice[best].copy(), float(values[best])
 
         # one local refinement pass from the lattice minimizer
-        step = 0.5 / (frobenius_norm(pm) + 1.0)
-        x = best_x.copy()
-        for _ in range(500):
-            nxt = _project_simplex(x - step * (2.0 * pm @ x))
-            if float(np.max(np.abs(nxt - x))) < 1e-15:
-                x = nxt
-                break
-            x = nxt
+        x = _refine(pm, best_x, 0.5 / (norm + 1.0))
         val = float(x @ pm @ x)
         if val < best_val:
             best_x, best_val = x, val
 
-    if best_val >= -1e-9 * (1.0 + frobenius_norm(pm)):
+    if best_val >= -1e-9 * (1.0 + norm):
         return CopositivityVerdict(True)
     return CopositivityVerdict(False, certificate=best_x)

@@ -9,6 +9,7 @@ convergence failures surface as :class:`NumericalFailure`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,14 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(norm_sq(a)))
 
 
+def prescaled_norm(a: np.ndarray) -> float:
+    """Frobenius norm of a / 2^e scaled back by 2^e, with e the frexp exponent
+    of max |a_ij|: bit for bit frobenius_norm(a) in the normal range, and
+    finite where the plain sum of squares overflows."""
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    return math.ldexp(frobenius_norm(np.ldexp(a, -e)), e)
+
+
 def as_pair(a, b, name_a: str = "a", name_b: str = "b") -> tuple:
     """Validate two matrices with as_matrix and require equal shapes."""
     am = as_matrix(a, name_a)
@@ -91,7 +100,7 @@ def as_symmetric(a, name: str = "matrix") -> np.ndarray:
     """as_matrix plus symmetry within SYMMETRY_TOL * (1 + ||a||)."""
     m = as_matrix(a, name)
     defect = float(np.max(np.abs(m - m.T)))
-    allowed = SYMMETRY_TOL * (1.0 + frobenius_norm(m))
+    allowed = SYMMETRY_TOL * (1.0 + prescaled_norm(m))
     if defect > allowed:
         raise InputRejected(
             f"{name}: not symmetric (max |a_ij - a_ji| = {defect:.3e}, allowed {allowed:.3e})"

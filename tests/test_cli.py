@@ -189,6 +189,17 @@ class TestCopositive:
         assert main(["copositive", "--input", path, "--oracle", "40"]) == 2
         assert "over the budget" in capsys.readouterr().err
 
+    def test_huge_entries_not_copositive(self, capsys, tmp_path):
+        # ||p||^2 overflows for P = diag(1e200, -1e200); both tests still see p_22 < 0
+        path = write(tmp_path, "m.txt", "2\n1e200 0\n0 -1e200\n")
+        code, doc = run_json(capsys, ["copositive", "--input", path, "--oracle", "4"])
+        assert code == 0
+        assert doc["property_k"] == {"copositive": False, "certificate": [0.0, 1.0],
+                                     "failing_submatrix": [1]}
+        assert doc["oracle"]["copositive"] is False
+        assert doc["oracle"]["certificate"] == [0.0, 1.0]
+        assert doc["agree"] is True
+
     def test_accepted_input_gets_a_verdict(self, capsys, tmp_path):
         # the 1e-8 asymmetry is within tolerance for ||p|| = 1e6, though not
         # for the 2 x 2 principal submatrix it sits in

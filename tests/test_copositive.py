@@ -7,9 +7,123 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ineqlab import copositive
-from ineqlab.copositive import copositive_oracle, copositive_property_k
+from ineqlab.copositive import (
+    SIGN_ZERO_TOL,
+    CopositivityVerdict,
+    copositive_oracle,
+    copositive_property_k,
+)
 from ineqlab.errors import InputRejected
+from ineqlab.linalg import as_symmetric, eigh_descending, frobenius_norm
 from ineqlab.seeded import RandomStream, sub_seed
+
+
+def violates(p, subsets, neg_eps):
+    """Whether the principal submatrices on `subsets` hold a violation."""
+    pm = as_symmetric(p, "p")
+    stack = np.array([pm[np.ix_(s, s)] for s in subsets])
+    values, vectors = eigh_descending(stack)
+    mixed = np.any(vectors > SIGN_ZERO_TOL, axis=1) & np.any(vectors < -SIGN_ZERO_TOL, axis=1)
+    return bool(np.any((values < -neg_eps) & ~mixed))
+
+
+def two_ended_scan(p):
+    """The subsets of each stack the property-K scan solves, for a p with
+    no PSD-plus-nonnegative certificate, from first principles: subsets as
+    tuples, a cover by its own eigvalsh call, the two ends taking turns by
+    flops (s^3 per size-s matrix), the bottom end stopping at its first
+    violation."""
+    m = p.shape[0]
+    neg_eps = 1e-10 * (1.0 + frobenius_norm(p))
+    margin = 0.5 * neg_eps
+
+    def lowest(s):
+        sub = p[np.ix_(s, s)]
+        return np.linalg.eigvalsh(0.5 * (sub + sub.T))[0]
+
+    full = tuple(range(m))
+    stacks = [[full]]
+    if lowest(full) >= -margin:
+        return stacks
+    covers, alive = [], {full}
+    low, high, spent_low, spent_high = 1, m, 0, m**3
+    while low < high and alive:
+        if spent_low <= spent_high:
+            subsets = [s for s in itertools.combinations(range(m), low)
+                       if not any(set(s) <= c for c in covers)]
+            if subsets:
+                stacks.append(subsets)
+                if violates(p, subsets, neg_eps):
+                    return stacks
+            spent_low += len(subsets) * low**3
+            low += 1
+        else:
+            high -= 1
+            subsets = [s for s in itertools.combinations(range(m), high)
+                       if all(tuple(sorted(s + (j,))) in alive for j in range(m) if j not in s)]
+            if not subsets:
+                break
+            stacks.append(subsets)
+            covers += [set(s) for s in subsets if lowest(s) >= -margin]
+            alive = {s for s in subsets if lowest(s) < -margin}
+            spent_high += len(subsets) * high**3
+    return stacks
+
+
+def full_scan(p):
+    """Property K over every principal submatrix: the scan before covers."""
+    pm = as_symmetric(p, "p")
+    m = pm.shape[0]
+    neg_eps = 1e-10 * (1.0 + frobenius_norm(pm))
+    for size in range(1, m + 1):
+        subsets = np.array(list(itertools.combinations(range(m), size)))
+        values, vectors = eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])
+        mixed = np.any(vectors > SIGN_ZERO_TOL, axis=1) & np.any(vectors < -SIGN_ZERO_TOL, axis=1)
+        bad = np.flatnonzero((values < -neg_eps) & ~mixed)
+        if bad.size:
+            row, k = divmod(int(bad[0]), size)
+            certificate = np.zeros(m)
+            certificate[subsets[row]] = np.abs(vectors[row, :, k])
+            verified = float(certificate @ pm @ certificate) < 0.0
+            return CopositivityVerdict(False, certificate if verified else None,
+                                       tuple(subsets[row].tolist()))
+    return CopositivityVerdict(True)
+
+
+def equivalence_inputs():
+    """(family, p) over m = 1..12: PSD plus nonnegative, a planted negative
+    pair, Gaussian, rank-deficient g g^T, a PSD matrix with a positive null
+    vector shifted down by a fraction of neg_eps (on either side of the
+    neg_eps/2 cover margin and of neg_eps), and the tied spectra J - I,
+    -I, 0 and (k - 1/2) I - J."""
+    for m in range(1, 13):
+        stream = RandomStream(sub_seed(6001, m))
+        for _ in range(12 if m <= 8 else 4):
+            g = stream.gaussian_matrix(m)
+            p = g @ g.T + np.abs(stream.symmetric_matrix(m))
+            yield "psd+nonneg", p
+            q = p.copy()
+            i = int(stream.uniforms(1)[0] * m)
+            j = (i + 1) % m
+            q[i, j] = q[j, i] = -np.sqrt(p[i, i] * p[j, j]) - 0.5
+            yield "planted", q
+            yield "gaussian", stream.symmetric_matrix(m)
+        for rank in range(0, m, 3):
+            g = stream.gaussian_matrix(m)[:, :rank]
+            yield "rank-deficient", g @ g.T
+        u = 1.0 + stream.uniforms(m)
+        b = stream.gaussian_matrix(m)
+        b -= np.outer(u, u @ b) / (u @ u)
+        gram = b @ b.T
+        for frac in (0.25, 0.49, 0.51, 0.99, 1.01, 1.5):
+            shift = frac * 1e-10 * (1.0 + frobenius_norm(gram))
+            yield "shifted", gram - shift * np.eye(m)
+        ones = np.ones((m, m))
+        yield "J - I", ones - np.eye(m)
+        yield "-I", -np.eye(m)
+        yield "0", np.zeros((m, m))
+        for k in sorted({1, 2, m // 2, m} if m > 8 else range(1, m + 1)):
+            yield "(k - 1/2) I - J", (k - 0.5) * np.eye(m) - ones
 
 
 class TestPropertyK:
@@ -47,22 +161,124 @@ class TestPropertyK:
         assert verdict.copositive
         assert verdict.certificate is None
 
-    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_one_kernel_call_per_subset_size(self, monkeypatch, m):
-        sizes = []
+        stacks, singles = [], []
         kernel = copositive.eigh_descending
-        monkeypatch.setattr(copositive, "eigh_descending",
-                            lambda stack: sizes.append(stack.shape) or kernel(stack))
+
+        def record(a):
+            # the scan solves (count, s, s) stacks; the certificate single matrices
+            (stacks if a.ndim == 3 else singles).append(a)
+            return kernel(a)
+
+        monkeypatch.setattr(copositive, "eigh_descending", record)
+
+        def solved_sizes(p):
+            stacks.clear()
+            singles.clear()
+            verdict = copositive_property_k(p)
+            sizes = [a.shape[-1] for a in stacks]
+            assert len(sizes) == len(set(sizes))  # at most one kernel call per size
+            return verdict, sizes
+
+        # PSD plus nonnegative: p itself or its certificate decides at once
         g = RandomStream(sub_seed(333, m)).gaussian_matrix(m)
-        assert copositive_property_k(g @ g.T + np.abs(g + g.T)).copositive
-        assert sizes == [(math.comb(m, s), s, s) for s in range(1, m + 1)]
-        sizes.clear()
+        verdict, sizes = solved_sizes(g @ g.T + np.abs(g + g.T))
+        assert verdict.copositive
+        assert sizes == [m]
+        assert len(singles) <= copositive.SPN_STEPS
+        # 2.5 I - J: PSD for m < 3, else no certificate and the exact stacks
         p = 2.5 * np.eye(m) - np.ones((m, m))
-        verdict = copositive_property_k(p)
+        verdict, sizes = solved_sizes(p)
         assert verdict.copositive is (m < 3)
-        assert len(sizes) == min(m, 3)
+        assert len(singles) == (copositive.SPN_STEPS if m >= 3 else 0)
+        want = two_ended_scan(p)
+        assert len(stacks) == len(want)
+        for got, subsets in zip(stacks, want):
+            assert np.array_equal(got, np.array([p[np.ix_(s, s)] for s in subsets]))
         if m >= 3:
             assert verdict.failing_submatrix == (0, 1, 2)
+
+    def test_top_end_skips_subsets_inside_covers(self, monkeypatch):
+        # D - J is PSD on a subset S iff sum_S 1/d_i <= 1; at this draw the
+        # top end finds covers at size 6, and the stacks below them must
+        # hold only the subsets inside no cover
+        stacks = []
+        kernel = copositive.eigh_descending
+        monkeypatch.setattr(copositive, "eigh_descending",
+                            lambda a: (a.ndim == 3 and stacks.append(a)) or kernel(a))
+        u = RandomStream(sub_seed(335, 366)).uniforms(7)
+        p = np.diag(1.0 / (0.1 + 0.3 * u)) - np.ones((7, 7))
+        verdict, reference = copositive_property_k(p), full_scan(p)
+        assert verdict.failing_submatrix == reference.failing_submatrix == (0, 1, 2, 3, 4, 5)
+        assert np.array_equal(verdict.certificate, reference.certificate)
+        want = two_ended_scan(p)
+        assert [a.shape[0] for a in stacks] == [len(s) for s in want] == [1, 7, 21, 35, 7, 20, 15]
+        for got, subsets in zip(stacks, want):
+            assert np.array_equal(got, np.array([p[np.ix_(s, s)] for s in subsets]))
+
+    def test_equals_full_scan(self):
+        families = {}
+        for family, p in equivalence_inputs():
+            got, want = copositive_property_k(p), full_scan(p)
+            assert (got.copositive, got.failing_submatrix) == \
+                (want.copositive, want.failing_submatrix), family
+            assert (got.certificate is None) == (want.certificate is None), family
+            if want.certificate is not None:
+                assert np.array_equal(got.certificate, want.certificate), family
+            families.setdefault(family, []).append(want.copositive)
+        assert sum(map(len, families.values())) >= 500
+        assert all(families["psd+nonneg"]) and not any(families["planted"])
+        for family in ("gaussian", "shifted"):
+            assert any(families[family]) and not all(families[family])
+
+    def test_psd_plus_nonnegative_certificate(self):
+        def certified(p):
+            pm = as_symmetric(p, "p")
+            values, vectors = eigh_descending(pm)
+            norm = frobenius_norm(pm)
+            return copositive._psd_plus_nonnegative(
+                pm, values, vectors, copositive.SPN_SHIFT * norm, 0.5e-10 * (1.0 + norm))
+
+        # g g^T + |g + g^T| with a negative eigenvalue: certified, decided at once
+        g = RandomStream(sub_seed(334, 12)).gaussian_matrix(12)
+        p = g @ g.T + np.abs(g + g.T)
+        assert np.linalg.eigvalsh(p)[0] < 0.0
+        assert certified(p)
+        assert copositive_property_k(p) == CopositivityVerdict(True)
+        # the Horn matrix is copositive but not PSD plus nonnegative: the scan decides
+        horn = np.array([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
+                         [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]], dtype=float)
+        assert not certified(horn)
+        assert copositive_property_k(horn) == full_scan(horn) == CopositivityVerdict(True)
+        # a matrix that is not copositive has no such decomposition
+        q = p.copy()
+        q[0, 1] = q[1, 0] = -np.sqrt(p[0, 0] * p[1, 1]) - 0.5
+        assert not certified(q)
+        assert copositive_property_k(q).failing_submatrix == (0, 1)
+
+    def test_one_solve_alive_at_a_time(self):
+        # J - I has no cover, so all 2^16 - 1 submatrices are solved; freeing
+        # each size before the next stack keeps the peak near two stacks
+        p = np.ones((16, 16)) - np.eye(16)
+        tracemalloc.start()
+        try:
+            assert copositive_property_k(p).copositive
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+
+    def test_huge_entries(self):
+        # ||p||^2 overflows; the prescaled norm keeps neg_eps finite
+        p = np.diag([1e200, -1e200])
+        verdict = copositive_property_k(p)
+        assert not verdict.copositive
+        assert verdict.failing_submatrix == (1,)
+        assert np.array_equal(verdict.certificate, [0.0, 1.0])
+        oracle = copositive_oracle(p, 4)
+        assert not oracle.copositive
+        assert np.array_equal(oracle.certificate, [0.0, 1.0])
 
     def test_dimension_cap(self):
         with pytest.raises(InputRejected, match="oracle"):
@@ -97,6 +313,30 @@ class TestOracle:
         assert not verdict.copositive
         value = float(verdict.certificate @ p @ verdict.certificate)
         assert value < -1e-3
+
+    def test_refinement_bits(self):
+        # the projected-gradient loop on numpy arrays, as the oracle ran it
+        def numpy_refine(pm, x, step):
+            x = x.copy()
+            for _ in range(500):
+                nxt = copositive._project_simplex(x - step * (2.0 * pm @ x))
+                if float(np.max(np.abs(nxt - x))) < 1e-15:
+                    return nxt
+                x = nxt
+            return x
+
+        moved = 0
+        for k in range(200):
+            stream = RandomStream(sub_seed(312, k))
+            m = 2 + k % 5
+            pm = stream.symmetric_matrix(m) * 10.0 ** (k % 7 - 3)
+            x = stream.uniforms(m)
+            x /= x.sum()
+            step = 0.5 / (frobenius_norm(pm) + 1.0)
+            want = numpy_refine(pm, x, step)
+            assert np.array_equal(copositive._refine(pm, x, step), want), k
+            moved += not np.array_equal(want, x)
+        assert moved > 150
 
     def test_cross_validation_small(self):
         for k in range(300):

@@ -6,9 +6,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ineqlab.bw import t_operator
 from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import (
+    as_symmetric,
     commutator,
     eigh_descending,
     frobenius_inner,
+    frobenius_norm,
+    prescaled_norm,
     svd,
     sym_eigen,
     vectorize_sym,
@@ -160,6 +163,26 @@ class TestEighDescending:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalFailure, match="did not converge: stub"):
             eigh_descending(np.eye(2))
+
+
+class TestPrescaledNorm:
+    def test_bits_equal_plain_norm_in_normal_range(self):
+        rng = RandomStream(17)
+        for k, scale in enumerate([1e-100, 1e-20, 1e-3, 1.0, 3.0, 1e7, 1e100]):
+            for n in range(1, 13):
+                a = scale * rng.gaussian_matrix(n)
+                assert prescaled_norm(a) == frobenius_norm(a), (k, n)
+        assert prescaled_norm(np.zeros((3, 3))) == 0.0
+
+    def test_finite_where_the_sum_of_squares_overflows(self):
+        assert prescaled_norm(np.diag([1e200, -1e200])) == pytest.approx(np.sqrt(2.0) * 1e200,
+                                                                         rel=1e-15)
+
+    def test_symmetry_tolerance_at_huge_scale(self):
+        # the tolerance 1e-12 (1 + ||a||) is finite, so a 1e190 defect is seen
+        assert as_symmetric(np.diag([1e200, -1e200])).shape == (2, 2)
+        with pytest.raises(InputRejected, match="not symmetric"):
+            as_symmetric(np.array([[1e200, 1e190], [0.0, -1e200]]))
 
 
 class TestSvd:
