@@ -342,7 +342,7 @@ def cmd_spectrum(args) -> int:
     rep = spectral_report(values)
     doc = {
         "command": "spectrum", "version": __version__, "n": int(x.shape[0]),
-        "lambda_max": float(values[0]), "eigenvalues": values.tolist(),
+        "lambda_max": float(values[0]), "eigenvalues": values,
         "report": report_json(rep),
     }
     lines = [

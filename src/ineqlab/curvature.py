@@ -15,7 +15,7 @@ import numpy as np
 
 from .ddvv import SymmetricTuple
 from .errors import InputRejected
-from .linalg import commutator_norms_sq, sym_eigen
+from .linalg import commutator_norms_sq, pair_indices, sym_eigen
 from .report import default_tol
 
 
@@ -85,7 +85,7 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
         raise InputRejected("rho is undefined for n < 2")
     n, m, h = form.n, form.m, form.h
     coeff = 2.0 / (n * (n - 1.0))
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
 
     gauss = 0.0
     for al in range(m):

@@ -23,6 +23,7 @@ from .linalg import (
     frobenius_norm,
     is_orthogonal,
     norm_sq,
+    pair_indices,
     sym_eigen,
 )
 from .report import SlackReport, default_tol
@@ -130,7 +131,7 @@ def _not_unit(a: np.ndarray, name: str):
 
 def _not_orthogonal(gram: np.ndarray):
     norms = np.sqrt(np.diag(gram))
-    r, s = np.triu_indices(gram.shape[0], k=1)
+    r, s = pair_indices(gram.shape[0])
     bad = np.nonzero(np.abs(gram[r, s]) > 1e-10 * (1.0 + norms[r] * norms[s]))[0]
     if bad.size:
         i, j = r[bad[0]], s[bad[0]]
@@ -256,7 +257,7 @@ def lemma1_slack(eta, r) -> SlackReport:
     rm = as_matrix(r, "r")
     if rm.shape[0] != n:
         raise InputRejected(f"weights must be {n}x{n} to match eta")
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
     weights = rm[iu, ju]
     if np.any(weights < 0.0):
         raise InputRejected("weights r_ij must be nonnegative")
@@ -358,7 +359,7 @@ def sigma_matrix(t: SymmetricTuple) -> np.ndarray:
             f"member {bad[0] + 1} has norm {norms[bad[0]]:.12f}, all members must be unit norm"
         )
     sigma = np.zeros((t.m, t.m))
-    r, s = np.triu_indices(t.m, k=1)
+    r, s = pair_indices(t.m)
     sigma[r, s] = sigma[s, r] = commutator_norms_sq(t.matrices)
     return sigma
 

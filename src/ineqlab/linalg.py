@@ -9,6 +9,7 @@ convergence failures surface as :class:`NumericalFailure`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +84,16 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return comm
 
 
+@functools.lru_cache(maxsize=32)
+def pair_indices(k: int) -> tuple:
+    """Read-only index arrays (r, s) of every pair r < s < k in row-major
+    order: np.triu_indices(k, k=1), built once per k."""
+    pairs = np.triu_indices(k, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
     """||[A_r, A_s]||^2 for every pair r < s of an (..., m, n, n) stack, in
     row-major pair order (0, 1), (0, 2), ..., (m-2, m-1) along the last axis.
@@ -90,7 +101,7 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
     Unchecked: the stack must already be validated (finite, square).  Each
     value equals norm_sq(commutator(A_r, A_s)) bit for bit.
     """
-    r, s = np.triu_indices(stack.shape[-3], k=1)
+    r, s = pair_indices(stack.shape[-3])
     comm = commutator(stack[..., r, :, :], stack[..., s, :, :])
     comm *= comm
     return np.sum(comm, axis=(-2, -1))
@@ -182,5 +193,5 @@ def vectorize_sym(a) -> np.ndarray:
     """
     m = as_symmetric(a, "a")
     n = m.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
     return np.concatenate([m[iu, ju], np.diag(m) / np.sqrt(2.0)])

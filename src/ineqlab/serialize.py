@@ -2,7 +2,9 @@
 
 JSON is emitted by a small canonical writer: keys keep insertion order and
 every float is rendered with 17 significant digits ('%.17g'), which
-round-trips float64 exactly and makes repeated runs byte-identical.
+round-trips float64 exactly and makes repeated runs byte-identical.  A
+float64 array is checked finite once and written one last-axis row per
+'%' with a cached row template, the same bytes as formatting each float.
 
 Matrix files come in two flavors, sniffed by the first character:
 JSON {"n": int, "entries": [[...], ...]} or plain text (first line n,
@@ -11,7 +13,9 @@ then n rows of n space-separated decimals).
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
 import numpy as np
 
@@ -23,9 +27,25 @@ from .report import SlackReport
 
 
 def _format_float(v: float) -> str:
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise InputRejected("cannot serialize non-finite number")
-    return format(float(v), ".17g")
+    return format(v, ".17g")
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(length: int) -> str:
+    return "[" + ",".join(["%.17g"] * length) + "]"
+
+
+def _format_array(a: np.ndarray) -> str:
+    """A non-empty float64 array of ndim >= 1 as nested JSON lists."""
+    if not np.isfinite(a).all():
+        raise InputRejected("cannot serialize non-finite number")
+    row = _row_template(a.shape[-1])
+    parts = [row % tuple(r) for r in a.reshape(-1, a.shape[-1]).tolist()]
+    for size in reversed(a.shape[:-1]):
+        parts = ["[" + ",".join(parts[k:k + size]) + "]" for k in range(0, len(parts), size)]
+    return parts[0]
 
 
 def dumps(obj) -> str:
@@ -47,7 +67,10 @@ def _write(obj, out: list) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
+        if obj.dtype == np.float64 and obj.ndim and obj.size:
+            out.append(_format_array(obj))
+        else:
+            _write(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for k, item in enumerate(obj):
@@ -102,7 +125,7 @@ def _require(obj, what: str, keys: tuple) -> None:
 # matrices
 
 def matrix_json(a: np.ndarray) -> dict:
-    return {"n": int(a.shape[0]), "entries": a.tolist()}
+    return {"n": int(a.shape[0]), "entries": a}
 
 
 def parse_matrix_json(obj) -> np.ndarray:
@@ -199,7 +222,7 @@ def read_pair_file(path: str):
 # second fundamental forms
 
 def sff_json(form: SecondFundamentalForm) -> dict:
-    return {"n": form.n, "m": form.m, "c": form.c, "h": form.h.tolist()}
+    return {"n": form.n, "m": form.m, "c": form.c, "h": form.h}
 
 
 def parse_sff_json(obj) -> SecondFundamentalForm:
@@ -240,7 +263,7 @@ def report_json(rep: SlackReport) -> dict:
 def verdict_json(v: CopositivityVerdict) -> dict:
     return {
         "copositive": v.copositive,
-        "certificate": None if v.certificate is None else v.certificate.tolist(),
+        "certificate": v.certificate,
         "failing_submatrix": None if v.failing_submatrix is None else list(v.failing_submatrix),
     }
 
@@ -268,8 +291,8 @@ def curvature_json(rep: CurvatureReport) -> dict:
 
 def fundamental_json(rep: FundamentalReport, boundary_n: int) -> dict:
     return {
-        "s": rep.s.tolist(),
-        "eigenvalues": rep.eigenvalues.tolist(),
+        "s": rep.s,
+        "eigenvalues": rep.eigenvalues,
         "sigma_sq": rep.sigma_sq,
         "pinch": rep.pinch,
         "pinch_boundary": int(boundary_n),

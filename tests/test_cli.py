@@ -294,6 +294,28 @@ class TestCopositiveGolden:
             {"code": want["code"], "stdout": want["stdout"]}
 
 
+GOLDEN_FILES = json.loads((DATA / "golden_files_cli.json").read_text())
+
+
+class TestFilesGolden:
+    """Exit code, JSON stdout and --output file text of reduce, curvature
+    (--input, --model, --c), spectrum (text and JSON matrix files) and
+    ddvv-verify (--input and campaign cells), pinned byte for byte.  A case
+    is its argv, with "{dir}" for the directory its input files are written
+    to: n, m in 1..12, Gaussian entries and the edge values -0.0, 5e-324,
+    1e-300, 1e300, 2^53, 1e16, 0.1 and exact zeros."""
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_FILES))
+    def test_bytes(self, capsys, tmp_path, argv):
+        want = GOLDEN_FILES[argv]
+        for name, text in want["files"].items():
+            write(tmp_path, name, text)
+        code = main([a.replace("{dir}", str(tmp_path)) for a in argv.split()])
+        outputs = {name: (tmp_path / name).read_text() for name in want["outputs"]}
+        assert {"code": code, "stdout": capsys.readouterr().out, "outputs": outputs} == \
+            {"code": want["code"], "stdout": want["stdout"], "outputs": want["outputs"]}
+
+
 class TestSpectrum:
     def test_nilpotent(self, capsys, tmp_path):
         path = write(tmp_path, "x.txt", "2\n0 1\n0 0\n")

@@ -11,6 +11,7 @@ from ineqlab.linalg import (
     eigh_descending,
     frobenius_inner,
     frobenius_norm,
+    pair_indices,
     prescaled_norm,
     svd,
     sym_eigen,
@@ -183,6 +184,19 @@ class TestPrescaledNorm:
         assert as_symmetric(np.diag([1e200, -1e200])).shape == (2, 2)
         with pytest.raises(InputRejected, match="not symmetric"):
             as_symmetric(np.array([[1e200, 1e190], [0.0, -1e200]]))
+
+
+class TestPairIndices:
+    def test_matches_triu_indices_read_only_and_cached(self):
+        for k in range(0, 14):
+            r, s = pair_indices(k)
+            want_r, want_s = np.triu_indices(k, k=1)
+            assert_array_equal(r, want_r)
+            assert_array_equal(s, want_s)
+            assert not r.flags.writeable and not s.flags.writeable
+            assert pair_indices(k) is pair_indices(k)
+        with pytest.raises(ValueError):
+            pair_indices(3)[0][0] = 1
 
 
 class TestSvd:

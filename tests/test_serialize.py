@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from ineqlab.curvature import veronese_tuple
@@ -21,6 +23,12 @@ from ineqlab.serialize import (
     sff_json,
     tuple_json,
 )
+
+# A failing @given test makes hypothesis import libcst to suggest a patch, and
+# that import warns; under filterwarnings = error the warning would abort the
+# whole pytest run instead of reporting the failure.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 class TestDumps:
@@ -134,3 +142,133 @@ class TestReportJson:
         assert set(doc) == {"inequality", "lhs", "rhs", "slack", "tol", "holds"}
         assert doc["holds"] is True
         assert doc["inequality"] == "ddvv"
+
+
+# ---------------------------------------------------------------------------
+# writer equivalence: the array-native writer against the recursive one it
+# replaced, which formats every scalar through the isinstance chain below
+
+
+def _reference_format_float(v: float) -> str:
+    if not np.isfinite(v):
+        raise InputRejected("cannot serialize non-finite number")
+    return format(float(v), ".17g")
+
+
+def _reference_write(obj, out: list) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_reference_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray):
+        _reference_write(obj.tolist(), out)
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                out.append(",")
+            _reference_write(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for k, (key, value) in enumerate(obj.items()):
+            if k:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _reference_write(value, out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    out: list = []
+    _reference_write(obj, out)
+    return "".join(out)
+
+
+def finite_floats(bits: np.ndarray) -> np.ndarray:
+    """float64 values with the given bit patterns, where a NaN or inf pattern
+    (exponent all ones) has its top exponent bit cleared to make it finite."""
+    values = bits.astype(np.uint64).view(np.float64)
+    bad = ~np.isfinite(values)
+    values[bad] = (bits[bad] ^ np.uint64(1 << 62)).view(np.float64)
+    return values
+
+
+BITS = st.integers(0, 2 ** 64 - 1)
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+         2.0 ** 53, 1e16, 0.1, 1.0 / 3.0]
+SHAPES = st.one_of(
+    st.just((0,)), st.just((1,)),
+    st.tuples(st.integers(2, 20)),
+    st.integers(1, 12).map(lambda n: (n, n)),
+    st.tuples(st.integers(1, 5), st.integers(1, 12)).map(lambda mn: (mn[0], mn[1], mn[1])),
+)
+
+
+@st.composite
+def float_arrays(draw):
+    shape = draw(SHAPES)
+    size = math.prod(shape)
+    bits = np.array(draw(st.lists(BITS, min_size=size, max_size=size)), dtype=np.uint64)
+    a = finite_floats(bits).reshape(shape)
+    for k in draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=3 if size else 0)):
+        a.flat[k] = draw(st.sampled_from(EDGES))
+    return a
+
+
+class TestWriterEquivalence:
+    """dumps writes the same bytes as the recursive reference writer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_arrays())
+    def test_float64_arrays(self, a):
+        want = reference_dumps(a)
+        assert dumps(a) == want
+        assert dumps({"a": a, "rows": list(a)}) == reference_dumps({"a": a, "rows": list(a)})
+        a.setflags(write=False)
+        assert dumps(a) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_arrays())
+    def test_non_contiguous(self, a):
+        assert dumps(a.T) == reference_dumps(a.T)
+        assert dumps(a[..., ::2]) == reference_dumps(a[..., ::2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_arrays(), st.sampled_from([np.int64, np.int32, np.bool_, np.float32]))
+    def test_other_dtypes_keep_the_old_path(self, a, dtype):
+        with np.errstate(invalid="ignore", over="ignore"):
+            b = np.nan_to_num(a.astype(dtype), posinf=1.0, neginf=-1.0)
+        assert dumps(b) == reference_dumps(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(BITS, min_size=1, max_size=8), st.integers(0, 7))
+    def test_scalars_and_mixed_lists(self, bits, pick):
+        values = finite_floats(np.array(bits, dtype=np.uint64))
+        doc = [float(values[0]), values[pick % values.size], values, 3, np.int64(-4), True,
+               None, "s", {"k": values[::-1], "t": (values[0], np.float64(values[-1]))},
+               np.array(values[0]), np.zeros((2, 0)), np.zeros((0, 3))]
+        assert dumps(doc) == reference_dumps(doc)
+        for v in values:
+            assert dumps(np.float64(v)) == reference_dumps(np.float64(v)) == format(float(v), ".17g")
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_arrays(), st.integers(0, 10 ** 6), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_anywhere_is_rejected(self, a, where, bad):
+        if a.size == 0:
+            a = np.zeros(1)
+        a.flat[where % a.size] = bad
+        for doc in (a, a.T, {"x": [1.0, a]}, float(a.flat[where % a.size]), np.float64(bad)):
+            with pytest.raises(InputRejected, match="cannot serialize non-finite number"):
+                reference_dumps(doc)
+            with pytest.raises(InputRejected, match="cannot serialize non-finite number"):
+                dumps(doc)
