@@ -1,0 +1,115 @@
+"""How the CLI writes a result: the text rendering, --output, stderr, and
+inputs whose arithmetic leaves the float range."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ineqlab
+from ineqlab.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+# "{data}" in an argv is tests/data; "{tmp}" is the test's temporary directory
+TEXT_CASES = {
+    "ddvv-campaign": "ddvv-verify --seed 3 --trials 40 --n 3 --m 2",
+    "ddvv-input": "ddvv-verify --input {data}/golden_veronese_tuple.json",
+    "ddvv-input-fail": "ddvv-verify --input {data}/golden_veronese_tuple.json --tol=-10",
+    "bw-campaign": "bw-verify --seed 5 --trials 20 --n 3",
+    "bw-input": "bw-verify --input {data}/bw_pair_sharp.json",
+    "bw-search": "bw-search --seed 2 --trials 2 --n 2 --max-iters 20",
+    "reduce": "reduce --input {data}/golden_veronese_tuple.json",
+    "copositive": "copositive --input {tmp}/m.txt",
+    "copositive-oracle": "copositive --input {tmp}/m.txt --oracle 6",
+    "curvature": "curvature --model clifford --r 1 --n 2",
+    "spectrum": "spectrum --input {data}/spectrum_n4.json",
+}
+
+
+def argv_of(case: str, tmp_path) -> list:
+    (tmp_path / "m.txt").write_text("3\n1 -2 0\n-2 1 0\n0 0 1\n")
+    return [a.replace("{data}", str(DATA)).replace("{tmp}", str(tmp_path))
+            for a in TEXT_CASES[case].split()]
+
+
+def run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", list(TEXT_CASES))
+def test_text_rendering_matches_the_document(capsys, tmp_path, case):
+    argv = argv_of(case, tmp_path)
+    json_code, out, _ = run(capsys, argv + ["--format", "json"])
+    doc = json.loads(out)
+    assert json_code == (1 if case.endswith("-fail") else 0)
+    text_code, text, _ = run(capsys, argv + ["--format", "text"])
+    assert text_code == json_code
+    lines = text.splitlines()
+    for key in doc:
+        assert any(line.startswith((key + ": ", key + ".")) for line in lines), key
+    assert lines[-1] == ("PASS" if json_code == 0 else "FAIL")
+
+
+@pytest.mark.parametrize("case", ["ddvv-campaign", "bw-input", "reduce", "copositive-oracle",
+                                  "curvature", "spectrum"])
+def test_text_output_file_holds_the_json_document(capsys, tmp_path, case):
+    argv = argv_of(case, tmp_path)
+    _, want, _ = run(capsys, argv + ["--format", "json"])
+    path = tmp_path / "out.json"
+    _, text, _ = run(capsys, argv + ["--format", "text", "--output", str(path)])
+    assert path.read_text() == want
+    assert text.splitlines()[-1] in ("PASS", "FAIL")
+
+
+@pytest.mark.parametrize("case", ["ddvv-campaign", "bw-search", "reduce", "spectrum"])
+def test_json_output_file_leaves_stdout_empty(capsys, tmp_path, case):
+    path = tmp_path / "out.json"
+    code, out, _ = run(capsys, argv_of(case, tmp_path) + ["--format", "json", "--output",
+                                                         str(path)])
+    assert code == 0 and out == ""
+    json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("case", ["ddvv-campaign", "bw-campaign"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_campaign_wall_time_goes_to_stderr_once(capsys, tmp_path, case, fmt):
+    _, out, err = run(capsys, argv_of(case, tmp_path) + ["--format", fmt])
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wall_time_ms=")
+    assert int(lines[0].split("=")[1]) >= 0
+    assert "wall_time" not in out
+
+
+class TestOverflow:
+    """Sides that overflow Python's float arithmetic are an input error (exit 2)."""
+
+    def write_tuple(self, tmp_path, v):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "matrices": [
+            {"n": 2, "entries": [[v, v], [v, -v]]}, {"n": 2, "entries": [[v, 0.0], [0.0, v]]}]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce"])
+    def test_tuple_entries_of_1e150(self, capsys, tmp_path, command):
+        code = main([command, "--input", self.write_tuple(tmp_path, 1e150)])
+        assert code == 2
+        assert "error: input out of the float range" in capsys.readouterr().err
+
+    def test_curvature_of_1e300_in_a_subprocess(self, tmp_path):
+        # numpy warns about the overflow before Python's arithmetic raises,
+        # and the test run turns warnings into errors, so run the CLI apart
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "c": 1.0, "h": [[[1e300, 0.0], [0.0, 1.0]]]}))
+        src = str(Path(ineqlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "ineqlab.cli", "curvature", "--input",
+                               str(path)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
