@@ -39,50 +39,6 @@ def _subsets(m: int, size: int) -> np.ndarray:
     return np.fromiter(combos, dtype=np.intp, count=count * size).reshape(count, size)
 
 
-def _masks(subsets: np.ndarray) -> np.ndarray:
-    """The rows of `subsets` as bitmasks."""
-    return (1 << subsets).sum(1)
-
-
-def _uncovered(m: int, size: int, covers: np.ndarray) -> np.ndarray:
-    """The size-subsets of range(m) inside no cover (covers are bitmasks),
-    one per row in itertools.combinations order.
-
-    Such a subset meets the complement of every cover, so it holds every
-    index whose leave-one-out set is a cover.  Only the other indices are
-    enumerated; of two equal-size sets the lexicographically smaller holds
-    their least differing element, so the forced indices plus a tail keep
-    the order of the tails.
-    """
-    outside = ((1 << m) - 1) ^ covers
-    forced_mask = int(np.bitwise_or.reduce(outside[(outside & (outside - 1)) == 0], initial=0))
-    forced = [i for i in range(m) if forced_mask >> i & 1]
-    if size < len(forced):
-        return np.zeros((0, size), dtype=np.intp)
-    free = np.array([i for i in range(m) if not forced_mask >> i & 1], dtype=np.intp)
-    subsets = free[_subsets(free.size, size - len(forced))]
-    if forced:
-        subsets = np.sort(np.concatenate(
-            [np.broadcast_to(forced, (len(subsets), len(forced))), subsets], axis=1), axis=1)
-    if covers.size:
-        masks = _masks(subsets)[:, None]
-        subsets = subsets[~np.any((masks & covers) == masks, axis=1)]
-    return subsets
-
-
-def _below(m: int, alive: np.ndarray) -> np.ndarray:
-    """The subsets one smaller than the rows of `alive` whose every
-    one-larger superset is a row of `alive`, in itertools.combinations order."""
-    size = alive.shape[1]
-    children, counts = np.unique(_masks(alive)[:, None] - (1 << alive), return_counts=True)
-    masks = children[counts == m - size + 1]
-    below = np.nonzero((masks[:, None] >> np.arange(m)) & 1)[1].reshape(-1, size - 1)
-    return below[np.lexsort(below.T[::-1])]
-
-
-_NO_COVERS = np.zeros(0, dtype=np.int64)
-
-
 def _violation(pm: np.ndarray, subsets: np.ndarray, values: np.ndarray, vectors: np.ndarray,
                neg_eps: float) -> Optional[CopositivityVerdict]:
     """The verdict of the first violation among the eigenpairs (descending)
@@ -101,12 +57,12 @@ def _violation(pm: np.ndarray, subsets: np.ndarray, values: np.ndarray, vectors:
                                tuple(subsets[row].tolist()))
 
 
-def _solve(pm: np.ndarray, subsets: np.ndarray, neg_eps: float) -> tuple:
+def _solve(pm: np.ndarray, subsets: np.ndarray, neg_eps: float) -> Optional[CopositivityVerdict]:
     """Eigendecompose the principal submatrices on the rows of `subsets` as
-    one stack; return the verdict of its first violation (or None) and each
-    row's smallest eigenvalue.  The stack's eigenpairs are freed on return."""
+    one stack and return the verdict of its first violation, or None.  The
+    stack's eigenpairs are freed on return."""
     values, vectors = eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])
-    return _violation(pm, subsets, values, vectors, neg_eps), values[:, -1].copy()
+    return _violation(pm, subsets, values, vectors, neg_eps)
 
 
 # shifted projections tried by the PSD-plus-nonnegative certificate, and
@@ -145,32 +101,25 @@ def copositive_property_k(p) -> CopositivityVerdict:
     descending), and the certificate its entrywise absolute value, kept
     only when it verifiably gives x^T P x < 0.
 
-    Two facts let most solves go.  (1) Let x^T S x >= -mu ||x||^2 for
+    Two facts let p decide at once.  (1) Let x^T S x >= -mu ||x||^2 for
     every x >= 0, and let (lam, v) be a computed unit eigenpair of S with
     v >= -w entrywise, w = SIGN_ZERO_TOL.  With v_- the magnitudes of the
     negative entries, |v| = v + 2 v_- and, up to the eigensolver's residual
     (about s * eps * ||S||_2, under 4e-15 ||P|| for s <= 16),
     |v|^T S |v| = lam (1 - 4 ||v_-||^2) + 4 v_-^T S v_-, so
     lam >= -mu - 4 s w^2 ||S|| - O(s eps ||S||).  For mu near neg_eps/2
-    that is far above -neg_eps: such an S holds no violation.  (2) Such
-    an S is a principal submatrix of a *cover*, a principal submatrix
-    whose computed smallest eigenvalue is >= -neg_eps/2 (Cauchy
-    interlacing), or of p when sym(p) = X + N is found with N >= 0
-    entrywise and X a cover (_psd_plus_nonnegative).
+    that is far above -neg_eps: such an S holds no violation.  (2) Every
+    principal submatrix S of p has such a mu when p's computed smallest
+    eigenvalue is >= -neg_eps/2 (Cauchy interlacing), or when sym(p) =
+    X + N is found with N >= 0 entrywise and X of that kind
+    (_psd_plus_nonnegative).
 
-    So p itself is solved first and the call returns at once when p is a
-    cover or has that decomposition.  Otherwise the sizes are solved from
-    both ends, one stack per size, each end in turn while its solves have
-    cost fewer flops (s^3 per size-s matrix) than the other's.  From the
-    top: at each smaller size exactly the subsets all of whose one-larger
-    supersets were solved and are not covers, i.e. the subsets inside no
-    cover; when there are none, nothing smaller needs solving.  From the
-    bottom: the subsets inside no cover found so far, and a violation
-    there is the first in scan order.  When the ends meet, the first
-    violation is the one at the smallest top size.  A matrix's eigenpairs
-    do not depend on the stack it is solved in, so the verdict, failing
-    submatrix and certificate are those of the scan over every subset,
-    bit for bit.
+    So p itself is solved first, and the call returns copositive at once
+    in either case.  Otherwise the sizes 1..m-1 are solved bottom-up, one
+    stack per size, and the first violation found is returned; p's own
+    eigenpairs decide last.  A matrix's eigenpairs do not depend on the
+    stack it is solved in, so the verdict, failing submatrix and
+    certificate are those of the scan over every subset, bit for bit.
     """
     pm = as_symmetric(p, "p")
     m = pm.shape[0]
@@ -182,39 +131,17 @@ def copositive_property_k(p) -> CopositivityVerdict:
     norm = prescaled_norm(pm)
     neg_eps = 1e-10 * (1.0 + norm)
     margin = 0.5 * neg_eps
-    alive = np.arange(m)[None]
     values, vectors = eigh_descending(pm[None])
     if values[0, -1] >= -margin:
-        return CopositivityVerdict(True)  # p itself is a cover
+        return CopositivityVerdict(True)
     if _psd_plus_nonnegative(pm, values[0], vectors[0], SPN_SHIFT * norm, margin):
         return CopositivityVerdict(True)
-    top = [_violation(pm, alive, values, vectors, neg_eps)]  # largest size first
-    covers = _NO_COVERS
-    low, high = 1, m
-    spent_low, spent_high = 0, m**3
-    while low < high and alive.size:
-        if spent_low <= spent_high:
-            subsets = _uncovered(m, low, covers)
-            if subsets.size:
-                verdict, _ = _solve(pm, subsets, neg_eps)
-                if verdict is not None:
-                    return verdict
-            spent_low += subsets.size * low * low
-            low += 1
-        else:
-            high -= 1
-            subsets = _below(m, alive)
-            if not subsets.size:
-                break  # every smaller subset lies inside a cover
-            verdict, lowest = _solve(pm, subsets, neg_eps)
-            top.append(verdict)
-            covers = np.concatenate([covers, _masks(subsets[lowest >= -margin])])
-            alive = subsets[lowest < -margin]
-            spent_high += subsets.size * high * high
-    for verdict in reversed(top):
+    for size in range(1, m):
+        verdict = _solve(pm, _subsets(m, size), neg_eps)
         if verdict is not None:
             return verdict
-    return CopositivityVerdict(True)
+    verdict = _violation(pm, np.arange(m)[None], values, vectors, neg_eps)
+    return verdict or CopositivityVerdict(True)
 
 
 _LATTICE_CACHE: dict = {}

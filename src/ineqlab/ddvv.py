@@ -13,11 +13,11 @@ import numpy as np
 
 from .errors import InputRejected, NumericalFailure
 from .linalg import (
-    SYMMETRY_TOL,
     as_matrix,
     as_pair,
     as_symmetric,
     as_vector,
+    asymmetry,
     commutator,
     commutator_norms_sq,
     frobenius_norm,
@@ -71,8 +71,7 @@ def check_members(stack: np.ndarray, seeds=None) -> None:
     if not finite.all():
         _, where = _first_member(~finite, seeds)
         raise InputRejected(f"{where}: entries must be finite (no NaN/Inf)")
-    defect = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
-    allowed = SYMMETRY_TOL * (1.0 + np.sqrt(np.sum(stack * stack, axis=(-2, -1))))
+    defect, allowed = asymmetry(stack)
     bad = defect > allowed
     if bad.any():
         k, where = _first_member(bad, seeds)

@@ -10,7 +10,6 @@ convergence failures surface as :class:`NumericalFailure`.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +53,21 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(norm_sq(a)))
 
 
-def prescaled_norm(a: np.ndarray) -> float:
-    """Frobenius norm of a / 2^e scaled back by 2^e, with e the frexp exponent
-    of max |a_ij|: bit for bit frobenius_norm(a) in the normal range, and
+def prescaled_norm(a: np.ndarray):
+    """Frobenius norm of each matrix of an (..., n, n) stack, computed on
+    a / 2^e and scaled back by 2^e, with e the frexp exponent of the
+    matrix's max |a_ij|: bit for bit the plain norm in the normal range, and
     finite where the plain sum of squares overflows."""
-    e = int(np.frexp(np.max(np.abs(a)))[1])
-    return math.ldexp(frobenius_norm(np.ldexp(a, -e)), e)
+    e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))[1]
+    scaled = np.ldexp(a, -e[..., None, None])
+    return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=(-2, -1))), e)
+
+
+def asymmetry(stack: np.ndarray) -> tuple:
+    """Max |a_ij - a_ji| of each matrix of an (..., n, n) stack, and the
+    defect allowed it, SYMMETRY_TOL * (1 + ||a||)."""
+    defect = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return defect, SYMMETRY_TOL * (1.0 + prescaled_norm(stack))
 
 
 def as_pair(a, b, name_a: str = "a", name_b: str = "b") -> tuple:
@@ -110,8 +118,7 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
 def as_symmetric(a, name: str = "matrix") -> np.ndarray:
     """as_matrix plus symmetry within SYMMETRY_TOL * (1 + ||a||)."""
     m = as_matrix(a, name)
-    defect = float(np.max(np.abs(m - m.T)))
-    allowed = SYMMETRY_TOL * (1.0 + prescaled_norm(m))
+    defect, allowed = asymmetry(m)
     if defect > allowed:
         raise InputRejected(
             f"{name}: not symmetric (max |a_ij - a_ji| = {defect:.3e}, allowed {allowed:.3e})"

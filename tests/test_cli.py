@@ -333,6 +333,13 @@ class TestSpectrum:
         assert code == 0 and len(calls) == 1
         assert doc["report"]["lhs"] == doc["lambda_max"]
 
+    def test_over_cap_rejected_before_building(self, capsys, tmp_path, monkeypatch):
+        # T at n = 100 would take about 2.4 GB to build; n = 13 is refused unbuilt
+        monkeypatch.setattr(bw, "t_matrices", lambda xu: pytest.fail("T was built"))
+        path = write(tmp_path, "x.json", dumps(matrix_json(np.eye(13))))
+        assert main(["spectrum", "--input", path]) == 2
+        assert "cap n <= 12" in capsys.readouterr().err
+
 
 class TestParser:
     def test_each_subcommand_takes_only_its_arguments(self):

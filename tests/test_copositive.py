@@ -27,51 +27,27 @@ def violates(p, subsets, neg_eps):
     return bool(np.any((values < -neg_eps) & ~mixed))
 
 
-def two_ended_scan(p):
+def bottom_up_scan(p):
     """The subsets of each stack the property-K scan solves, for a p with
-    no PSD-plus-nonnegative certificate, from first principles: subsets as
-    tuples, a cover by its own eigvalsh call, the two ends taking turns by
-    flops (s^3 per size-s matrix), the bottom end stopping at its first
-    violation."""
+    no PSD-plus-nonnegative certificate, from first principles: p itself,
+    returning when its own eigvalsh is >= -neg_eps/2, then every subset of
+    each size from 1 up, stopping at the first size with a violation."""
     m = p.shape[0]
     neg_eps = 1e-10 * (1.0 + frobenius_norm(p))
-    margin = 0.5 * neg_eps
-
-    def lowest(s):
-        sub = p[np.ix_(s, s)]
-        return np.linalg.eigvalsh(0.5 * (sub + sub.T))[0]
-
     full = tuple(range(m))
     stacks = [[full]]
-    if lowest(full) >= -margin:
+    if np.linalg.eigvalsh(0.5 * (p + p.T))[0] >= -0.5 * neg_eps:
         return stacks
-    covers, alive = [], {full}
-    low, high, spent_low, spent_high = 1, m, 0, m**3
-    while low < high and alive:
-        if spent_low <= spent_high:
-            subsets = [s for s in itertools.combinations(range(m), low)
-                       if not any(set(s) <= c for c in covers)]
-            if subsets:
-                stacks.append(subsets)
-                if violates(p, subsets, neg_eps):
-                    return stacks
-            spent_low += len(subsets) * low**3
-            low += 1
-        else:
-            high -= 1
-            subsets = [s for s in itertools.combinations(range(m), high)
-                       if all(tuple(sorted(s + (j,))) in alive for j in range(m) if j not in s)]
-            if not subsets:
-                break
-            stacks.append(subsets)
-            covers += [set(s) for s in subsets if lowest(s) >= -margin]
-            alive = {s for s in subsets if lowest(s) < -margin}
-            spent_high += len(subsets) * high**3
+    for size in range(1, m):
+        subsets = list(itertools.combinations(range(m), size))
+        stacks.append(subsets)
+        if violates(p, subsets, neg_eps):
+            break
     return stacks
 
 
 def full_scan(p):
-    """Property K over every principal submatrix: the scan before covers."""
+    """Property K over every principal submatrix, p last."""
     pm = as_symmetric(p, "p")
     m = pm.shape[0]
     neg_eps = 1e-10 * (1.0 + frobenius_norm(pm))
@@ -94,8 +70,9 @@ def equivalence_inputs():
     """(family, p) over m = 1..12: PSD plus nonnegative, a planted negative
     pair, Gaussian, rank-deficient g g^T, a PSD matrix with a positive null
     vector shifted down by a fraction of neg_eps (on either side of the
-    neg_eps/2 cover margin and of neg_eps), and the tied spectra J - I,
-    -I, 0 and (k - 1/2) I - J."""
+    neg_eps/2 margin and of neg_eps), the tied spectra J - I, -I, 0 and
+    (k - 1/2) I - J, and at m = 7 and 12 D - J, which is PSD on a subset S
+    iff sum_S 1/d_i <= 1."""
     for m in range(1, 13):
         stream = RandomStream(sub_seed(6001, m))
         for _ in range(12 if m <= 8 else 4):
@@ -122,6 +99,9 @@ def equivalence_inputs():
         yield "J - I", ones - np.eye(m)
         yield "-I", -np.eye(m)
         yield "0", np.zeros((m, m))
+        if m in (7, 12):
+            u = RandomStream(sub_seed(335, 366)).uniforms(m)
+            yield "D - J", np.diag(1.0 / (0.1 + 0.3 * u)) - ones
         for k in sorted({1, 2, m // 2, m} if m > 8 else range(1, m + 1)):
             yield "(k - 1/2) I - J", (k - 0.5) * np.eye(m) - ones
 
@@ -192,30 +172,12 @@ class TestPropertyK:
         verdict, sizes = solved_sizes(p)
         assert verdict.copositive is (m < 3)
         assert len(singles) == (copositive.SPN_STEPS if m >= 3 else 0)
-        want = two_ended_scan(p)
+        want = bottom_up_scan(p)
         assert len(stacks) == len(want)
         for got, subsets in zip(stacks, want):
             assert np.array_equal(got, np.array([p[np.ix_(s, s)] for s in subsets]))
         if m >= 3:
             assert verdict.failing_submatrix == (0, 1, 2)
-
-    def test_top_end_skips_subsets_inside_covers(self, monkeypatch):
-        # D - J is PSD on a subset S iff sum_S 1/d_i <= 1; at this draw the
-        # top end finds covers at size 6, and the stacks below them must
-        # hold only the subsets inside no cover
-        stacks = []
-        kernel = copositive.eigh_descending
-        monkeypatch.setattr(copositive, "eigh_descending",
-                            lambda a: (a.ndim == 3 and stacks.append(a)) or kernel(a))
-        u = RandomStream(sub_seed(335, 366)).uniforms(7)
-        p = np.diag(1.0 / (0.1 + 0.3 * u)) - np.ones((7, 7))
-        verdict, reference = copositive_property_k(p), full_scan(p)
-        assert verdict.failing_submatrix == reference.failing_submatrix == (0, 1, 2, 3, 4, 5)
-        assert np.array_equal(verdict.certificate, reference.certificate)
-        want = two_ended_scan(p)
-        assert [a.shape[0] for a in stacks] == [len(s) for s in want] == [1, 7, 21, 35, 7, 20, 15]
-        for got, subsets in zip(stacks, want):
-            assert np.array_equal(got, np.array([p[np.ix_(s, s)] for s in subsets]))
 
     def test_equals_full_scan(self):
         families = {}
@@ -258,8 +220,9 @@ class TestPropertyK:
         assert copositive_property_k(q).failing_submatrix == (0, 1)
 
     def test_one_solve_alive_at_a_time(self):
-        # J - I has no cover, so all 2^16 - 1 submatrices are solved; freeing
-        # each size before the next stack keeps the peak near two stacks
+        # J - I is neither PSD nor certified and holds no violation, so all
+        # 2^16 - 1 submatrices are solved; freeing each size before the
+        # next stack keeps the peak near two stacks
         p = np.ones((16, 16)) - np.eye(16)
         tracemalloc.start()
         try:

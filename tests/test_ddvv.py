@@ -55,6 +55,14 @@ class TestDdvvSlack:
         with pytest.raises(InputRejected, match="member 2"):
             SymmetricTuple.from_matrices([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
 
+    def test_huge_entries(self):
+        # ||A_k||^2 overflows; the prescaled norm keeps the allowed defect finite
+        assert SymmetricTuple.from_matrices([np.diag([1e200, -1e200])]).m == 1
+        skew = np.array([[1e200, 1e190], [0.0, 1e200]])
+        with pytest.raises(InputRejected,
+                           match=r"member 2: not symmetric \(.*, allowed 1\.414e\+188\)"):
+            SymmetricTuple.from_matrices([np.eye(2), skew])
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(InputRejected, match="member 2"):
             SymmetricTuple.from_matrices([np.eye(2), np.eye(3)])
