@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InputRejected, NumericalFailure
 from .linalg import (
+    DIM_CAP,
     as_matrix,
     as_pair,
     commutator,
@@ -57,9 +58,6 @@ def _unit(x, name: str) -> tuple:
     return xm / nrm, nrm
 
 
-T_DIM_CAP = 12
-
-
 def t_matrices(xu: np.ndarray) -> np.ndarray:
     """T operator matrices of unit generators over the leading axes of xu.
 
@@ -76,12 +74,12 @@ def t_operator(x) -> TOperator:
     """Build the T operator of a nonzero matrix, rescaled to ||x|| = 1.
 
     Its n^2 x n^2 matrix takes about 3 n^4 doubles to build, so n is capped
-    at T_DIM_CAP, the campaigns' cap (0.5 MiB at n = 12, 2.4 GB at n = 100).
+    at DIM_CAP, the campaigns' cap (0.5 MiB at n = 12, 2.4 GB at n = 100).
     """
     xu, _ = _unit(x, "x")
-    if xu.shape[0] > T_DIM_CAP:
+    if xu.shape[0] > DIM_CAP:
         raise InputRejected(f"x is {xu.shape[0]}x{xu.shape[0]}, over the T operator's cap "
-                            f"n <= {T_DIM_CAP}")
+                            f"n <= {DIM_CAP}")
     return TOperator(n=xu.shape[0], x=xu, matrix=t_matrices(xu))
 
 

@@ -16,7 +16,6 @@ per-trial draws bit for bit, so chunking changes no result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +24,7 @@ import numpy as np
 from .bw import bw_sides, maximize_ratio, t_matrices
 from .ddvv import check_members, ddvv_sides
 from .errors import InputRejected
+from .linalg import DIM_CAP
 from .report import default_tol
 from .seeded import RandomStream, sub_seed, sub_seeds
 
@@ -41,7 +41,6 @@ class CampaignSummary:
     violations: int
     min_slack: float
     argmin_seed: int
-    wall_time_ms: int
 
 
 class _Tracker:
@@ -59,23 +58,17 @@ class _Tracker:
             self.min_slack = float(slack[k])
             self.argmin_seed = int(seeds[k])
 
-    def summary(self, trials: int, t0: float) -> CampaignSummary:
-        return CampaignSummary(
-            trials_run=trials,
-            violations=self.violations,
-            min_slack=self.min_slack,
-            argmin_seed=self.argmin_seed,
-            wall_time_ms=int((time.perf_counter() - t0) * 1000.0),
-        )
+    def summary(self, trials: int) -> CampaignSummary:
+        return CampaignSummary(trials, self.violations, self.min_slack, self.argmin_seed)
 
 
 def _check_config(trials: int, n: int, m: Optional[int] = None) -> None:
     if trials < 1:
         raise InputRejected("trials must be >= 1")
-    if not 1 <= n <= 12:
-        raise InputRejected(f"n = {n} outside the documented cap 1..12")
-    if m is not None and not 1 <= m <= 12:
-        raise InputRejected(f"m = {m} outside the documented cap 1..12")
+    if not 1 <= n <= DIM_CAP:
+        raise InputRejected(f"n = {n} outside the documented cap 1..{DIM_CAP}")
+    if m is not None and not 1 <= m <= DIM_CAP:
+        raise InputRejected(f"m = {m} outside the documented cap 1..{DIM_CAP}")
 
 
 def _chunks(seed: int, trials: int, trial_elements: int):
@@ -89,7 +82,6 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
                       tol_override: Optional[float] = None) -> CampaignSummary:
     """Random-tuple campaign for the DDVV inequality."""
     _check_config(trials, n, m)
-    t0 = time.perf_counter()
     track = _Tracker()
     for seeds in _chunks(seed, trials, m * m * n * n):
         stack = RandomStream(seeds).symmetric_tuple(n, m)
@@ -97,7 +89,7 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
         lhs, rhs = ddvv_sides(stack)
         track.update(lhs - rhs, tol_override if tol_override is not None else default_tol(lhs),
                      seeds)
-    return track.summary(trials, t0)
+    return track.summary(trials)
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,6 @@ def run_bw_campaign(seed: int, trials: int, n: int,
                     tol_override: Optional[float] = None) -> BwCampaignSummary:
     """Random-pair campaign checking both forms of the commutator bound."""
     _check_config(trials, n)
-    t0 = time.perf_counter()
     pair_track = _Tracker()
     spec_track = _Tracker()
     # a trial's T build holds four n^4-element temporaries
@@ -123,16 +114,13 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         for track, side, bound in ((pair_track, lhs, 2.0 * scale), (spec_track, top[:, -1], 2.0)):
             tol = tol_override if tol_override is not None else default_tol(side)
             track.update(bound - side, tol, seeds)
-    return BwCampaignSummary(
-        commutator=pair_track.summary(trials, t0),
-        spectral=spec_track.summary(trials, t0),
-    )
+    return BwCampaignSummary(pair_track.summary(trials), spec_track.summary(trials))
 
 
 def run_search_campaign(seed: int, seeds: int, n: int, max_iters: int):
     """Run the alternating ratio search once per sub-seed; returns all results."""
     if seeds < 1:
         raise InputRejected("need at least one search seed")
-    if not 2 <= n <= 12:
-        raise InputRejected(f"n = {n} outside the documented cap 2..12")
+    if not 2 <= n <= DIM_CAP:
+        raise InputRejected(f"n = {n} outside the documented cap 2..{DIM_CAP}")
     return [maximize_ratio(n, sub_seed(seed, k), max_iters) for k in range(seeds)]

@@ -10,14 +10,16 @@ arguments; a campaign's wall time goes to stderr instead.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
+import time
 
 import numpy as np
 
 from . import __version__
 from .bw import bw_slack, bw_spectral_slack, spectral_report, t_spectrum
-from .campaigns import run_bw_campaign, run_ddvv_campaign, run_search_campaign
+from .campaigns import CampaignSummary, run_bw_campaign, run_ddvv_campaign, run_search_campaign
 from .copositive import copositive_oracle, copositive_property_k
 from .curvature import (
     SecondFundamentalForm,
@@ -32,18 +34,15 @@ from .errors import InputRejected, NumericalFailure
 from .report import TOL_COEFF
 from .serialize import (
     canonical_form_json,
-    curvature_json,
     dumps,
-    fundamental_json,
+    field_dict,
     pair_json,
     read_matrix_file,
     read_pair_file,
     read_sff_file,
     read_tuple_file,
-    report_json,
     sff_json,
     tuple_json,
-    verdict_json,
 )
 
 
@@ -79,12 +78,6 @@ def _header(args, **shape) -> dict:
     return doc
 
 
-def _summary_fields(summary) -> dict:
-    """The deterministic fields of a campaign summary (all but its wall time)."""
-    return {"trials_run": summary.trials_run, "violations": summary.violations,
-            "min_slack": summary.min_slack, "argmin_seed": summary.argmin_seed}
-
-
 def _holds(rep, args) -> bool:
     """Verdict for one report under --tol, or the report's own tolerance."""
     return rep.slack >= -(args.tol if args.tol is not None else rep.tol)
@@ -97,23 +90,23 @@ def _input(args, what: str) -> str:
     return args.input
 
 
-def _log_wall_time(ms: int) -> None:
-    """A campaign's wall time, kept out of its document so the JSON stays byte-identical."""
-    sys.stderr.write(f"wall_time_ms={ms}\n")
+def _timed(campaign, *config):
+    """Run a campaign; its wall time goes to stderr, out of the byte-identical JSON."""
+    t0 = time.perf_counter()
+    result = campaign(*config)
+    sys.stderr.write(f"wall_time_ms={int((time.perf_counter() - t0) * 1000.0)}\n")
+    return result
 
 
 def cmd_ddvv_verify(args) -> tuple:
     if args.input:
         t = read_tuple_file(args.input)
         rep = ddvv_slack(t)
-        violations = 0 if _holds(rep, args) else 1
-        return {**_header(args, n=t.n, m=t.m), "trials_run": 1, "violations": violations,
-                "min_slack": rep.slack, "argmin_seed": args.seed,
-                "report": report_json(rep)}, violations
-
-    summary = run_ddvv_campaign(args.seed, args.trials, args.n, args.m, args.tol)
-    _log_wall_time(summary.wall_time_ms)
-    doc = {**_header(args, n=args.n, m=args.m), **_summary_fields(summary)}
+        summary = CampaignSummary(1, 0 if _holds(rep, args) else 1, rep.slack, args.seed)
+        doc = {**_header(args, n=t.n, m=t.m), **field_dict(summary), "report": rep}
+    else:
+        summary = _timed(run_ddvv_campaign, args.seed, args.trials, args.n, args.m, args.tol)
+        doc = {**_header(args, n=args.n, m=args.m), **field_dict(summary)}
     return doc, 0 if summary.violations == 0 else 1
 
 
@@ -121,15 +114,12 @@ def cmd_bw_verify(args) -> tuple:
     if args.input:
         x, y = read_pair_file(args.input)
         pair, spec = bw_slack(x, y), bw_spectral_slack(x)
-        doc = {**_header(args, n=int(x.shape[0])),
-               "commutator": report_json(pair), "spectral": report_json(spec)}
+        doc = {**_header(args, n=int(x.shape[0])), "commutator": pair, "spectral": spec}
         return doc, 0 if _holds(pair, args) and _holds(spec, args) else 1
 
-    result = run_bw_campaign(args.seed, args.trials, args.n, args.tol)
-    _log_wall_time(result.commutator.wall_time_ms)
+    result = _timed(run_bw_campaign, args.seed, args.trials, args.n, args.tol)
     doc = {**_header(args, n=args.n), "trials_run": result.commutator.trials_run,
-           "commutator": _summary_fields(result.commutator),
-           "spectral": _summary_fields(result.spectral)}
+           **field_dict(result)}
     return doc, 0 if result.commutator.violations + result.spectral.violations == 0 else 1
 
 
@@ -156,8 +146,8 @@ def cmd_copositive(args) -> tuple:
     verdict = copositive_property_k(p)
     oracle = copositive_oracle(p, args.oracle) if args.oracle is not None else None
     agree = None if oracle is None else (oracle.copositive == verdict.copositive)
-    doc = {**_header(args, n=int(p.shape[0])), "property_k": verdict_json(verdict),
-           "oracle": None if oracle is None else verdict_json(oracle), "agree": agree}
+    doc = {**_header(args, n=int(p.shape[0])), "property_k": verdict, "oracle": oracle,
+           "agree": agree}
     return doc, 0 if agree in (None, True) else 1
 
 
@@ -172,8 +162,8 @@ def cmd_curvature(args) -> tuple:
     if args.c is not None:
         form = SecondFundamentalForm.from_array(form.h, c=args.c)
     rep = curvature_report(form)
-    doc = {**_header(args, n=form.n, m=form.m, c=form.c), "curvature": curvature_json(rep),
-           "fundamental": fundamental_json(fundamental_report(form), form.n)}
+    doc = {**_header(args, n=form.n, m=form.m, c=form.c), "curvature": rep,
+           "fundamental": fundamental_report(form)}
     return doc, 0 if rep.geometric_slack >= -geometric_tol(rep, form.c) else 1
 
 
@@ -192,7 +182,7 @@ def cmd_spectrum(args) -> tuple:
     values = t_spectrum(x)
     rep = spectral_report(values)
     doc = {**_header(args, n=int(x.shape[0])), "lambda_max": float(values[0]),
-           "eigenvalues": values, "report": report_json(rep)}
+           "eigenvalues": values, "report": rep}
     return doc, 0 if rep.holds else 1
 
 
@@ -204,7 +194,10 @@ def _write_json(path: str, doc) -> None:
 
 def _text_lines(path: str, value):
     """A `path: value` line for each leaf of a document: dotted paths into
-    objects and lists of objects; arrays flattened and space-separated."""
+    objects (a dataclass is the object of its fields) and lists of objects;
+    arrays flattened and space-separated."""
+    if dataclasses.is_dataclass(value):
+        value = field_dict(value)
     if isinstance(value, list) and value and isinstance(value[0], dict):
         value = dict(enumerate(value))
     if isinstance(value, dict):

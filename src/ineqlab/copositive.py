@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,9 @@ from .errors import InputRejected
 from .linalg import as_symmetric, eigh_descending, prescaled_norm
 
 PROPERTY_K_DIM_CAP = 16
+# ||P||_F above DBL_MAX/2 could overflow the tolerances and the oracle's
+# gradient 2 P x; copositivity is scale invariant, so such a P is refused
+NORM_CAP = sys.float_info.max / 2
 # eigenvector entries this close to zero carry no sign information
 SIGN_ZERO_TOL = 1e-10
 
@@ -30,6 +34,16 @@ class CopositivityVerdict:
     copositive: bool
     certificate: Optional[np.ndarray] = None
     failing_submatrix: Optional[tuple] = None
+
+
+def _as_bounded_symmetric(p) -> tuple:
+    """p as a symmetric matrix, and its Frobenius norm, at most NORM_CAP."""
+    pm = as_symmetric(p, "p")
+    norm = float(prescaled_norm(pm))
+    if norm > NORM_CAP:
+        raise InputRejected(f"p: ||p||_F = {norm:.17g} is over DBL_MAX/2 = {NORM_CAP:.17g}; "
+                            "scale p down (copositivity is scale invariant)")
+    return pm, norm
 
 
 def _subsets(m: int, size: int) -> np.ndarray:
@@ -121,14 +135,13 @@ def copositive_property_k(p) -> CopositivityVerdict:
     stack it is solved in, so the verdict, failing submatrix and
     certificate are those of the scan over every subset, bit for bit.
     """
-    pm = as_symmetric(p, "p")
+    pm, norm = _as_bounded_symmetric(p)
     m = pm.shape[0]
     if m > PROPERTY_K_DIM_CAP:
         raise InputRejected(
             f"dimension {m} exceeds the principal-submatrix cap {PROPERTY_K_DIM_CAP}; "
             "use the simplex oracle for larger matrices"
         )
-    norm = prescaled_norm(pm)
     neg_eps = 1e-10 * (1.0 + norm)
     margin = 0.5 * neg_eps
     values, vectors = eigh_descending(pm[None])
@@ -198,25 +211,21 @@ def _refine(pm: np.ndarray, x: np.ndarray, step: float) -> np.ndarray:
     The matrix product runs in numpy; the rest of a step, on a handful of
     entries, runs on Python floats, where numpy's per-call cost would be
     most of the time.  The projection makes the IEEE operations of
-    _project_simplex in the same order, so the bits are the same; a step
-    with a non-finite entry goes to _project_simplex itself.
+    _project_simplex in the same order, so the bits are the same.  Every
+    step is finite: ||P||_F <= NORM_CAP bounds each entry of 2 P x, x on the
+    simplex, by DBL_MAX, and step * 2 P x by 1 when step <= 0.5 / ||P||_F.
     """
     twice = 2.0 * pm
     xs = x.tolist()
     for _ in range(500):
         v = [a - step * g for a, g in zip(xs, (twice @ x).tolist())]
-        rho = 0
-        if all(map(math.isfinite, v)):
-            css = 0.0
-            for k, t in enumerate(sorted(v, reverse=True), 1):
-                css += t
-                if t - (css - 1.0) / k > 0.0:
-                    rho, theta = k, css - 1.0
-        if rho:
-            theta /= rho
-            nxt = [d if d > 0.0 else 0.0 for d in [t - theta for t in v]]
-        else:
-            nxt = _project_simplex(np.array(v)).tolist()
+        css = 0.0
+        for k, t in enumerate(sorted(v, reverse=True), 1):
+            css += t
+            if t - (css - 1.0) / k > 0.0:
+                rho, theta = k, css - 1.0
+        theta /= rho
+        nxt = [d if d > 0.0 else 0.0 for d in [t - theta for t in v]]
         x = np.array(nxt)
         if all(abs(a - b) < 1e-15 for a, b in zip(nxt, xs)):
             break
@@ -232,11 +241,10 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     gradient descent.  Copositive iff the best value found stays above
     -1e-9 * (1 + ||p||); otherwise the minimizing point is the certificate.
     """
-    pm = as_symmetric(p, "p")
+    pm, norm = _as_bounded_symmetric(p)
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]
-    norm = prescaled_norm(pm)
     if m == 1:
         best_x = np.ones(1)
         best_val = float(pm[0, 0])

@@ -56,6 +56,8 @@ class FundamentalReport:
     eigenvalues: np.ndarray
     sigma_sq: float
     pinch: float
+    pinch_boundary: int
+    within_boundary: bool
 
 
 def mean_curvature_sq(form: SecondFundamentalForm) -> float:
@@ -119,17 +121,20 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
 
 
 def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
-    """Gram matrix of the shape operators, its spectrum, and the pinching
-    quantity ||sigma||^2 + lambda_2 (lambda_2 := 0 when m = 1)."""
+    """Gram matrix of the shape operators, its spectrum, the pinching
+    quantity ||sigma||^2 + lambda_2 (lambda_2 := 0 when m = 1), and whether
+    it stays within the pinching boundary n, up to 1e-9 * (1 + |pinch|)."""
     s = form.to_tuple().gram()
     eig = sym_eigen(s)
     sigma_sq = float(np.trace(s))
-    lam2 = float(eig.values[1]) if form.m >= 2 else 0.0
+    pinch = sigma_sq + (float(eig.values[1]) if form.m >= 2 else 0.0)
     return FundamentalReport(
         s=s,
         eigenvalues=eig.values,
         sigma_sq=sigma_sq,
-        pinch=sigma_sq + lam2,
+        pinch=pinch,
+        pinch_boundary=form.n,
+        within_boundary=bool(pinch <= form.n + 1e-9 * (1 + abs(pinch))),
     )
 
 

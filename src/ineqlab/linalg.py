@@ -19,6 +19,10 @@ from .errors import InputRejected, NumericalFailure
 # Relative tolerance for "is symmetric" input validation.
 SYMMETRY_TOL = 1e-12
 
+# Largest matrix dimension n and tuple length m the campaigns, the T operator
+# and the tuple and h files accept: the work grows like n^4 or m^2 n^3.
+DIM_CAP = 12
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a square float64 array with finite entries."""
@@ -56,11 +60,14 @@ def frobenius_norm(a: np.ndarray) -> float:
 def prescaled_norm(a: np.ndarray):
     """Frobenius norm of each matrix of an (..., n, n) stack, computed on
     a / 2^e and scaled back by 2^e, with e the frexp exponent of the
-    matrix's max |a_ij|: bit for bit the plain norm in the normal range, and
-    finite where the plain sum of squares overflows."""
+    matrix's max |a_ij|: bit for bit the plain norm in the normal range,
+    finite where the plain sum of squares overflows, and inf (with no
+    overflow warning) only where the norm itself is over the float range."""
     e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))[1]
     scaled = np.ldexp(a, -e[..., None, None])
-    return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=(-2, -1))), e)
+    root = np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        return np.ldexp(root, e)
 
 
 def asymmetry(stack: np.ndarray) -> tuple:

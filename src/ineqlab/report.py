@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Inequality verdicts use tol = TOL_COEFF * (1 + |lhs|) unless overridden.
 TOL_COEFF = 1e-9
@@ -17,7 +17,7 @@ class SlackReport:
     """Outcome of checking one inequality.
 
     `slack` is oriented so that slack >= 0 means the inequality holds;
-    `holds` applies the tolerance.
+    `holds`, set on construction, applies the tolerance.
     """
 
     inequality: str
@@ -25,7 +25,7 @@ class SlackReport:
     rhs: float
     slack: float
     tol: float
+    holds: bool = field(init=False)
 
-    @property
-    def holds(self) -> bool:
-        return self.slack >= -self.tol
+    def __post_init__(self):
+        object.__setattr__(self, "holds", bool(self.slack >= -self.tol))

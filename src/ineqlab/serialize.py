@@ -6,6 +6,11 @@ round-trips float64 exactly and makes repeated runs byte-identical.  A
 float64 array is checked finite once and written one last-axis row per
 '%' with a cached row template, the same bytes as formatting each float.
 
+Result dataclasses write themselves: an instance is the object of its
+fields in declaration order, so a report's field list is its document.
+File formats keep a writer beside their parser (matrix_json, tuple_json,
+pair_json, sff_json, and canonical_form_json for reduce's output).
+
 Matrix files come in two flavors, sniffed by the first character:
 JSON {"n": int, "entries": [[...], ...]} or plain text (first line n,
 then n rows of n space-separated decimals).
@@ -13,17 +18,17 @@ then n rows of n space-separated decimals).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
 
 import numpy as np
 
-from .curvature import CurvatureReport, FundamentalReport, SecondFundamentalForm
+from .curvature import SecondFundamentalForm
 from .ddvv import CanonicalForm, SymmetricTuple
-from .copositive import CopositivityVerdict
 from .errors import InputRejected
-from .report import SlackReport
+from .linalg import DIM_CAP
 
 
 def _format_float(v: float) -> str:
@@ -53,6 +58,12 @@ def dumps(obj) -> str:
     out: list = []
     _write(obj, out)
     return "".join(out)
+
+
+def field_dict(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order: the
+    values themselves (dataclasses.asdict would deep-copy the arrays)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _write(obj, out: list) -> None:
@@ -87,6 +98,8 @@ def _write(obj, out: list) -> None:
             out.append(":")
             _write(value, out)
         out.append("}")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write(field_dict(obj), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -107,8 +120,9 @@ def _read_json(path: str, parse):
 
 
 def _require(obj, what: str, keys: tuple) -> None:
-    """Check that `obj` is a JSON object with every key, and that the
-    counts 'n' and 'm' among them are positive integers."""
+    """Check that `obj` is a JSON object with every key, that the counts
+    'n' and 'm' among them are positive integers, and that 'm' is at most
+    DIM_CAP, before any member is parsed."""
     if not isinstance(obj, dict):
         raise InputRejected(f"{what} JSON must be an object")
     for key in keys:
@@ -119,6 +133,8 @@ def _require(obj, what: str, keys: tuple) -> None:
         if key in ("n", "m") and (isinstance(value, bool) or not isinstance(value, int)
                                   or value < 1):
             raise InputRejected(f"field '{key}' must be a positive integer, got {value!r}")
+        if key == "m" and value > DIM_CAP:
+            raise InputRejected(f"field 'm' = {value} is over the cap m <= {DIM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,54 +263,15 @@ def read_sff_file(path: str) -> SecondFundamentalForm:
 
 
 # ---------------------------------------------------------------------------
-# reports and verdicts
+# reduce's output
 
-def report_json(rep: SlackReport) -> dict:
-    return {
-        "inequality": rep.inequality,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "tol": rep.tol,
-        "holds": rep.holds,
-    }
-
-
-def verdict_json(v: CopositivityVerdict) -> dict:
-    return {
-        "copositive": v.copositive,
-        "certificate": v.certificate,
-        "failing_submatrix": None if v.failing_submatrix is None else list(v.failing_submatrix),
-    }
-
-
-def canonical_form_json(cf: CanonicalForm, before: SlackReport, after: SlackReport) -> dict:
+def canonical_form_json(cf: CanonicalForm, before, after) -> dict:
+    """The reduced tuple, its frame and the DDVV reports before and after."""
     return {
         "tuple": tuple_json(cf.reduced),
         "p": matrix_json(cf.p),
         "q": matrix_json(cf.q),
         "degenerate": cf.degenerate,
-        "slack_before": report_json(before),
-        "slack_after": report_json(after),
-    }
-
-
-def curvature_json(rep: CurvatureReport) -> dict:
-    return {
-        "rho": rep.rho,
-        "rho_perp": rep.rho_perp,
-        "mean_curv_sq": rep.mean_curv_sq,
-        "geometric_slack": rep.geometric_slack,
-        "shape_slack": rep.shape_slack,
-    }
-
-
-def fundamental_json(rep: FundamentalReport, boundary_n: int) -> dict:
-    return {
-        "s": rep.s,
-        "eigenvalues": rep.eigenvalues,
-        "sigma_sq": rep.sigma_sq,
-        "pinch": rep.pinch,
-        "pinch_boundary": int(boundary_n),
-        "within_boundary": bool(rep.pinch <= boundary_n + 1e-9 * (1 + abs(rep.pinch))),
+        "slack_before": before,
+        "slack_after": after,
     }

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ineqlab import bw, cli
+from ineqlab import bw, cli, curvature, ddvv
 from ineqlab.cli import build_parser, main
 from ineqlab.ddvv import extremal_case_a, extremal_case_b
 from ineqlab.serialize import dumps, matrix_json, pair_json, sff_json, tuple_json
@@ -200,6 +200,25 @@ class TestCopositive:
         assert doc["oracle"]["certificate"] == [0.0, 1.0]
         assert doc["agree"] is True
 
+    @pytest.mark.parametrize("text,extra", [
+        # ||p||_F overflowed, so neg_eps was inf and p read as copositive (exit 0)
+        ("2\n1e308 1e308\n1e308 -1e308\n", []),
+        # 2 P x overflowed in the oracle's polish, which ended in an IndexError
+        ("2\n1e308 0\n0 -1e308\n", ["--oracle", "10"]),
+    ], ids=["norm-overflows", "oracle-polish-overflows"])
+    def test_norm_over_half_dbl_max_rejected(self, capsys, tmp_path, text, extra):
+        path = write(tmp_path, "m.txt", text)
+        assert main(["copositive", "--input", path, *extra]) == 2
+        assert "over DBL_MAX/2" in capsys.readouterr().err
+
+    def test_norm_under_half_dbl_max_gets_a_verdict(self, capsys, tmp_path):
+        # ||p||_F = 5.7e307, just under the cap: both tests see p_22 < 0
+        path = write(tmp_path, "m.txt", "2\n4e307 0\n0 -4e307\n")
+        code, doc = run_json(capsys, ["copositive", "--input", path, "--oracle", "10"])
+        assert code == 0
+        assert doc["property_k"]["failing_submatrix"] == [1]
+        assert doc["oracle"]["certificate"] == [0.0, 1.0]
+
     def test_accepted_input_gets_a_verdict(self, capsys, tmp_path):
         # the 1e-8 asymmetry is within tolerance for ||p|| = 1e6, though not
         # for the 2 x 2 principal submatrix it sits in
@@ -339,6 +358,32 @@ class TestSpectrum:
         path = write(tmp_path, "x.json", dumps(matrix_json(np.eye(13))))
         assert main(["spectrum", "--input", path]) == 2
         assert "cap n <= 12" in capsys.readouterr().err
+
+
+class TestTupleLengthCap:
+    """Tuple and h files hold at most 12 members; m = 13 is refused at parse
+    time, before any pairwise commutator stack is built."""
+
+    @staticmethod
+    def files(tmp_path, m: int) -> dict:
+        members = np.stack([np.diag([1.0 + k, -1.0]) for k in range(m)])
+        form = SecondFundamentalForm.from_array(members, c=1.0)
+        tuple_path = write(tmp_path, "t.json", dumps(tuple_json(form.to_tuple())))
+        return {"ddvv-verify": tuple_path, "reduce": tuple_path,
+                "curvature": write(tmp_path, "h.json", dumps(sff_json(form)))}
+
+    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
+    def test_m13_rejected_unbuilt(self, capsys, tmp_path, monkeypatch, command):
+        for module in (ddvv, curvature):
+            monkeypatch.setattr(module, "commutator_norms_sq",
+                                lambda stack: pytest.fail("pair stacks were built"))
+        path = self.files(tmp_path, 13)[command]
+        assert main([command, "--input", path]) == 2
+        assert "field 'm' = 13 is over the cap m <= 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
+    def test_m12_accepted(self, capsys, tmp_path, command):
+        assert run_json(capsys, [command, "--input", self.files(tmp_path, 12)[command]])[0] == 0
 
 
 class TestParser:

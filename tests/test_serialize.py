@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,9 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from ineqlab.curvature import veronese_tuple
-from ineqlab.ddvv import ddvv_slack, extremal_case_a
+from ineqlab.bw import bw_slack, maximize_ratio
+from ineqlab.campaigns import run_bw_campaign, run_ddvv_campaign
+from ineqlab.copositive import CopositivityVerdict, copositive_oracle, copositive_property_k
+from ineqlab.curvature import curvature_report, fundamental_report, veronese_tuple
+from ineqlab.ddvv import canonical_reduce, ddvv_slack, extremal_case_a
 from ineqlab.errors import InputRejected
+from ineqlab.report import SlackReport
 from ineqlab.seeded import RandomStream
 from ineqlab.serialize import (
     dumps,
@@ -19,7 +24,6 @@ from ineqlab.serialize import (
     parse_pair_json,
     parse_sff_json,
     parse_tuple_json,
-    report_json,
     sff_json,
     tuple_json,
 )
@@ -138,10 +142,53 @@ class TestCountFields:
 class TestReportJson:
     def test_fields(self):
         rep = ddvv_slack(extremal_case_a(2, 1.0))
-        doc = report_json(rep)
+        doc = json.loads(dumps(rep))
         assert set(doc) == {"inequality", "lhs", "rhs", "slack", "tol", "holds"}
         assert doc["holds"] is True
         assert doc["inequality"] == "ddvv"
+
+
+def _results() -> dict:
+    """One instance of each result dataclass, by name."""
+    saddle = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    return {
+        "ddvv-report": ddvv_slack(extremal_case_a(2, 1.0)),
+        "failing-report": SlackReport("x", lhs=3.0, rhs=1.0, slack=-2.0, tol=0.5),
+        "bw-report": bw_slack(np.eye(3), np.diag([1.0, 2.0, 3.0])),
+        "verdict-certified": copositive_property_k(saddle),
+        "verdict-oracle": copositive_oracle(saddle, 6),
+        "verdict-copositive": CopositivityVerdict(True),
+        "curvature": curvature_report(veronese_tuple()),
+        "fundamental": fundamental_report(veronese_tuple()),
+        "ddvv-campaign": run_ddvv_campaign(3, 40, 3, 2),
+        "bw-campaign": run_bw_campaign(5, 20, 3),
+        "search": maximize_ratio(2, 7, 5),
+        "canonical-form": canonical_reduce(extremal_case_a(2, 1.0)),
+    }
+
+
+class TestDataclassDocuments:
+    """A result dataclass is written as the object of its fields, in
+    declaration order, with the values written as they stand."""
+
+    @pytest.mark.parametrize("name", list(_results()))
+    def test_equals_its_field_dict(self, name):
+        obj = _results()[name]
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        assert dumps(obj) == dumps(fields)
+        assert list(json.loads(dumps(obj))) == list(fields)
+
+    def test_holds_is_a_field_set_on_construction(self):
+        rep = SlackReport("x", lhs=3.0, rhs=1.0, slack=-2.0, tol=0.5)
+        assert [f.name for f in dataclasses.fields(rep)][-1] == "holds"
+        assert rep.holds is False
+        assert dataclasses.replace(rep, tol=2.0).holds is True
+
+    @pytest.mark.parametrize("obj", [SlackReport, object(), {1, 2}, b"x"],
+                             ids=["dataclass-class", "object", "set", "bytes"])
+    def test_other_objects_raise_type_error(self, obj):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps({"a": [obj]})
 
 
 # ---------------------------------------------------------------------------
