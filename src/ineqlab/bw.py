@@ -25,6 +25,7 @@ from .linalg import (
     frobenius_inner,
     frobenius_norm,
     norm_sq,
+    prescaled_norm,
     svd,
     sym_eigen,
 )
@@ -50,9 +51,10 @@ class TOperator:
 
 
 def _unit(x, name: str) -> tuple:
-    """Validated nonzero matrix scaled to unit Frobenius norm, and its norm."""
+    """Validated nonzero matrix scaled to unit Frobenius norm, and its norm,
+    taken on the prescaled matrix so that it neither overflows nor underflows."""
     xm = as_matrix(x, name)
-    nrm = frobenius_norm(xm)
+    nrm = float(prescaled_norm(xm))
     if nrm == 0.0:
         raise InputRejected(f"{name} must be nonzero")
     return xm / nrm, nrm
@@ -220,9 +222,12 @@ class RatioSearchResult:
     trajectory: tuple
 
 
-def _top_eigenmatrix(op: TOperator) -> tuple:
-    values, vectors = eigh_descending(op.matrix)
-    vec = vectors[:, 0].reshape(op.n, op.n)
+def _top_eigenmatrix(x: np.ndarray) -> tuple:
+    """Top eigenvalue of the T operator of a unit iterate x, and its unit
+    eigenmatrix; unchecked, so the search skips _unit's validation."""
+    n = x.shape[0]
+    values, vectors = eigh_descending(t_matrices(x / frobenius_norm(x)))
+    vec = vectors[:, 0].reshape(n, n)
     return float(values[0]), vec / frobenius_norm(vec)
 
 
@@ -261,8 +266,8 @@ def maximize_ratio(n: int, seed: int, max_iters: int, x0=None) -> RatioSearchRes
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        _, y = _top_eigenmatrix(t_operator(x))
-        ratio, x = _top_eigenmatrix(t_operator(y))
+        _, y = _top_eigenmatrix(x)
+        ratio, x = _top_eigenmatrix(y)
         trajectory.append(ratio)
         if trajectory[-1] - trajectory[-2] < 1e-12:
             converged = True

@@ -56,7 +56,7 @@ _ARGUMENTS = {
     "--tol": dict(type=float, help="fixed tolerance override (default: 1e-9*(1+|lhs|) per trial)"),
     "--max-iters": dict(type=int, default=200),
     "--oracle": dict(type=int, default=None, metavar="RESOLUTION",
-                     help="cross-check with the simplex-lattice oracle"),
+                     help="cross-check by simplicial partition, to edges of sqrt(2)/RESOLUTION"),
     "--model": dict(choices=("veronese", "clifford"), default=None),
     "--format": dict(choices=("text", "json"), default="text"),
     "--input": dict(default=None, help="input file"),

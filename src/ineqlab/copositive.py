@@ -4,7 +4,7 @@ A symmetric matrix P is copositive when x^T P x >= 0 for every
 entrywise-nonnegative x.  Two independent routes are provided: the
 principal-submatrix eigenvector criterion (every eigenvector of a
 negative eigenvalue of every principal submatrix must have strictly
-mixed signs) and a brute-force simplex-lattice minimizer used as the
+mixed signs) and a simplicial partition of the unit simplex used as the
 cross-validation oracle.
 """
 
@@ -23,7 +23,8 @@ from .linalg import as_symmetric, eigh_descending, prescaled_norm
 
 PROPERTY_K_DIM_CAP = 16
 # ||P||_F above DBL_MAX/2 could overflow the tolerances and the oracle's
-# gradient 2 P x; copositivity is scale invariant, so such a P is refused
+# edge minimizer, whose denominator (v_i - v_j)^T P (v_i - v_j) reaches
+# 2 ||P||; copositivity is scale invariant, so such a P is refused
 NORM_CAP = sys.float_info.max / 2
 # eigenvector entries this close to zero carry no sign information
 SIGN_ZERO_TOL = 1e-10
@@ -157,109 +158,63 @@ def copositive_property_k(p) -> CopositivityVerdict:
     return verdict or CopositivityVerdict(True)
 
 
-_LATTICE_CACHE: dict = {}
-
-
-def _simplex_lattice(m: int, resolution: int) -> np.ndarray:
-    """All points k/resolution with k nonnegative integers summing to resolution.
-
-    A lattice of more than 2^22 entries (points x m: 32 MiB of float64) is
-    refused before anything is built, and the oldest cached lattices are
-    evicted so that the cache stays within the same budget.
-    """
-    key = (m, resolution)
-    cached = _LATTICE_CACHE.get(key)
-    if cached is None:
-        budget = 1 << 22
-        entries = math.comb(resolution + m - 1, m - 1) * m
-        if entries > budget:
-            raise InputRejected(
-                f"oracle lattice at m = {m}, resolution {resolution} has {entries} entries, "
-                f"over the budget of {budget}; lower the resolution"
-            )
-        # stars and bars: m - 1 bar positions among resolution + m - 1 slots
-        slots = resolution + m - 1
-        combos = itertools.chain.from_iterable(itertools.combinations(range(slots), m - 1))
-        bars = np.fromiter(combos, dtype=np.intp, count=entries // m * (m - 1))
-        bars = bars.reshape(-1, m - 1)
-        # the gaps between consecutive bars, written straight into the lattice
-        cached = np.empty((bars.shape[0], m))
-        cached[:, 0] = bars[:, 0]
-        np.subtract(bars[:, 1:], bars[:, :-1], out=cached[:, 1:-1])
-        cached[:, 1:-1] -= 1.0
-        np.subtract(slots - 1, bars[:, -1], out=cached[:, -1])
-        cached /= float(resolution)
-        while sum(a.size for a in _LATTICE_CACHE.values()) + cached.size > budget:
-            del _LATTICE_CACHE[next(iter(_LATTICE_CACHE))]
-        _LATTICE_CACHE[key] = cached
-    return cached
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0.0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _refine(pm: np.ndarray, x: np.ndarray, step: float) -> np.ndarray:
-    """Up to 500 projected-gradient steps x <- proj(x - step * 2 P x) from
-    x, ending once no entry moves by 1e-15.
-
-    The matrix product runs in numpy; the rest of a step, on a handful of
-    entries, runs on Python floats, where numpy's per-call cost would be
-    most of the time.  The projection makes the IEEE operations of
-    _project_simplex in the same order, so the bits are the same.  Every
-    step is finite: ||P||_F <= NORM_CAP bounds each entry of 2 P x, x on the
-    simplex, by DBL_MAX, and step * 2 P x by 1 when step <= 0.5 / ||P||_F.
-    """
-    twice = 2.0 * pm
-    xs = x.tolist()
-    for _ in range(500):
-        v = [a - step * g for a, g in zip(xs, (twice @ x).tolist())]
-        css = 0.0
-        for k, t in enumerate(sorted(v, reverse=True), 1):
-            css += t
-            if t - (css - 1.0) / k > 0.0:
-                rho, theta = k, css - 1.0
-        theta /= rho
-        nxt = [d if d > 0.0 else 0.0 for d in [t - theta for t in v]]
-        x = np.array(nxt)
-        if all(abs(a - b) < 1e-15 for a, b in zip(nxt, xs)):
-            break
-        xs = nxt
-    return x
+# simplices examined x m^2 before the oracle refuses (32 MiB of float64)
+ORACLE_BUDGET = 1 << 22
 
 
 def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
-    """Brute-force verdict: minimize x^T P x over the unit simplex.
+    """Independent verdict by depth-first simplicial partition of the unit
+    simplex (Bundfuss and Duer, LAA 428, 2008).
 
-    Evaluates the quadratic form on the full lattice at the given
-    resolution, then polishes the lattice minimizer with projected
-    gradient descent.  Copositive iff the best value found stays above
-    -1e-9 * (1 + ||p||); otherwise the minimizing point is the certificate.
+    A simplex with vertex matrix V (one vertex per column) maps y on the
+    unit simplex to x = V y, with x^T P x = y^T Q y for Q = V^T P V.  With
+    eps = 1e-9 * (1 + ||p||), Q >= -eps entrywise leaves no violation on
+    it; the most negative diagonal q_kk, if below -eps, makes vertex k the
+    certificate; else the first edge with q_ij < -sqrt(q_ii) sqrt(q_jj) - eps
+    gives it, at the minimum of the quadratic on that edge.  Otherwise the
+    longest edge is bisected, unless it is at most sqrt(2) / resolution,
+    the resolution-R lattice spacing: such a simplex counts as holding no
+    violation at this resolution.  More than ORACLE_BUDGET simplices
+    examined x m^2 is refused.
     """
     pm, norm = _as_bounded_symmetric(p)
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]
-    if m == 1:
-        best_x = np.ones(1)
-        best_val = float(pm[0, 0])
-    else:
-        lattice = _simplex_lattice(m, resolution)
-        values = np.einsum("ki,ij,kj->k", lattice, pm, lattice)
-        best = int(np.argmin(values))
-        best_x, best_val = lattice[best].copy(), float(values[best])
-
-        # one local refinement pass from the lattice minimizer
-        x = _refine(pm, best_x, 0.5 / (norm + 1.0))
-        val = float(x @ pm @ x)
-        if val < best_val:
-            best_x, best_val = x, val
-
-    if best_val >= -1e-9 * (1.0 + norm):
-        return CopositivityVerdict(True)
-    return CopositivityVerdict(False, certificate=best_x)
+    eps = 1e-9 * (1.0 + norm)
+    finest = 2.0 / resolution**2  # the squared lattice spacing
+    limit = ORACLE_BUDGET // (m * m)  # simplices examined before the oracle refuses
+    stack, examined = [], 0
+    while examined == 0 or stack:
+        if examined == limit:
+            raise InputRejected(f"oracle at m = {m}, resolution {resolution} needs more than "
+                                f"{limit} simplices x m^2, over the budget of {ORACLE_BUDGET}; "
+                                "lower the resolution")
+        v = stack.pop() if examined else np.eye(m)  # the unit simplex first
+        examined += 1
+        q = v.T @ pm @ v
+        if np.all(q >= -eps):
+            continue
+        diag = np.diag(q)
+        k = int(np.argmin(diag))
+        if diag[k] < -eps:
+            return CopositivityVerdict(False, certificate=v[:, k].copy())
+        root = np.sqrt(np.maximum(diag, 0.0))
+        bad = np.flatnonzero(q < -np.outer(root, root) - eps)
+        if bad.size:
+            # t v_i + (1 - t) v_j minimizes t^2 a + 2 t (1 - t) b + (1 - t)^2 c
+            i, j = divmod(int(bad[0]), m)
+            a, b, c = q[i, i], q[i, j], q[j, j]
+            t = (c - b) / ((a - b) + (c - b))
+            return CopositivityVerdict(False, certificate=t * v[:, i] + (1.0 - t) * v[:, j])
+        edges = v[:, :, None] - v[:, None, :]
+        lengths = np.einsum("kij,kij->ij", edges, edges)
+        i, j = divmod(int(np.argmax(lengths)), m)
+        if lengths[i, j] <= finest:
+            continue
+        mid = 0.5 * (v[:, i] + v[:, j])
+        for k in (j, i):
+            child = v.copy()
+            child[:, k] = mid
+            stack.append(child)
+    return CopositivityVerdict(True)

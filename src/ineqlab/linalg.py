@@ -57,24 +57,34 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(norm_sq(a)))
 
 
-def prescaled_norm(a: np.ndarray):
-    """Frobenius norm of each matrix of an (..., n, n) stack, computed on
-    a / 2^e and scaled back by 2^e, with e the frexp exponent of the
-    matrix's max |a_ij|: bit for bit the plain norm in the normal range,
-    finite where the plain sum of squares overflows, and inf (with no
-    overflow warning) only where the norm itself is over the float range."""
+def _prescaled(a: np.ndarray) -> tuple:
+    """a / 2^e, e, and the Frobenius norm of each matrix of an (..., n, n)
+    stack, with e the frexp exponent of the matrix's max |a_ij|."""
     e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))[1]
     scaled = np.ldexp(a, -e[..., None, None])
     root = np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
     with np.errstate(over="ignore"):
-        return np.ldexp(root, e)
+        return scaled, e, np.ldexp(root, e)
+
+
+def prescaled_norm(a: np.ndarray):
+    """Frobenius norm of each matrix of an (..., n, n) stack, computed on
+    a / 2^e and scaled back by 2^e: bit for bit the plain norm in the
+    normal range, finite where the plain sum of squares overflows, and inf
+    (with no overflow warning) only where the norm itself is over the
+    float range."""
+    return _prescaled(a)[2]
 
 
 def asymmetry(stack: np.ndarray) -> tuple:
     """Max |a_ij - a_ji| of each matrix of an (..., n, n) stack, and the
-    defect allowed it, SYMMETRY_TOL * (1 + ||a||)."""
-    defect = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
-    return defect, SYMMETRY_TOL * (1.0 + prescaled_norm(stack))
+    defect allowed it, SYMMETRY_TOL * (1 + ||a||).  The defect is formed on
+    the same a / 2^e as the norm, so one past DBL_MAX reads inf, with no
+    overflow warning."""
+    scaled, e, norm = _prescaled(stack)
+    with np.errstate(over="ignore"):
+        defect = np.ldexp(np.abs(scaled - scaled.swapaxes(-1, -2)).max(axis=(-2, -1)), e)
+    return defect, SYMMETRY_TOL * (1.0 + norm)
 
 
 def as_pair(a, b, name_a: str = "a", name_b: str = "b") -> tuple:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import eij, offdiag2
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ineqlab.bw import (
@@ -21,6 +22,11 @@ from ineqlab.linalg import commutator, frobenius_inner, frobenius_norm, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
 S2 = 1.0 / np.sqrt(2.0)
+
+# As in test_serialize.py: a failing @given test imports libcst, whose
+# warning would otherwise abort the run under filterwarnings = error.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 def vec(y):
@@ -52,6 +58,14 @@ class TestTOperator:
     def test_rejects_zero(self):
         with pytest.raises(InputRejected, match="nonzero"):
             t_operator(np.zeros((3, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(2, 6), k=st.integers(-900, 900))
+    def test_spectrum_bits_scale_invariant(self, seed, n, k):
+        # x is normalized by a norm taken on x / 2^e, so 2^k x gives the
+        # same unit matrix, T and spectrum, bit for bit
+        x = RandomStream(seed).gaussian_matrix(n)
+        assert np.array_equal(t_spectrum(np.ldexp(x, k)), t_spectrum(x))
 
     def test_matrix_matches_direct_application(self):
         rng = RandomStream(401)

@@ -94,6 +94,17 @@ class TestBwVerify:
         assert code == 1
         assert doc["tol_mode"] == "fixed"
 
+    def test_tiny_equality_pair_holds(self, capsys, tmp_path):
+        # an equality case; ||x||^2 underflowed, so the "unit" x was not unit
+        # and the spectral side read 2.0000223, a false counterexample
+        x = np.diag([1e-160, -1e-160])
+        y = np.zeros((2, 2)); y[0, 1] = 1e-160
+        path = write(tmp_path, "p.json", dumps(pair_json(x, y)))
+        code, doc = run_json(capsys, ["bw-verify", "--input", path])
+        assert code == 0
+        assert doc["spectral"]["lhs"] == pytest.approx(2.0, abs=1e-12)
+        assert doc["spectral"]["holds"] is True
+
     def test_sanity_bound_failure_exits_1(self, capsys, tmp_path, monkeypatch):
         x = np.zeros((2, 2)); x[0, 1] = 1.0
         path = write(tmp_path, "p.json", dumps(pair_json(x, x.T.copy())))
@@ -184,8 +195,9 @@ class TestCopositive:
         assert "cap 16" in capsys.readouterr().err
 
     def test_oversized_oracle_rejected(self, capsys, tmp_path):
-        # m = 8 at resolution 40 is C(47, 7) = 6.3e7 lattice points, about 4 GB
-        path = write(tmp_path, "m.json", dumps(matrix_json(np.eye(8))))
+        # I - J/16 is copositive with a zero at the simplex's centre, so the
+        # partition keeps splitting there and outruns its budget at m = 16
+        path = write(tmp_path, "m.json", dumps(matrix_json(np.eye(16) - 1.0 / 16.0)))
         assert main(["copositive", "--input", path, "--oracle", "40"]) == 2
         assert "over the budget" in capsys.readouterr().err
 
@@ -218,6 +230,22 @@ class TestCopositive:
         assert code == 0
         assert doc["property_k"]["failing_submatrix"] == [1]
         assert doc["oracle"]["certificate"] == [0.0, 1.0]
+
+    def test_near_cap_edge_certificate(self, capsys, tmp_path):
+        # ||p||_F = 8.5e307; the edge test takes sqrt(q_ii) sqrt(q_jj), since
+        # q_ii q_jj = 1.6e615 would overflow
+        path = write(tmp_path, "m.txt", "2\n4e307 -4.5e307\n-4.5e307 4e307\n")
+        code, doc = run_json(capsys, ["copositive", "--input", path, "--oracle", "10"])
+        assert code == 0
+        assert doc["oracle"] == {"copositive": False, "certificate": [0.5, 0.5],
+                                 "failing_submatrix": None}
+        assert doc["agree"] is True
+
+    def test_antisymmetric_pair_near_dbl_max_rejected(self, capsys, tmp_path):
+        # a_12 - a_21 = 2e308 overflowed in the symmetry check, with a warning
+        path = write(tmp_path, "m.txt", "2\n0 1e308\n-1e308 0\n")
+        assert main(["copositive", "--input", path]) == 2
+        assert "not symmetric" in capsys.readouterr().err
 
     def test_accepted_input_gets_a_verdict(self, capsys, tmp_path):
         # the 1e-8 asymmetry is within tolerance for ||p|| = 1e6, though not
@@ -351,6 +379,17 @@ class TestSpectrum:
         code, doc = run_json(capsys, ["spectrum", "--input", path])
         assert code == 0 and len(calls) == 1
         assert doc["report"]["lhs"] == doc["lambda_max"]
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-170"])
+    def test_extreme_scale_attains_the_bound(self, capsys, tmp_path, scale):
+        # lambda_max(T) = 2 for x = diag(s, -s) at every scale; ||x||^2
+        # overflowed at 1e200 (a warning, then lambda_max 0) and underflowed
+        # at 1e-170 ("x must be nonzero")
+        path = write(tmp_path, "x.txt", f"2\n{scale} 0\n0 -{scale}\n")
+        code, doc = run_json(capsys, ["spectrum", "--input", path])
+        assert code == 0
+        assert doc["lambda_max"] == pytest.approx(2.0, abs=1e-12)
+        assert doc["report"]["holds"] is True
 
     def test_over_cap_rejected_before_building(self, capsys, tmp_path, monkeypatch):
         # T at n = 100 would take about 2.4 GB to build; n = 13 is refused unbuilt

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,10 @@ from ineqlab.copositive import (
 )
 from ineqlab.errors import InputRejected
 from ineqlab.linalg import as_symmetric, eigh_descending, frobenius_norm
+from ineqlab.serialize import read_matrix_file
 from ineqlab.seeded import RandomStream, sub_seed
+
+DATA = Path(__file__).parent / "data"
 
 
 def violates(p, subsets, neg_eps):
@@ -277,85 +282,51 @@ class TestOracle:
         value = float(verdict.certificate @ p @ verdict.certificate)
         assert value < -1e-3
 
-    def test_refinement_bits(self):
-        # the projected-gradient loop on numpy arrays, as the oracle ran it
-        def numpy_refine(pm, x, step):
-            x = x.copy()
-            for _ in range(500):
-                nxt = copositive._project_simplex(x - step * (2.0 * pm @ x))
-                if float(np.max(np.abs(nxt - x))) < 1e-15:
-                    return nxt
-                x = nxt
-            return x
-
-        moved = 0
-        for k in range(200):
-            stream = RandomStream(sub_seed(312, k))
-            m = 2 + k % 5
-            pm = stream.symmetric_matrix(m) * 10.0 ** (k % 7 - 3)
-            x = stream.uniforms(m)
-            x /= x.sum()
-            step = 0.5 / (frobenius_norm(pm) + 1.0)
-            want = numpy_refine(pm, x, step)
-            assert np.array_equal(copositive._refine(pm, x, step), want), k
-            moved += not np.array_equal(want, x)
-        assert moved > 150
-
     def test_cross_validation_small(self):
         for k in range(300):
             stream = RandomStream(sub_seed(311, k))
             p = stream.symmetric_matrix(3)
             assert copositive_property_k(p).copositive == copositive_oracle(p, 24).copositive
 
-    def test_oversized_lattice_rejected_before_building(self):
-        # m = 8 at resolution 40 would hold C(47, 7) * 8 = 5.1e8 entries
-        tracemalloc.start()
-        try:
-            with pytest.raises(InputRejected, match="over the budget of 4194304"):
-                copositive_oracle(np.eye(8), 40)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**16
-        assert (8, 40) not in copositive._LATTICE_CACHE
 
-    @pytest.mark.parametrize("m, resolution", [(3, 400), (4, 60)])
-    def test_lattice_build_peak(self, monkeypatch, m, resolution):
-        # the bar gaps go straight into the lattice, so the build peaks
-        # under twice the lattice it returns
-        monkeypatch.setattr(copositive, "_LATTICE_CACHE", {})
-        tracemalloc.start()
-        try:
-            lattice = copositive._simplex_lattice(m, resolution)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * lattice.nbytes
+    @pytest.mark.parametrize("exponent", [-6, 0, 6, 150, 300])
+    def test_certificates_verify(self, exponent):
+        # every "not copositive" verdict carries a point of the unit simplex
+        # where the quadratic form is negative, at any scale
+        found = 0
+        for k in range(120):
+            stream = RandomStream(sub_seed(314, k))
+            p = stream.symmetric_matrix(2 + k % 4) * 10.0**exponent
+            verdict = copositive_oracle(p, 40)
+            if verdict.copositive:
+                continue
+            x = verdict.certificate
+            assert np.all(x >= 0.0), k
+            assert abs(float(np.sum(x)) - 1.0) <= 1e-12, k
+            assert float(x @ p @ x) < 0.0, k
+            found += 1
+        assert found > 60
 
-    @pytest.mark.parametrize("m, resolution", [(2, 7), (3, 40), (4, 9), (6, 5)])
-    def test_lattice_bits(self, monkeypatch, m, resolution):
-        # same bits as the padded np.diff construction
-        monkeypatch.setattr(copositive, "_LATTICE_CACHE", {})
-        slots = resolution + m - 1
-        bars = np.array(list(itertools.combinations(range(slots), m - 1)))
-        bars = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
-        want = (np.diff(bars, axis=1) - 1) / float(resolution)
-        assert np.array_equal(copositive._simplex_lattice(m, resolution), want)
+    def test_agrees_with_property_k_on_golden_inputs(self, tmp_path):
+        # every distinct input of golden_copositive_cli.json at m <= 7
+        cases = json.loads((DATA / "golden_copositive_cli.json").read_text())
+        inputs = {(case.split()[0].rsplit(".", 1)[1], want["input"])
+                  for case, want in cases.items()}
+        checked = 0
+        for suffix, text in sorted(inputs):
+            path = tmp_path / f"p.{suffix}"
+            path.write_text(text)
+            p = read_matrix_file(str(path))
+            if p.shape[0] <= 7:
+                assert copositive_oracle(p, 40).copositive == \
+                    copositive_property_k(p).copositive, text
+                checked += 1
+        assert checked == 115
 
-    def test_lattice_cache_bounded(self, monkeypatch):
-        monkeypatch.setattr(copositive, "_LATTICE_CACHE", {})
-        budget = 1 << 22
-        cache_keys = []
-        # m = 2 lattices of 3e6, 2e6 and 1e6 entries, then the largest one in use
-        for key in [(2, 1_500_000), (2, 1_000_000), (2, 500_000), (4, 40)]:
-            lattice = copositive._simplex_lattice(*key)
-            assert copositive._LATTICE_CACHE[key] is lattice
-            assert sum(a.size for a in copositive._LATTICE_CACHE.values()) <= budget
-            cache_keys.append(list(copositive._LATTICE_CACHE))
-        assert cache_keys == [[(2, 1_500_000)], [(2, 1_000_000)],
-                              [(2, 1_000_000), (2, 500_000)],
-                              [(2, 1_000_000), (2, 500_000), (4, 40)]]
-        # m = 4 at resolution 40 (12341 points) stays cached
-        assert lattice.shape == (12341, 4)
-        assert copositive._simplex_lattice(3, 40) is not lattice
-        assert copositive._simplex_lattice(4, 40) is lattice
+    def test_m_squared_over_budget_refused_unbuilt(self, monkeypatch):
+        monkeypatch.setattr(copositive, "ORACLE_BUDGET", 9)
+        assert copositive_oracle(np.eye(3), 40).copositive  # one simplex x 3^2 fits
+        monkeypatch.setattr(copositive, "ORACLE_BUDGET", 8)
+        monkeypatch.setattr(np, "eye", lambda m: pytest.fail("a simplex was built"))
+        with pytest.raises(InputRejected, match="over the budget of 8; lower the resolution"):
+            copositive_oracle(np.ones((3, 3)), 40)

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ineqlab.bw import t_operator
 from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import (
+    SYMMETRY_TOL,
     as_symmetric,
+    asymmetry,
     commutator,
     eigh_descending,
     frobenius_inner,
@@ -184,6 +186,18 @@ class TestPrescaledNorm:
         assert as_symmetric(np.diag([1e200, -1e200])).shape == (2, 2)
         with pytest.raises(InputRejected, match="not symmetric"):
             as_symmetric(np.array([[1e200, 1e190], [0.0, -1e200]]))
+
+    def test_asymmetry_bits_and_antisymmetric_pair_near_dbl_max(self):
+        # the defect is formed on a / 2^e: the same bits as the plain
+        # difference in the normal range, and inf with no overflow warning
+        # where a_ij - a_ji is over DBL_MAX; the allowed defect keeps its bits
+        scales = np.array([1e-100, 1.0, 1e100])[:, None, None]
+        stack = RandomStream(18).gaussian_matrix(5) * scales
+        defect, allowed = asymmetry(stack)
+        assert_array_equal(defect, np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)))
+        assert_array_equal(allowed, SYMMETRY_TOL * (1.0 + prescaled_norm(stack)))
+        defect, allowed = asymmetry(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        assert defect == np.inf and np.isfinite(allowed)
 
 
 class TestPairIndices:
