@@ -15,7 +15,7 @@ import numpy as np
 
 from .ddvv import SymmetricTuple
 from .errors import InputRejected
-from .linalg import commutator_norms_sq, pair_indices, sym_eigen
+from .linalg import DIM_CAP, commutator_norms_sq, pair_indices, sym_eigen
 from .report import default_tol
 
 
@@ -37,8 +37,10 @@ class SecondFundamentalForm:
         return cls(n=t.n, m=t.m, c=float(c), h=t.matrices)
 
     def to_tuple(self) -> SymmetricTuple:
-        """The shape operators as a plain symmetric tuple."""
-        return SymmetricTuple.from_matrices(self.h)
+        """The shape operators as a symmetric tuple on a read-only view of h."""
+        h = self.h.view()
+        h.flags.writeable = False
+        return SymmetricTuple(n=self.n, m=self.m, matrices=h)
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,8 @@ def clifford_model(r: int, n: int) -> SecondFundamentalForm:
     """Second fundamental form of the minimal product of spheres in the
     unit sphere: one normal direction, diagonal with r entries
     sqrt((n-r)/r) and n-r entries -sqrt(r/(n-r)); ||sigma||^2 = n."""
+    if n > DIM_CAP:
+        raise InputRejected(f"n = {n} is over the cap n <= {DIM_CAP}")
     if not 1 <= r <= n - 1:
         raise InputRejected(f"need 1 <= r <= n-1, got r={r}, n={n}")
     lam1 = np.sqrt((n - r) / float(r))

@@ -60,34 +60,19 @@ class SymmetricTuple:
         return np.einsum("aij,bij->ab", self.matrices, self.matrices)
 
 
-def check_members(stack: np.ndarray, seeds=None) -> None:
+def check_members(stack: np.ndarray) -> None:
     """Reject the first non-finite, then the first asymmetric member of an
-    (..., m, n, n) stack; symmetric means within SYMMETRY_TOL * (1 + ||A_k||).
-
-    When the leading axes are trials, `seeds` (shaped like them) holds each
-    trial's seed, and the message names the seed of the offending trial.
-    """
+    (m, n, n) stack; symmetric means within SYMMETRY_TOL * (1 + ||A_k||)."""
     finite = np.isfinite(stack).all(axis=(-2, -1))
     if not finite.all():
-        _, where = _first_member(~finite, seeds)
-        raise InputRejected(f"{where}: entries must be finite (no NaN/Inf)")
+        raise InputRejected(f"member {np.argmin(finite) + 1}: entries must be finite (no NaN/Inf)")
     defect, allowed = asymmetry(stack)
-    bad = defect > allowed
-    if bad.any():
-        k, where = _first_member(bad, seeds)
+    k = int(np.argmax(defect > allowed))
+    if defect[k] > allowed[k]:
         raise InputRejected(
-            f"{where}: not symmetric "
+            f"member {k + 1}: not symmetric "
             f"(max |a_ij - a_ji| = {defect[k]:.3e}, allowed {allowed[k]:.3e})"
         )
-
-
-def _first_member(bad: np.ndarray, seeds):
-    """Index of the first True entry of `bad` (leading axes, member) and its label."""
-    k = tuple(np.argwhere(bad)[0])
-    where = f"member {k[-1] + 1}"
-    if seeds is not None:
-        where = f"trial seed {int(seeds[k[:-1]])}, {where}"
-    return k, where
 
 
 def _layout_problem(mats) -> str:
@@ -219,8 +204,10 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
             q[0] *= -1.0
             reduced_stack[0] *= -1.0
 
-    reduced = SymmetricTuple.from_matrices(reduced_stack)
-    form = CanonicalForm(reduced=reduced, p=p, q=q, degenerate=degenerate)
+    # an orthogonal transform of a validated tuple: nothing to re-validate
+    reduced_stack.flags.writeable = False
+    form = CanonicalForm(reduced=SymmetricTuple(n=t.n, m=t.m, matrices=reduced_stack),
+                         p=p, q=q, degenerate=degenerate)
     _verify_canonical(t, form)
     return form
 

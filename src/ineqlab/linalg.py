@@ -143,10 +143,10 @@ def as_symmetric(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_orthogonal(p: np.ndarray, tol: float = 1e-10) -> bool:
-    """Entrywise check of p^T p = I within `tol`."""
+def is_orthogonal(p: np.ndarray) -> bool:
+    """Entrywise check of p^T p = I within 1e-10."""
     n = p.shape[0]
-    return bool(np.max(np.abs(p.T @ p - np.eye(n))) <= tol)
+    return bool(np.max(np.abs(p.T @ p - np.eye(n))) <= 1e-10)
 
 
 @dataclass(frozen=True)

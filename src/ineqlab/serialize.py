@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -246,13 +247,15 @@ def parse_sff_json(obj) -> SecondFundamentalForm:
     c = obj["c"]
     if isinstance(c, bool) or not isinstance(c, (int, float)):
         raise InputRejected(f"field 'c' must be a number, got {c!r}")
+    if not abs(c) <= sys.float_info.max:  # NaN, inf, or an int past the float range
+        raise InputRejected("field 'c' must be finite and within the float range")
     try:
         arr = np.asarray(obj["h"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputRejected(f"field 'h' is not a numeric array: {exc}") from exc
     if arr.ndim != 3:
         raise InputRejected(f"field 'h' must have axes (alpha, i, j), got shape {arr.shape}")
-    form = SecondFundamentalForm.from_array(arr, c=c)
+    form = SecondFundamentalForm.from_array(arr, c=float(c))
     if form.n != obj["n"] or form.m != obj["m"]:
         raise InputRejected("fields 'n'/'m' do not match the shape of 'h'")
     return form

@@ -325,10 +325,6 @@ class TestMaximizeRatio:
         assert result.best_ratio == pytest.approx(2.0, abs=1e-6)
         assert result.converged
 
-    def test_identity_start_restarts(self):
-        result = maximize_ratio(3, 7, 200, x0=np.eye(3) / np.sqrt(3.0))
-        assert result.best_ratio == pytest.approx(2.0, abs=1e-6)
-
     def test_zero_iters(self):
         result = maximize_ratio(4, 99, 0)
         assert not result.converged

@@ -1,5 +1,6 @@
-"""Chunked campaigns equal the per-trial reference loop exactly, validate
-every drawn tuple, and keep memory bounded."""
+"""Chunked campaigns equal the per-trial reference loop exactly, draw
+tuples that are symmetric and finite by construction, and keep memory
+bounded."""
 
 import dataclasses
 import tracemalloc
@@ -142,28 +143,39 @@ class TestChunkValidation:
         seeds = sub_seeds(41, 0, 4)
         return seeds, RandomStream(seeds).symmetric_tuple(3, 4)
 
-    def test_clean_chunk_passes(self):
-        seeds, stack = self._stack()
-        check_members(stack, seeds)
+    def test_finite_is_checked_before_symmetric(self):
+        _, stack = self._stack()
+        stack[0, 2, 0, 1] = np.nan
+        stack[0, 0, 0, 1] += 1.0  # an earlier asymmetric member
+        with pytest.raises(InputRejected, match="^member 3: entries must be finite"):
+            check_members(stack[0])
 
-    def test_names_seed_of_non_finite_member(self):
-        seeds, stack = self._stack()
-        stack[2, 2, 0, 1] = np.nan
-        stack[1, 0, 0, 1] += 1.0  # an earlier asymmetric member: finiteness is checked first
-        with pytest.raises(InputRejected,
-                           match=f"^trial seed {sub_seed(41, 2)}, member 3: entries must be finite"):
-            check_members(stack, seeds)
-
-    def test_names_seed_of_asymmetric_member(self):
-        seeds, stack = self._stack()
-        stack[3, 0, 1, 2] += 1e-3
-        stack[1, 1, 2, 0] += 1e-3
-        with pytest.raises(InputRejected,
-                           match=f"^trial seed {sub_seed(41, 1)}, member 2: not symmetric"):
-            check_members(stack, seeds)
+    def test_names_first_asymmetric_member(self):
+        _, stack = self._stack()
+        stack[0, 3, 1, 2] += 1e-3
+        stack[0, 1, 2, 0] += 1e-3
+        with pytest.raises(InputRejected, match="^member 2: not symmetric"):
+            check_members(stack[0])
 
     def test_without_seeds_names_member_only(self):
         _, stack = self._stack()
         stack[0, 3, 0, 1] = np.inf
         with pytest.raises(InputRejected, match="^member 4: entries must be finite"):
             check_members(stack[0])
+
+
+class TestChunkDraws:
+    """run_ddvv_campaign validates none of its draws; these are the two facts
+    it relies on, for the first chunk of every (n, m) the campaigns accept."""
+
+    def test_box_muller_bound(self):
+        # u1 in (0, 1] has 53-bit resolution, so the radius is at most sqrt(-2 ln 2^-53)
+        assert np.sqrt(-2.0 * np.log(2.0**-53)) < 8.58
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_symmetric_finite_and_bounded(self, n):
+        for m in range(1, 13):
+            seeds = next(campaigns._chunks(2**63 + n, 10**6, m * m * n * n))
+            stack = RandomStream(seeds).symmetric_tuple(n, m)
+            assert np.array_equal(stack, stack.swapaxes(-1, -2))
+            assert np.isfinite(stack).all() and np.abs(stack).max() <= 8.58

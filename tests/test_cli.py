@@ -1,11 +1,12 @@
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ineqlab import bw, cli, curvature, ddvv
+from ineqlab import bw, campaigns, cli, curvature, ddvv
 from ineqlab.cli import build_parser, main
 from ineqlab.ddvv import extremal_case_a, extremal_case_b
 from ineqlab.serialize import dumps, matrix_json, pair_json, sff_json, tuple_json
@@ -283,6 +284,36 @@ class TestCurvature:
         assert main(["curvature", "--input", path]) == 2
         assert "'c'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["1" + "0" * 400, "-1" + "0" * 400, "NaN", "-Infinity"],
+                             ids=["1e400", "-1e400", "nan", "-inf"])
+    def test_c_outside_the_float_range_rejected(self, capsys, tmp_path, c):
+        path = write(tmp_path, "h.json", '{"n": 2, "m": 1, "c": %s, "h": [[[1, 0], [0, 1]]]}' % c)
+        assert main(["curvature", "--input", path]) == 2
+        assert "field 'c' must be finite" in capsys.readouterr().err
+
+    def test_large_integer_c_accepted(self, capsys, tmp_path):
+        path = write(tmp_path, "h.json",
+                     '{"n": 2, "m": 1, "c": 1%s, "h": [[[1, 0], [0, 1]]]}' % ("0" * 300))
+        code, doc = run_json(capsys, ["curvature", "--input", path])
+        assert code in (0, 1) and doc["c"] == 1e300
+
+    @pytest.mark.parametrize("command", ["curvature", "models"])
+    def test_clifford_over_the_cap_rejected(self, capsys, tmp_path, command):
+        argv = (["curvature", "--model", "clifford"] if command == "curvature"
+                else ["models", "clifford", "--output", str(tmp_path / "m")])
+        assert main(argv + ["--r", "1", "--n", "13"]) == 2
+        assert "n = 13 is over the cap n <= 12" in capsys.readouterr().err
+
+    def test_clifford_huge_n_refused_unallocated(self, capsys):
+        # the n x n diagonal would take 80 GB at n = 100000
+        tracemalloc.start()
+        try:
+            code = main(["curvature", "--model", "clifford", "--r", "1", "--n", "100000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+
     def test_ambient_override(self, capsys, tmp_path):
         form = SecondFundamentalForm.from_array(np.zeros((1, 2, 2)), c=1.0)
         path = write(tmp_path, "h.json", dumps(sff_json(form)))
@@ -423,6 +454,47 @@ class TestTupleLengthCap:
     @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
     def test_m12_accepted(self, capsys, tmp_path, command):
         assert run_json(capsys, [command, "--input", self.files(tmp_path, 12)[command]])[0] == 0
+
+
+class TestValidationCounts:
+    """Outside input is validated once; what the program derives from it is
+    not validated again."""
+
+    @staticmethod
+    def count_from_matrices(monkeypatch) -> list:
+        calls = []
+        original = ddvv.SymmetricTuple.from_matrices.__func__
+        monkeypatch.setattr(ddvv.SymmetricTuple, "from_matrices",
+                            classmethod(lambda cls, mats: calls.append(1) or original(cls, mats)))
+        return calls
+
+    def test_campaign_checks_no_member(self, capsys, monkeypatch):
+        calls = []
+        for module in (ddvv, campaigns):
+            monkeypatch.setattr(module, "check_members", lambda stack, *rest: calls.append(1),
+                                raising=False)
+        code, doc = run_json(capsys, ["ddvv-verify", "--seed", "3", "--trials", "200",
+                                      "--n", "3", "--m", "4"])
+        assert code == 0 and doc["trials_run"] == 200
+        assert calls == []
+
+    def test_reduce_builds_the_input_and_the_replay(self, capsys, tmp_path, monkeypatch):
+        path = write(tmp_path, "t.json", dumps(tuple_json(extremal_case_b(3, 0.5))))
+        calls = self.count_from_matrices(monkeypatch)
+        assert run_json(capsys, ["reduce", "--input", path])[0] == 0
+        assert len(calls) == 2
+
+    def test_curvature_validates_the_h_file_once(self, capsys, tmp_path, monkeypatch):
+        path = write(tmp_path, "h.json", dumps(sff_json(curvature.veronese_tuple())))
+        calls = self.count_from_matrices(monkeypatch)
+        assert run_json(capsys, ["curvature", "--input", path])[0] == 0
+        assert len(calls) == 1
+
+    def test_models_validates_the_model_once(self, capsys, tmp_path, monkeypatch):
+        calls = self.count_from_matrices(monkeypatch)
+        prefix = str(tmp_path / "m")
+        assert main(["models", "clifford", "--r", "1", "--n", "3", "--output", prefix]) == 0
+        assert len(calls) == 1
 
 
 class TestParser:

@@ -12,7 +12,7 @@ from ineqlab.curvature import (
     veronese_immersion,
     veronese_tuple,
 )
-from ineqlab.ddvv import ddvv_slack, group_act
+from ineqlab.ddvv import SymmetricTuple, ddvv_slack, group_act
 from ineqlab.errors import InputRejected
 from ineqlab.seeded import RandomStream, sub_seed
 
@@ -141,6 +141,16 @@ class TestFundamentalReport:
             lam2 = rep.eigenvalues[1] if rep.eigenvalues.size >= 2 else 0.0
             assert lam2 <= 0.5 * rep.sigma_sq + 1e-9 * (1.0 + rep.sigma_sq)
             assert rep.sigma_sq == pytest.approx(float(np.sum(rep.eigenvalues)), rel=1e-10)
+
+
+class TestToTuple:
+    def test_read_only_and_unvalidated(self, monkeypatch):
+        form = traceless(random_form(RandomStream(sub_seed(5, 0)), 3, 2, 1.0))
+        monkeypatch.setattr(SymmetricTuple, "from_matrices", lambda mats: pytest.fail("revalidated"))
+        t = form.to_tuple()
+        assert (t.n, t.m) == (3, 2) and np.array_equal(t.matrices, form.h)
+        assert not t.matrices.flags.writeable
+        assert form.h.flags.writeable  # the read-only view leaves the form's own array alone
 
 
 class TestCliffordModel:

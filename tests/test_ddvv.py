@@ -180,6 +180,14 @@ class TestCanonicalReduce:
         for a in form.reduced.matrices:
             assert_allclose(a, np.zeros((3, 3)), atol=0.0)
 
+    @pytest.mark.parametrize("t", [extremal_case_b(3, 0.4),
+                                   SymmetricTuple.from_matrices([np.zeros((2, 2))])])
+    def test_reduced_tuple_is_read_only(self, t):
+        reduced = canonical_reduce(t).reduced.matrices
+        assert not reduced.flags.writeable
+        with pytest.raises(ValueError):
+            reduced[0, 0, 0] = 1.0
+
     def test_random_postconditions(self):
         for k in range(200):
             stream = RandomStream(sub_seed(31, k))
