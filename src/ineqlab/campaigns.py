@@ -12,7 +12,9 @@ which the stacked kernels evaluate with no per-trial loop and no validation:
 0.5 (g + g^T) is symmetric bit for bit and Box-Muller normals are finite.
 The chunk size follows from the fixed element budget CHUNK_ELEMENTS, so
 memory stays bounded at any trial count, and a chunk's draws equal the
-per-trial draws bit for bit, so chunking changes no result.
+per-trial draws bit for bit, so chunking changes no result.  The ratio
+search runs a chunk's seeds in lockstep the same way, each search bit for
+bit the standalone one from its sub-seed.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bw import bw_sides, maximize_ratio, t_matrices
+from .bw import bw_sides, maximize_ratios, t_matrices, unit_stack
 from .ddvv import ddvv_sides
 from .errors import InputRejected
 from .linalg import DIM_CAP
 from .report import default_tol
-from .seeded import RandomStream, sub_seed, sub_seeds
+from .seeded import RandomStream, sub_seeds
 
 # Element budget of one chunk, counting a DDVV trial as m * m * n * n (its
 # pairwise commutator stacks hold about half that each).  Chunks this small
@@ -73,9 +75,10 @@ def _check_config(trials: int, n: int, m: Optional[int] = None) -> None:
 
 
 def _chunks(seed: int, trials: int, trial_elements: int):
-    """Sub-seed arrays of consecutive trials, CHUNK_ELEMENTS // trial_elements at a time."""
-    size = max(1, CHUNK_ELEMENTS // trial_elements)
-    for start in range(0, trials, size):
+    """Sub-seed arrays of consecutive trials, CHUNK_ELEMENTS // trial_elements at a
+    time; one empty array when trials < 1, which the search kernel refuses."""
+    size = max(1, CHUNK_ELEMENTS // max(1, trial_elements))
+    for start in range(0, max(1, trials), size):
         yield sub_seeds(seed, start, min(start + size, trials))
 
 
@@ -110,7 +113,7 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
         lhs, scale = bw_sides(xs, ys, seeds)
-        top = np.linalg.eigvalsh(t_matrices(xs / np.linalg.norm(xs, axis=(-2, -1), keepdims=True)))
+        top = np.linalg.eigvalsh(t_matrices(unit_stack(xs)))
         for track, side, bound in ((pair_track, lhs, 2.0 * scale), (spec_track, top[:, -1], 2.0)):
             tol = tol_override if tol_override is not None else default_tol(side)
             track.update(bound - side, tol, seeds)
@@ -118,9 +121,8 @@ def run_bw_campaign(seed: int, trials: int, n: int,
 
 
 def run_search_campaign(seed: int, seeds: int, n: int, max_iters: int):
-    """Run the alternating ratio search once per sub-seed; returns all results."""
-    if seeds < 1:
-        raise InputRejected("need at least one search seed")
-    if not 2 <= n <= DIM_CAP:
-        raise InputRejected(f"n = {n} outside the documented cap 2..{DIM_CAP}")
-    return [maximize_ratio(n, sub_seed(seed, k), max_iters) for k in range(seeds)]
+    """Run the alternating ratio search once per sub-seed, each chunk's seeds in
+    lockstep (maximize_ratios checks the configuration); returns all results."""
+    # as in run_bw_campaign, a search's T build holds four n^4-element temporaries
+    return [result for chunk in _chunks(seed, seeds, 4 * n**4)
+            for result in maximize_ratios(n, chunk, max_iters)]

@@ -25,6 +25,7 @@ from .curvature import (
     SecondFundamentalForm,
     clifford_model,
     curvature_report,
+    finite_c,
     fundamental_report,
     geometric_tol,
     veronese_tuple,
@@ -160,7 +161,7 @@ def cmd_curvature(args) -> tuple:
         raise InputRejected("curvature requires --input H_FILE or --model NAME")
     form = read_sff_file(args.input) if args.input else _model_form(args.model, args)
     if args.c is not None:
-        form = SecondFundamentalForm.from_array(form.h, c=args.c)
+        form = dataclasses.replace(form, c=finite_c(args.c))  # h is validated already
     rep = curvature_report(form)
     doc = {**_header(args, n=form.n, m=form.m, c=form.c), "curvature": rep,
            "fundamental": fundamental_report(form)}

@@ -19,6 +19,13 @@ from .linalg import DIM_CAP, commutator_norms_sq, pair_indices, sym_eigen
 from .report import default_tol
 
 
+def finite_c(c) -> float:
+    """Ambient curvature c as a float, refused unless finite."""
+    if not np.isfinite(c):
+        raise InputRejected("ambient curvature c must be finite")
+    return float(c)
+
+
 @dataclass(frozen=True)
 class SecondFundamentalForm:
     """Array h[alpha, i, j], symmetric in (i, j), with ambient curvature c."""
@@ -31,10 +38,9 @@ class SecondFundamentalForm:
     @classmethod
     def from_array(cls, h, c: float) -> "SecondFundamentalForm":
         """Validate the slices h[alpha] as a symmetric tuple, and c as finite."""
-        if not np.isfinite(c):
-            raise InputRejected("ambient curvature c must be finite")
+        c = finite_c(c)
         t = SymmetricTuple.from_matrices(h)
-        return cls(n=t.n, m=t.m, c=float(c), h=t.matrices)
+        return cls(n=t.n, m=t.m, c=c, h=t.matrices)
 
     def to_tuple(self) -> SymmetricTuple:
         """The shape operators as a symmetric tuple on a read-only view of h."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import eij, offdiag2
@@ -330,6 +332,30 @@ class TestMaximizeRatio:
         assert not result.converged
         assert result.iterations == 0
         assert len(result.trajectory) == 1
+
+    @pytest.mark.parametrize("n,max_iters,message", [
+        (1, 5, "n = 1 outside the documented cap 2..12"),
+        (13, 5, "n = 13 outside the documented cap 2..12"),
+        (3, -1, "max_iters must be >= 0"),
+    ])
+    def test_rejects_configuration(self, n, max_iters, message):
+        with pytest.raises(InputRejected, match=f"^{message}$"):
+            maximize_ratio(n, 0, max_iters)
+
+    def test_rejects_empty_seed_array(self):
+        with pytest.raises(InputRejected, match="^need at least one search seed$"):
+            bw.maximize_ratios(3, sub_seeds(0, 0, 0), 5)
+
+    def test_huge_n_refused_unallocated(self):
+        # the T build alone would take about 2.4 GB at n = 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputRejected):
+                maximize_ratio(10**4, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trajectory_monotone_and_bounded(self):
         for k in range(30):

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from ineqlab import bw, campaigns
-from ineqlab.bw import bw_slack, bw_spectral_slack
-from ineqlab.campaigns import CHUNK_ELEMENTS, run_bw_campaign, run_ddvv_campaign
+from ineqlab.bw import bw_slack, bw_spectral_slack, t_matrices
+from ineqlab.campaigns import (CHUNK_ELEMENTS, run_bw_campaign, run_ddvv_campaign,
+                               run_search_campaign)
+from ineqlab.cli import main
 from ineqlab.ddvv import SymmetricTuple, check_members, ddvv_slack
 from ineqlab.errors import InputRejected, NumericalFailure
+from ineqlab.linalg import commutator, eigh_descending, frobenius_norm, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
 
@@ -124,6 +127,58 @@ class TestBwCampaign:
         assert failing and failing[0] != sub_seed(2, 0)  # not the chunk's first trial
         with pytest.raises(NumericalFailure, match=f"^trial seed {failing[0]}: constant-3"):
             run_bw_campaign(2, 40, 2)
+
+
+def _reference_top_eigenmatrix(x):
+    n = x.shape[0]
+    values, vectors = eigh_descending(t_matrices(x / frobenius_norm(x)))
+    vec = vectors[:, 0].reshape(n, n)
+    return float(values[0]), vec / frobenius_norm(vec)
+
+
+def reference_search(n, seed, max_iters):
+    """The per-seed ratio search loop, one eigensolve per half-step and seed."""
+    stream = RandomStream(seed)
+    x, y = stream.gaussian_matrix(n), stream.gaussian_matrix(n)
+    x, y = x / frobenius_norm(x), y / frobenius_norm(y)
+    trajectory = [norm_sq(commutator(x, y))]
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        _, y = _reference_top_eigenmatrix(x)
+        ratio, x = _reference_top_eigenmatrix(y)
+        trajectory.append(ratio)
+        if trajectory[-1] - trajectory[-2] < 1e-12:
+            converged = True
+            break
+    return tuple(trajectory), x.tobytes(), y.tobytes(), iterations, converged
+
+
+class TestSearchCampaign:
+    """The seeds of a chunk run in lockstep, and each search equals the
+    per-seed reference loop bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_lockstep_equals_reference_loop(self, n):
+        chunk = max(1, CHUNK_ELEMENTS // (4 * n**4))
+        seed = 2**63 + 17 * n
+        for max_iters in (0, 1, 200):
+            # the reference for chunk + 1 seeds holds those of every smaller count
+            want = [reference_search(n, sub_seed(seed, k), max_iters) for k in range(chunk + 1)]
+            for seeds in sorted({1, chunk - 1, chunk, chunk + 1} - {0}):
+                got = run_search_campaign(seed, seeds, n, max_iters)
+                assert [(r.trajectory, r.x.tobytes(), r.y.tobytes(), r.iterations, r.converged)
+                        for r in got] == want[:seeds]
+
+    def test_peak_memory_bounded(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["bw-search", "--n", "12", "--trials", "40", "--max-iters", "2"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 8 * 2**20
 
 
 class TestTracker:

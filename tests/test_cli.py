@@ -137,6 +137,16 @@ class TestBwSearch:
         assert doc["converged"] is False
         assert len(doc["trajectory"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "13"], "n = 13 outside the documented cap 2..12"),
+        (["--n", "0"], "n = 0 outside the documented cap 2..12"),
+        (["--trials", "0"], "need at least one search seed"),
+        (["--max-iters", "-1"], "max_iters must be >= 0"),
+    ])
+    def test_bad_configuration_exits_2(self, capsys, argv, message):
+        assert main(["bw-search"] + argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestReduce:
     def test_near_canonical_input(self, capsys, tmp_path):
@@ -489,6 +499,18 @@ class TestValidationCounts:
         calls = self.count_from_matrices(monkeypatch)
         assert run_json(capsys, ["curvature", "--input", path])[0] == 0
         assert len(calls) == 1
+
+    def test_curvature_override_validates_the_h_file_once(self, capsys, tmp_path, monkeypatch):
+        path = write(tmp_path, "h.json", dumps(sff_json(curvature.veronese_tuple())))
+        calls = self.count_from_matrices(monkeypatch)
+        code, doc = run_json(capsys, ["curvature", "--input", path, "--c", "2"])
+        assert (code, doc["c"], len(calls)) == (0, 2.0, 1)
+
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_curvature_override_must_be_finite(self, capsys, tmp_path, c):
+        path = write(tmp_path, "h.json", dumps(sff_json(curvature.veronese_tuple())))
+        assert main(["curvature", "--input", path, "--c", c]) == 2
+        assert capsys.readouterr().err == "error: ambient curvature c must be finite\n"
 
     def test_models_validates_the_model_once(self, capsys, tmp_path, monkeypatch):
         calls = self.count_from_matrices(monkeypatch)
