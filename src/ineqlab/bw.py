@@ -23,6 +23,7 @@ from .linalg import (
     as_pair,
     commutator,
     eigh_descending,
+    eigvalsh,
     frobenius_inner,
     frobenius_norm,
     norm_sq,
@@ -93,7 +94,7 @@ def t_operator(x) -> TOperator:
 
 def t_spectrum(x) -> np.ndarray:
     """Eigenvalues of the T operator, descending."""
-    return np.linalg.eigvalsh(t_operator(x).matrix)[::-1]
+    return eigvalsh(t_operator(x).matrix)[::-1]
 
 
 def bw_spectral_slack(x) -> SlackReport:

@@ -27,7 +27,7 @@ import numpy as np
 from .bw import bw_sides, maximize_ratios, t_matrices, unit_stack
 from .ddvv import ddvv_sides
 from .errors import InputRejected
-from .linalg import DIM_CAP
+from .linalg import DIM_CAP, eigvalsh
 from .report import default_tol
 from .seeded import RandomStream, sub_seeds
 
@@ -74,6 +74,11 @@ def _check_config(trials: int, n: int, m: Optional[int] = None) -> None:
         raise InputRejected(f"m = {m} outside the documented cap 1..{DIM_CAP}")
 
 
+def _tol(lhs, tol_override: Optional[float]):
+    """The fixed tolerance if one is given, else each trial's relative one."""
+    return tol_override if tol_override is not None else default_tol(lhs)
+
+
 def _chunks(seed: int, trials: int, trial_elements: int):
     """Sub-seed arrays of consecutive trials, CHUNK_ELEMENTS // trial_elements at a
     time; one empty array when trials < 1, which the search kernel refuses."""
@@ -90,8 +95,7 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
     for seeds in _chunks(seed, trials, m * m * n * n):
         stack = RandomStream(seeds).symmetric_tuple(n, m)
         lhs, rhs = ddvv_sides(stack)
-        track.update(lhs - rhs, tol_override if tol_override is not None else default_tol(lhs),
-                     seeds)
+        track.update(lhs - rhs, _tol(lhs, tol_override), seeds)
     return track.summary(trials)
 
 
@@ -101,28 +105,61 @@ class BwCampaignSummary:
     spectral: CampaignSummary
 
 
+# How far below the least lambda_max(T) that could change the spectral
+# summary a chunk must be certified.  For unit X, ||T||_2 <= 4 ||X||_2^2 <= 4
+# (each commutator at most doubles a norm), so for 0 < mu <= 4 the matrix
+# mu I - T has norm at most 4.  A Cholesky of it that runs to completion
+# factors mu I - T + E with ||E||_2 <= gamma_{N+1} N ||mu I - T||_2, about
+# 9.3e-12 at N = n^2 = 144 (Higham, Accuracy and Stability of Numerical
+# Algorithms, Thm 10.5), so every eigenvalue of T is below mu + 9.3e-12;
+# eigvalsh's own error is about N u ||T||_2 = 6.4e-14.  1e-9 is ~100x both.
+SCREEN_MARGIN = 1e-9
+
+
+def _certified_below(tms: np.ndarray, mu: float) -> bool:
+    """Whether one stacked Cholesky of mu I - T proves lambda_max < mu + 1e-11
+    for every T matrix of the stack."""
+    if not mu > 0.0:
+        return False
+    try:
+        np.linalg.cholesky(mu * np.eye(tms.shape[-1]) - tms)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def run_bw_campaign(seed: int, trials: int, n: int,
                     tol_override: Optional[float] = None) -> BwCampaignSummary:
-    """Random-pair campaign checking both forms of the commutator bound."""
+    """Random-pair campaign checking both forms of the commutator bound.
+
+    A chunk's T spectra are solved only if a trial could change the spectral
+    summary: a Cholesky certifies first that every lambda_max of the chunk is
+    SCREEN_MARGIN below both the least slack's lambda_max so far and the
+    largest lambda that is not a violation (2 under the relative tolerance,
+    whose violations need lambda > (2 + 1e-9) / (1 - 1e-9)).
+    """
     _check_config(trials, n)
     pair_track = _Tracker()
     spec_track = _Tracker()
+    ceiling = 2.0 + (tol_override if tol_override is not None else 0.0)
     # a trial's T build holds four n^4-element temporaries
     for seeds in _chunks(seed, trials, 4 * n**4):
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
         lhs, scale = bw_sides(xs, ys, seeds)
-        top = np.linalg.eigvalsh(t_matrices(unit_stack(xs)))
-        for track, side, bound in ((pair_track, lhs, 2.0 * scale), (spec_track, top[:, -1], 2.0)):
-            tol = tol_override if tol_override is not None else default_tol(side)
-            track.update(bound - side, tol, seeds)
+        pair_track.update(2.0 * scale - lhs, _tol(lhs, tol_override), seeds)
+        tms = t_matrices(unit_stack(xs))
+        if not _certified_below(tms, min(2.0 - spec_track.min_slack, ceiling) - SCREEN_MARGIN):
+            top = eigvalsh(tms)[:, -1]
+            spec_track.update(2.0 - top, _tol(top, tol_override), seeds)
     return BwCampaignSummary(pair_track.summary(trials), spec_track.summary(trials))
 
 
 def run_search_campaign(seed: int, seeds: int, n: int, max_iters: int):
     """Run the alternating ratio search once per sub-seed, each chunk's seeds in
-    lockstep (maximize_ratios checks the configuration); returns all results."""
+    lockstep (maximize_ratios checks the configuration); yields the results in
+    seed order, one chunk at a time."""
     # as in run_bw_campaign, a search's T build holds four n^4-element temporaries
-    return [result for chunk in _chunks(seed, seeds, 4 * n**4)
-            for result in maximize_ratios(n, chunk, max_iters)]
+    for chunk in _chunks(seed, seeds, 4 * n**4):
+        yield from maximize_ratios(n, chunk, max_iters)

@@ -125,9 +125,10 @@ def cmd_bw_verify(args) -> tuple:
 
 
 def cmd_bw_search(args) -> tuple:
-    results = run_search_campaign(args.seed, args.trials, args.n, args.max_iters)
-    best_idx = int(np.argmax([r.best_ratio for r in results]))
-    best = results[best_idx]
+    # only the first search of greatest ratio is kept, so memory does not grow with --trials
+    best_idx, best = _timed(lambda: max(
+        enumerate(run_search_campaign(args.seed, args.trials, args.n, args.max_iters)),
+        key=lambda item: item[1].best_ratio))
     doc = {**_header(args, n=args.n), "seeds": args.trials, "max_iters": args.max_iters,
            "best_ratio": best.best_ratio, "best_seed_index": best_idx,
            "iterations": best.iterations, "converged": best.converged,

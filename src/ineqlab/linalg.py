@@ -190,6 +190,15 @@ def eigh_descending(a: np.ndarray) -> tuple:
     return w[..., ::-1], v[..., ::-1]
 
 
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh over (..., n, n) stacks, ascending; unchecked.  A
+    solver failure is a NumericalFailure."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+
+
 def sym_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 

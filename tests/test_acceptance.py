@@ -105,8 +105,8 @@ def test_criterion_4_bw_sharpness():
     ok = True
     details = []
     for n in range(2, 7):
-        results = run_search_campaign(seed=sub_seed(10_004, n), seeds=100, n=n,
-                                      max_iters=300)
+        results = list(run_search_campaign(seed=sub_seed(10_004, n), seeds=100, n=n,
+                                           max_iters=300))
         best = max(r.best_ratio for r in results)
         ok &= 2.0 - 1e-6 <= best <= 2.0 + 1e-9
         ok &= all(r.best_ratio <= 2.0 + 1e-9 for r in results)

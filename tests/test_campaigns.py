@@ -102,6 +102,13 @@ class TestBwCampaign:
         (-1, 3, 12, 1e-12),
         (9, 40, 2, -1.0),  # demands slack >= 1: some trials violate
         (6, 30, 6, None),  # three chunks of 12 trials at the real budget
+        # chunks after the first are screened: 4 trials a chunk at n = 8, one at 11 and 12
+        (5, 40, 8, None),
+        (2**63 + 8, 30, 11, None),
+        (-3, 40, 12, None),
+        (13, 40, 8, 0.0),
+        (14, 40, 12, 1e-3),
+        (15, 40, 10, -0.5),
     ])
     def test_equals_reference_loop(self, seed, trials, n, tol):
         got = run_bw_campaign(seed, trials, n, tol_override=tol)
@@ -113,6 +120,40 @@ class TestBwCampaign:
         got = run_bw_campaign(12, 20, 3)
         pair, spec = reference_bw(12, 20, 3)
         assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
+
+    def test_screen_solves_few_chunks(self, monkeypatch):
+        calls = _record_solves(monkeypatch)
+        run_bw_campaign(1, 200, 12)  # 200 chunks of one trial
+        assert len(calls["solved"]) <= 10
+        assert calls["certified"] >= 1 and calls["refused"] >= 1
+
+    @pytest.mark.parametrize("n,trials", [(6, 60), (8, 40), (10, 40)])
+    def test_violating_trials_are_solved(self, monkeypatch, n, trials):
+        # tol = -1 makes every lambda_max(T) > 1: most trials at n = 6, a few at 8 and 10
+        pair, spec = reference_bw(21, trials, n, -1.0)
+        tops = [bw_spectral_slack(RandomStream(sub_seed(21, k)).gaussian_matrix(n)).lhs
+                for k in range(trials)]
+        calls = _record_solves(monkeypatch)
+        got = run_bw_campaign(21, trials, n, tol_override=-1.0)
+        assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
+        solved = set(np.concatenate(calls["solved"]).tolist())
+        violating = [top for top in tops if top > 1.0]
+        assert violating and all(top in solved for top in violating)
+
+    @pytest.mark.parametrize("step", [1e-7, -1e-7])
+    def test_screen_margin(self, monkeypatch, step):
+        # every chunk (one trial at n = 12) gets the T of one fixed unit X scaled by
+        # 1 + step k: rising, each trial holds a new least slack about 6e-8 below the
+        # last and must be solved; falling, no trial after the first may be
+        x = RandomStream(sub_seed(5, 0)).gaussian_matrix(12)
+        t0 = t_matrices(x[None] / frobenius_norm(x))
+        built = []
+        monkeypatch.setattr(campaigns, "t_matrices",
+                            lambda xu: built.append(1) or t0 * (1.0 + step * len(built)))
+        calls = _record_solves(monkeypatch)
+        got = run_bw_campaign(5, 20, 12)
+        assert len(calls["solved"]) == (20 if step > 0 else 1)
+        assert got.spectral.argmin_seed == sub_seed(5, 19 if step > 0 else 0)
 
     def test_faulty_kernel_names_trial_seed(self, monkeypatch):
         # a commutator kernel off by a factor 2 breaks the constant-3 layer
@@ -127,6 +168,31 @@ class TestBwCampaign:
         assert failing and failing[0] != sub_seed(2, 0)  # not the chunk's first trial
         with pytest.raises(NumericalFailure, match=f"^trial seed {failing[0]}: constant-3"):
             run_bw_campaign(2, 40, 2)
+
+
+def _record_solves(monkeypatch):
+    """Count np.linalg.cholesky's successes and failures, and record the top
+    eigenvalues of each np.linalg.eigvalsh call."""
+    calls = {"certified": 0, "refused": 0, "solved": []}
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+    def recorded_cholesky(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            calls["refused"] += 1
+            raise
+        calls["certified"] += 1
+        return factor
+
+    def recorded_eigvalsh(a):
+        values = eigvalsh(a)
+        calls["solved"].append(values[..., -1])
+        return values
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+    return calls
 
 
 def _reference_top_eigenmatrix(x):
@@ -167,7 +233,7 @@ class TestSearchCampaign:
             # the reference for chunk + 1 seeds holds those of every smaller count
             want = [reference_search(n, sub_seed(seed, k), max_iters) for k in range(chunk + 1)]
             for seeds in sorted({1, chunk - 1, chunk, chunk + 1} - {0}):
-                got = run_search_campaign(seed, seeds, n, max_iters)
+                got = list(run_search_campaign(seed, seeds, n, max_iters))
                 assert [(r.trajectory, r.x.tobytes(), r.y.tobytes(), r.iterations, r.converged)
                         for r in got] == want[:seeds]
 

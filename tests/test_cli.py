@@ -147,6 +147,17 @@ class TestBwSearch:
         assert main(["bw-search"] + argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_memory_does_not_grow_with_trials(self, capsys):
+        # only the best search is kept: 20000 kept results peaked at 11.4 MiB
+        tracemalloc.start()
+        try:
+            code = main(["bw-search", "--n", "2", "--trials", "20000", "--max-iters", "5"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 4 * 2**20
+        assert "best_seed_index: 12618\n" in capsys.readouterr().out
+
 
 class TestReduce:
     def test_near_canonical_input(self, capsys, tmp_path):
@@ -420,6 +431,17 @@ class TestSpectrum:
         code, doc = run_json(capsys, ["spectrum", "--input", path])
         assert code == 0 and len(calls) == 1
         assert doc["report"]["lhs"] == doc["lambda_max"]
+
+    def test_solver_failure_is_reported(self, capsys, tmp_path, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        path = write(tmp_path, "x.txt", "2\n0 1\n0 0\n")
+        assert main(["spectrum", "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: eigensolver did not converge: "
+                                "Eigenvalues did not converge\n")
 
     @pytest.mark.parametrize("scale", ["1e200", "1e-170"])
     def test_extreme_scale_attains_the_bound(self, capsys, tmp_path, scale):

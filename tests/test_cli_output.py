@@ -76,7 +76,7 @@ def test_json_output_file_leaves_stdout_empty(capsys, tmp_path, case):
     json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("case", ["ddvv-campaign", "bw-campaign"])
+@pytest.mark.parametrize("case", ["ddvv-campaign", "bw-campaign", "bw-search"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_campaign_wall_time_goes_to_stderr_once(capsys, tmp_path, case, fmt):
     _, out, err = run(capsys, argv_of(case, tmp_path) + ["--format", fmt])
