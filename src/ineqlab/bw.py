@@ -31,7 +31,7 @@ from .linalg import (
     svd,
     sym_eigen,
 )
-from .report import SlackReport, default_tol
+from .report import SlackReport, tolerance
 from .seeded import RandomStream, sub_seeds
 
 
@@ -106,7 +106,7 @@ def spectral_report(values: np.ndarray) -> SlackReport:
     """The spectral bound read off an already computed descending T spectrum."""
     lhs = float(values[0])
     rhs = 2.0
-    return SlackReport("bw-spectral", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
+    return SlackReport("bw-spectral", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
@@ -117,7 +117,7 @@ def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
     """
     lhs, xx, yy = (np.sum(a * a, axis=(-2, -1)) for a in (commutator(x, y), x, y))
     scale = xx * yy
-    bad = np.flatnonzero(lhs > 3.0 * scale + default_tol(lhs))
+    bad = np.flatnonzero(lhs > 3.0 * scale + tolerance(lhs))
     if bad.size:
         k = bad[0]
         where = "" if seeds is None else f"trial seed {seeds.flat[k]}: "
@@ -130,7 +130,7 @@ def bw_slack(x, y) -> SlackReport:
     """Direct form: ||[X, Y]||^2 <= 2 ||X||^2 ||Y||^2."""
     lhs, scale = map(float, bw_sides(*as_pair(x, y, "x", "y")))
     rhs = 2.0 * scale
-    return SlackReport("bottcher-wenzel", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
+    return SlackReport("bottcher-wenzel", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def partner_eigenvector(x, y) -> np.ndarray:
@@ -192,7 +192,7 @@ def small_s1_check(x, y) -> SlackReport:
         )
     lhs = norm_sq(np.diag(lam) @ b - c @ np.diag(lam))
     rhs = 2.0 * norm_sq(as_matrix(y, "y"))
-    return SlackReport("small-s1", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
+    return SlackReport("small-s1", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def bw_case_matrix_bound(b, c) -> SlackReport:
@@ -216,7 +216,7 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
         p[0, i] = p[i, 0] = -(bm[0, i] * cm[0, i] + bm[i, 0] * cm[i, 0])
     lhs = float(sym_eigen(p).values[0])
     rhs = p[0, 0] + float(np.sum(bm[1:, 0] ** 2) + np.sum(cm[0, 1:] ** 2))
-    return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
+    return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .bw import bw_sides, maximize_ratios, t_matrices, unit_stack
 from .ddvv import ddvv_sides
 from .errors import InputRejected
 from .linalg import DIM_CAP, eigvalsh
-from .report import default_tol
+from .report import tolerance
 from .seeded import RandomStream, sub_seeds
 
 # Element budget of one chunk, counting a DDVV trial as m * m * n * n (its
@@ -74,11 +74,6 @@ def _check_config(trials: int, n: int, m: Optional[int] = None) -> None:
         raise InputRejected(f"m = {m} outside the documented cap 1..{DIM_CAP}")
 
 
-def _tol(lhs, tol_override: Optional[float]):
-    """The fixed tolerance if one is given, else each trial's relative one."""
-    return tol_override if tol_override is not None else default_tol(lhs)
-
-
 def _chunks(seed: int, trials: int, trial_elements: int):
     """Sub-seed arrays of consecutive trials, CHUNK_ELEMENTS // trial_elements at a
     time; one empty array when trials < 1, which the search kernel refuses."""
@@ -95,7 +90,7 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
     for seeds in _chunks(seed, trials, m * m * n * n):
         stack = RandomStream(seeds).symmetric_tuple(n, m)
         lhs, rhs = ddvv_sides(stack)
-        track.update(lhs - rhs, _tol(lhs, tol_override), seeds)
+        track.update(lhs - rhs, tolerance(lhs, tol_override), seeds)
     return track.summary(trials)
 
 
@@ -134,25 +129,25 @@ def run_bw_campaign(seed: int, trials: int, n: int,
 
     A chunk's T spectra are solved only if a trial could change the spectral
     summary: a Cholesky certifies first that every lambda_max of the chunk is
-    SCREEN_MARGIN below both the least slack's lambda_max so far and the
-    largest lambda that is not a violation (2 under the relative tolerance,
-    whose violations need lambda > (2 + 1e-9) / (1 - 1e-9)).
+    SCREEN_MARGIN below both the least slack's lambda_max so far and 2 + tolerance(0),
+    which no violation reaches: one needs lambda > 2 + t under a fixed tolerance t,
+    and lambda > 2 + 1e-9 (1 + lambda) > 2 + 1e-9 under the relative one.
     """
     _check_config(trials, n)
     pair_track = _Tracker()
     spec_track = _Tracker()
-    ceiling = 2.0 + (tol_override if tol_override is not None else 0.0)
+    ceiling = 2.0 + tolerance(0.0, tol_override)
     # a trial's T build holds four n^4-element temporaries
     for seeds in _chunks(seed, trials, 4 * n**4):
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
         lhs, scale = bw_sides(xs, ys, seeds)
-        pair_track.update(2.0 * scale - lhs, _tol(lhs, tol_override), seeds)
+        pair_track.update(2.0 * scale - lhs, tolerance(lhs, tol_override), seeds)
         tms = t_matrices(unit_stack(xs))
         if not _certified_below(tms, min(2.0 - spec_track.min_slack, ceiling) - SCREEN_MARGIN):
             top = eigvalsh(tms)[:, -1]
-            spec_track.update(2.0 - top, _tol(top, tol_override), seeds)
+            spec_track.update(2.0 - top, tolerance(top, tol_override), seeds)
     return BwCampaignSummary(pair_track.summary(trials), spec_track.summary(trials))
 
 

@@ -27,12 +27,11 @@ from .curvature import (
     curvature_report,
     finite_c,
     fundamental_report,
-    geometric_tol,
     veronese_tuple,
 )
 from .ddvv import canonical_reduce, ddvv_slack
 from .errors import InputRejected, NumericalFailure
-from .report import TOL_COEFF
+from .report import TOL_COEFF, tolerance
 from .serialize import (
     canonical_form_json,
     dumps,
@@ -47,6 +46,17 @@ from .serialize import (
 )
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of --tol: a float, refused unless finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
+
+
 _ARGUMENTS = {
     "--seed": dict(type=int, default=0, help="64-bit master seed"),
     "--trials": dict(type=int, default=1000, help="number of seeded trials"),
@@ -54,7 +64,8 @@ _ARGUMENTS = {
     "--m": dict(type=int, default=3, help="tuple length / codimension"),
     "--c": dict(type=float, default=None, help="ambient curvature override"),
     "--r": dict(type=int, default=1, help="sphere-split parameter for the clifford model"),
-    "--tol": dict(type=float, help="fixed tolerance override (default: 1e-9*(1+|lhs|) per trial)"),
+    "--tol": dict(type=_finite_float,
+                  help="fixed tolerance override (default: 1e-9*(1+|lhs|) per trial)"),
     "--max-iters": dict(type=int, default=200),
     "--oracle": dict(type=int, default=None, metavar="RESOLUTION",
                      help="cross-check by simplicial partition, to edges of sqrt(2)/RESOLUTION"),
@@ -79,11 +90,6 @@ def _header(args, **shape) -> dict:
     return doc
 
 
-def _holds(rep, args) -> bool:
-    """Verdict for one report under --tol, or the report's own tolerance."""
-    return rep.slack >= -(args.tol if args.tol is not None else rep.tol)
-
-
 def _input(args, what: str) -> str:
     """The --input path of a command that cannot run without one."""
     if not args.input:
@@ -103,7 +109,7 @@ def cmd_ddvv_verify(args) -> tuple:
     if args.input:
         t = read_tuple_file(args.input)
         rep = ddvv_slack(t)
-        summary = CampaignSummary(1, 0 if _holds(rep, args) else 1, rep.slack, args.seed)
+        summary = CampaignSummary(1, 0 if rep.holds_under(args.tol) else 1, rep.slack, args.seed)
         doc = {**_header(args, n=t.n, m=t.m), **field_dict(summary), "report": rep}
     else:
         summary = _timed(run_ddvv_campaign, args.seed, args.trials, args.n, args.m, args.tol)
@@ -116,7 +122,7 @@ def cmd_bw_verify(args) -> tuple:
         x, y = read_pair_file(args.input)
         pair, spec = bw_slack(x, y), bw_spectral_slack(x)
         doc = {**_header(args, n=int(x.shape[0])), "commutator": pair, "spectral": spec}
-        return doc, 0 if _holds(pair, args) and _holds(spec, args) else 1
+        return doc, 0 if pair.holds_under(args.tol) and spec.holds_under(args.tol) else 1
 
     result = _timed(run_bw_campaign, args.seed, args.trials, args.n, args.tol)
     doc = {**_header(args, n=args.n), "trials_run": result.commutator.trials_run,
@@ -133,7 +139,7 @@ def cmd_bw_search(args) -> tuple:
            "best_ratio": best.best_ratio, "best_seed_index": best_idx,
            "iterations": best.iterations, "converged": best.converged,
            "trajectory": list(best.trajectory), "pair": pair_json(best.x, best.y)}
-    return doc, 0 if best.best_ratio <= 2.0 + 1e-9 else 1
+    return doc, 0 if best.best_ratio <= 2.0 + tolerance(0.0) else 1
 
 
 def cmd_reduce(args) -> tuple:
@@ -166,7 +172,7 @@ def cmd_curvature(args) -> tuple:
     rep = curvature_report(form)
     doc = {**_header(args, n=form.n, m=form.m, c=form.c), "curvature": rep,
            "fundamental": fundamental_report(form)}
-    return doc, 0 if rep.geometric_slack >= -geometric_tol(rep, form.c) else 1
+    return doc, 0 if rep.geometric_slack >= -tolerance(abs(rep.mean_curv_sq) + abs(form.c)) else 1
 
 
 def cmd_models(args) -> tuple:
@@ -266,13 +272,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        doc, code = _COMMANDS[args.command][0](args)
-        _emit(args, doc, code)
+        with np.errstate(over="raise"):  # an overflow is a refusal, never a warning
+            doc, code = _COMMANDS[args.command][0](args)
+            _emit(args, doc, code)
         return code
     except (InputRejected, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         sys.stderr.write(f"error: input out of the float range: {exc}\n")
         return 2
     except NumericalFailure as exc:

@@ -80,9 +80,7 @@ def _solve(pm: np.ndarray, subsets: np.ndarray, neg_eps: float) -> Optional[Copo
     return _violation(pm, subsets, values, vectors, neg_eps)
 
 
-# shifted projections tried by the PSD-plus-nonnegative certificate, and
-# the shift as a fraction of ||p||
-SPN_STEPS = 2
+# the shift of the PSD-plus-nonnegative certificate, as a fraction of ||p||
 SPN_SHIFT = 0.1
 
 
@@ -91,18 +89,12 @@ def _psd_plus_nonnegative(pm: np.ndarray, values: np.ndarray, vectors: np.ndarra
     """Whether sym(p) = X + N is found with N >= 0 entrywise and X's
     computed smallest eigenvalue >= -margin, from the eigenpairs of sym(p).
 
-    Alternating projections: X = min(Y, sym(p)) entrywise, with Y the
-    previous X (sym(p) first) with its eigenvalues raised to at least
-    `shift`; SPN_STEPS tries.  N = sym(p) - X is exact and nonnegative, so
-    x^T p x >= x^T X x for every x >= 0.
+    One projection: X = min(Y, sym(p)) entrywise, where Y is sym(p) with
+    its eigenvalues raised to at least `shift`.  N = sym(p) - X is exact and
+    nonnegative, so x^T p x >= x^T X x for every x >= 0.
     """
-    psym = 0.5 * (pm + pm.T)
-    for _ in range(SPN_STEPS):
-        x = np.minimum((vectors * np.maximum(values, shift)) @ vectors.T, psym)
-        values, vectors = eigh_descending(x)
-        if values[-1] >= -margin:
-            return True
-    return False
+    x = np.minimum((vectors * np.maximum(values, shift)) @ vectors.T, 0.5 * (pm + pm.T))
+    return bool(eigh_descending(x)[0][-1] >= -margin)
 
 
 def copositive_property_k(p) -> CopositivityVerdict:

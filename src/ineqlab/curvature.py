@@ -16,7 +16,7 @@ import numpy as np
 from .ddvv import SymmetricTuple
 from .errors import InputRejected
 from .linalg import DIM_CAP, commutator_norms_sq, pair_indices, sym_eigen
-from .report import default_tol
+from .report import tolerance
 
 
 def finite_c(c) -> float:
@@ -131,7 +131,7 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
 def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
     """Gram matrix of the shape operators, its spectrum, the pinching
     quantity ||sigma||^2 + lambda_2 (lambda_2 := 0 when m = 1), and whether
-    it stays within the pinching boundary n, up to 1e-9 * (1 + |pinch|)."""
+    it stays within the pinching boundary n, up to tolerance(pinch)."""
     s = form.to_tuple().gram()
     eig = sym_eigen(s)
     sigma_sq = float(np.trace(s))
@@ -142,7 +142,7 @@ def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
         sigma_sq=sigma_sq,
         pinch=pinch,
         pinch_boundary=form.n,
-        within_boundary=bool(pinch <= form.n + 1e-9 * (1 + abs(pinch))),
+        within_boundary=bool(pinch <= form.n + tolerance(pinch)),
     )
 
 
@@ -199,8 +199,3 @@ def veronese_immersion(p) -> np.ndarray:
             (x * x + y * y - 2.0 * z * z) / 6.0,
         ]
     )
-
-
-def geometric_tol(report: CurvatureReport, c: float) -> float:
-    """Tolerance for the geometric slack, scaled like the inequality sides."""
-    return default_tol(abs(report.mean_curv_sq) + abs(c))

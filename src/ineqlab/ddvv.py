@@ -26,7 +26,7 @@ from .linalg import (
     pair_indices,
     sym_eigen,
 )
-from .report import SlackReport, default_tol
+from .report import SlackReport
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,7 @@ def ddvv_sides(stack: np.ndarray) -> tuple:
 def ddvv_slack(t: SymmetricTuple) -> SlackReport:
     """DDVV inequality: (sum ||A_r||^2)^2 >= 2 sum_{r<s} ||[A_r, A_s]||^2."""
     lhs, rhs = (float(side) for side in ddvv_sides(t.matrices))
-    tol = default_tol(lhs)
-    return SlackReport("ddvv", lhs=lhs, rhs=rhs, slack=lhs - rhs, tol=tol)
+    return SlackReport("ddvv", lhs=lhs, rhs=rhs, slack=lhs - rhs)
 
 
 def group_act(t: SymmetricTuple, p, q) -> SymmetricTuple:
@@ -250,7 +249,7 @@ def lemma1_slack(eta, r) -> SlackReport:
     gaps = (ev[iu] - ev[ju]) ** 2
     lhs = float(np.sum(gaps * weights))
     rhs = float(np.sum(weights) + np.max(weights))
-    return SlackReport("weighted-gap", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
+    return SlackReport("weighted-gap", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def p_matrix_bound(s) -> SlackReport:
@@ -268,7 +267,7 @@ def p_matrix_bound(s) -> SlackReport:
     p[1:, 0] = -sv
     lhs = float(sym_eigen(p).values[0])
     rhs = float(np.sum(sv) + np.max(sv))
-    return SlackReport("arrowhead-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
+    return SlackReport("arrowhead-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
@@ -287,8 +286,7 @@ def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
     lhs = float(_sum_in_order(commutator_norms_sq(t.matrices)[: t.m - 1]))
     tail = float(np.sum(norms_sq[1:]))
     rhs = tail + (float(norms_sq[1]) if t.m >= 2 else 0.0)
-    return SlackReport("commutator-sum-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                       tol=default_tol(lhs))
+    return SlackReport("commutator-sum-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def sharp_pair_bound(a, b) -> SlackReport:
@@ -300,8 +298,7 @@ def sharp_pair_bound(a, b) -> SlackReport:
         raise InputRejected(problem)
     lhs = norm_sq(commutator(am, bm))
     rhs = norm_sq(bm) + 2.0 * float(np.max(np.abs(bm))) ** 2
-    return SlackReport("sharp-pair-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                       tol=default_tol(lhs))
+    return SlackReport("sharp-pair-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def extremal_case_a(n: int, c: float) -> SymmetricTuple:
@@ -358,4 +355,4 @@ def lili_slack(sigma, x) -> SlackReport:
     lhs = float(xv @ sm @ xv)
     total = float(np.sum(xv))
     rhs = 1.5 * total * total - float(np.sum(xv * xv))
-    return SlackReport("li-li", lhs=lhs, rhs=rhs, slack=rhs - lhs, tol=default_tol(lhs))
+    return SlackReport("li-li", lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -1,31 +1,38 @@
-"""Uniform verification output: one named inequality, two sides, a slack."""
+"""Uniform verification output, and the lab's one verdict rule: a check holds
+when its slack is >= -tol, tol a fixed override or else TOL_COEFF * (1 + |scale|)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
-# Inequality verdicts use tol = TOL_COEFF * (1 + |lhs|) unless overridden.
 TOL_COEFF = 1e-9
 
 
-def default_tol(lhs: float) -> float:
-    return TOL_COEFF * (1.0 + abs(lhs))
+def tolerance(scale, fixed: Optional[float] = None):
+    """`fixed` if given, else the relative tolerance of `scale` (elementwise)."""
+    return fixed if fixed is not None else TOL_COEFF * (1.0 + abs(scale))
 
 
 @dataclass(frozen=True)
 class SlackReport:
     """Outcome of checking one inequality.
 
-    `slack` is oriented so that slack >= 0 means the inequality holds;
-    `holds`, set on construction, applies the tolerance.
+    `slack` is oriented so that slack >= 0 means the inequality holds; `tol`
+    defaults to tolerance(lhs), and `holds`, set on construction, applies it.
     """
 
     inequality: str
     lhs: float
     rhs: float
     slack: float
-    tol: float
+    tol: Optional[float] = None
     holds: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "holds", bool(self.slack >= -self.tol))
+        object.__setattr__(self, "tol", tolerance(self.lhs, self.tol))
+        object.__setattr__(self, "holds", self.holds_under(None))
+
+    def holds_under(self, fixed: Optional[float]) -> bool:
+        """The verdict under a fixed tolerance, or under `tol` when `fixed` is None."""
+        return bool(self.slack >= -(self.tol if fixed is None else fixed))

@@ -211,6 +211,14 @@ class TestCopositive:
         assert code == 0
         assert doc["property_k"]["copositive"] is True
 
+    def test_oracle_at_its_finest_resolution_agrees(self, capsys, tmp_path):
+        # PSD of rank one with a zero inside the simplex, where the oracle's
+        # partition stops at the lattice spacing of resolution 40
+        path = write(tmp_path, "m.txt", "2\n1 -1.4142135623730951\n-1.4142135623730951 2\n")
+        code, doc = run_json(capsys, ["copositive", "--input", path, "--oracle", "40"])
+        assert code == 0
+        assert doc["oracle"]["copositive"] is True and doc["agree"] is True
+
     def test_over_cap_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", dumps(matrix_json(np.eye(17))))
         assert main(["copositive", "--input", path]) == 2
@@ -561,6 +569,35 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["ddvv-verify", "--trials", "100000", "--n", "6", "--m", "6", "--tol=nan"],
+        ["ddvv-verify", "--tol=inf"],
+        ["bw-verify", "--input", str(DATA / "bw_pair_n5.json"), "--tol=nan"],
+        ["bw-verify", "--tol=-inf"],
+        ["ddvv-verify", "--tol", "x"],
+    ], ids=["campaign-nan", "campaign-inf", "input-nan", "bw-campaign-minus-inf", "not-a-float"])
+    def test_non_finite_tol_exits_2_before_any_work(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol: expected a finite float, got '" in err
+        assert "wall_time_ms=" not in err
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv,message", [
+        (["ddvv-verify", "--trials", "0"], "trials must be >= 1"),
+        (["bw-verify", "--trials", "0"], "trials must be >= 1"),
+        (["ddvv-verify", "--m", "13"], "m = 13 outside the documented cap 1..12"),
+        (["curvature"], "curvature requires --input H_FILE or --model NAME"),
+        (["models", "veronese"], "models requires --output PREFIX"),
+    ], ids=["ddvv-trials-0", "bw-trials-0", "ddvv-m-13", "curvature-no-form", "models-no-output"])
+    def test_exits_2_with_the_message(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestParserReuse:

@@ -101,9 +101,17 @@ class TestOverflow:
         assert code == 2
         assert "error: input out of the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce"])
+    def test_tuple_entries_of_1e200(self, capsys, tmp_path, command):
+        # numpy's stack * stack overflows first; the test run turns warnings
+        # into errors, so an overflow warning would fail this test too
+        code = main([command, "--input", self.write_tuple(tmp_path, 1e200)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: input out of the float range: overflow encountered in multiply\n"
+
     def test_curvature_of_1e300_in_a_subprocess(self, tmp_path):
-        # numpy warns about the overflow before Python's arithmetic raises,
-        # and the test run turns warnings into errors, so run the CLI apart
+        # the CLI run apart, with the default warning filters a user has
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"n": 2, "m": 1, "c": 1.0, "h": [[[1e300, 0.0], [0.0, 1.0]]]}))
         src = str(Path(ineqlab.__file__).parents[1])
@@ -112,4 +120,4 @@ class TestOverflow:
                                str(path)], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr

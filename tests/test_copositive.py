@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -171,12 +173,12 @@ class TestPropertyK:
         verdict, sizes = solved_sizes(g @ g.T + np.abs(g + g.T))
         assert verdict.copositive
         assert sizes == [m]
-        assert len(singles) <= copositive.SPN_STEPS
+        assert len(singles) <= 1
         # 2.5 I - J: PSD for m < 3, else no certificate and the exact stacks
         p = 2.5 * np.eye(m) - np.ones((m, m))
         verdict, sizes = solved_sizes(p)
         assert verdict.copositive is (m < 3)
-        assert len(singles) == (copositive.SPN_STEPS if m >= 3 else 0)
+        assert len(singles) == (1 if m >= 3 else 0)
         want = bottom_up_scan(p)
         assert len(stacks) == len(want)
         for got, subsets in zip(stacks, want):
@@ -322,6 +324,29 @@ class TestOracle:
                     copositive_property_k(p).copositive, text
                 checked += 1
         assert checked == 115
+
+    def test_finest_resolution_ends_the_partition(self):
+        # P = v v^T, v = (1, -sqrt 2), is PSD with a zero inside the simplex;
+        # no test decides the simplices around it, so the partition stops
+        # there at the resolution's lattice spacing and finds no violation
+        source, first = inspect.getsourcelines(copositive_oracle)
+        stop = first + 1 + next(k for k, text in enumerate(source) if "<= finest" in text)
+        lines = []
+
+        def trace(frame, event, arg):
+            if event == "line" and frame.f_code is copositive_oracle.__code__:
+                lines.append(frame.f_lineno)
+            return trace
+
+        root2 = math.sqrt(2.0)
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            verdict = copositive_oracle(np.array([[1.0, -root2], [-root2, 2.0]]), 40)
+        finally:
+            sys.settrace(previous)
+        assert verdict == CopositivityVerdict(True)
+        assert stop in lines
 
     def test_m_squared_over_budget_refused_unbuilt(self, monkeypatch):
         monkeypatch.setattr(copositive, "ORACLE_BUDGET", 9)

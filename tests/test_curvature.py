@@ -199,6 +199,18 @@ class TestVeroneseImmersion:
         with pytest.raises(InputRejected, match="sphere"):
             veronese_immersion([1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p,message", [
+        ([1.0, 1.0], "^p must be a 3-vector$"),
+        ([[1.0, 1.0, 1.0]], "^p must be a 3-vector$"),
+        ([1.0, 1.0, 1.0, 0.0], "^p must be a 3-vector$"),
+        ([1.0, 1.0, np.nan], "^p entries must be finite$"),
+        ([np.inf, 1.0, 1.0], "^p entries must be finite$"),
+        ([1.0, -np.inf, 1.0], "^p entries must be finite$"),
+    ], ids=["2-vector", "1x3", "4-vector", "nan", "inf", "minus-inf"])
+    def test_rejects_malformed_points(self, p, message):
+        with pytest.raises(InputRejected, match=message):
+            veronese_immersion(p)
+
 
 class TestFrameInvariance:
     def test_curvature_outputs_invariant(self):

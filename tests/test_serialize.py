@@ -139,6 +139,56 @@ class TestCountFields:
             parse(doc)
 
 
+_ONE = {"n": 1, "entries": [[1.0]]}
+_TWO = {"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+class TestParserRefusals:
+    """Each malformed document is refused with a message naming what is wrong."""
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 1, "entries": [[1.0]', "^invalid JSON: "),
+        ("", "^empty matrix file$"),
+        (" \n\n", "^empty matrix file$"),
+        ("0\n", "^line 1: n must be positive$"),
+        ("-2\n1 0\n0 1\n", "^line 1: n must be positive$"),
+        ("2\n1 0\n0 x\n", "^line 3: could not convert string to float: 'x'$"),
+    ], ids=["invalid-json", "empty", "blank", "n-zero", "n-negative", "bad-float"])
+    def test_matrix_text(self, text, message):
+        with pytest.raises(InputRejected, match=message):
+            loads_matrix(text)
+
+    @pytest.mark.parametrize("parse,doc,message", [
+        (parse_matrix_json, [[1.0]], "^matrix JSON must be an object$"),
+        (parse_tuple_json, "tuple", "^tuple JSON must be an object$"),
+        (parse_pair_json, None, "^pair JSON must be an object$"),
+        (parse_sff_json, 1.5, "^h JSON must be an object$"),
+        (parse_matrix_json, {"n": 1, "entries": [["a"]]},
+         "^field 'entries' is not a numeric array: "),
+        (parse_matrix_json, {"n": 2, "entries": [[1.0], [1.0, 2.0]]},
+         "^field 'entries' is not a numeric array: "),
+        (parse_tuple_json, {"n": 1, "m": 2, "matrices": [_ONE]},
+         "^field 'matrices' must be a list of length m$"),
+        (parse_tuple_json, {"n": 1, "m": 1, "matrices": _ONE},
+         "^field 'matrices' must be a list of length m$"),
+        (parse_pair_json, {"n": 1, "x": _ONE, "y": _TWO},
+         "^fields 'x' and 'y' must match the declared n$"),
+        (parse_pair_json, {"n": 2, "x": _ONE, "y": _ONE},
+         "^fields 'x' and 'y' must match the declared n$"),
+        (parse_sff_json, {"n": 1, "m": 1, "c": 0.0, "h": [[["a"]]]},
+         "^field 'h' is not a numeric array: "),
+        (parse_sff_json, {"n": 2, "m": 1, "c": 0.0, "h": [[[1.0]]]},
+         "^fields 'n'/'m' do not match the shape of 'h'$"),
+        (parse_sff_json, {"n": 1, "m": 2, "c": 0.0, "h": [[[1.0]]]},
+         "^fields 'n'/'m' do not match the shape of 'h'$"),
+    ], ids=["matrix-list", "tuple-string", "pair-null", "h-number", "entries-string",
+            "entries-ragged", "tuple-short", "tuple-not-list", "pair-y-n", "pair-both-n",
+            "h-string", "h-n", "h-m"])
+    def test_json(self, parse, doc, message):
+        with pytest.raises(InputRejected, match=message):
+            parse(doc)
+
+
 class TestReportJson:
     def test_fields(self):
         rep = ddvv_slack(extremal_case_a(2, 1.0))
