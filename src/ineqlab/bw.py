@@ -27,7 +27,7 @@ from .linalg import (
     frobenius_inner,
     frobenius_norm,
     norm_sq,
-    prescaled_norm,
+    normalized,
     svd,
     sym_eigen,
 )
@@ -53,13 +53,14 @@ class TOperator:
 
 
 def _unit(x, name: str) -> tuple:
-    """Validated nonzero matrix scaled to unit Frobenius norm, and its norm,
-    taken on the prescaled matrix so that it neither overflows nor underflows."""
-    xm = as_matrix(x, name)
-    nrm = float(prescaled_norm(xm))
-    if nrm == 0.0:
+    """Validated nonzero matrix scaled to unit Frobenius norm, and its norm:
+    x / 2^e divided by its own norm, which neither overflows nor underflows,
+    and that norm scaled back by 2^e (inf, with no warning, past DBL_MAX)."""
+    scaled, e, root = normalized(as_matrix(x, name))
+    if root == 0.0:
         raise InputRejected(f"{name} must be nonzero")
-    return xm / nrm, nrm
+    with np.errstate(over="ignore"):
+        return scaled / root, float(np.ldexp(root, e))
 
 
 def unit_stack(a: np.ndarray) -> np.ndarray:

@@ -108,8 +108,8 @@ def _timed(campaign, *config):
 def cmd_ddvv_verify(args) -> tuple:
     if args.input:
         t = read_tuple_file(args.input)
-        rep = ddvv_slack(t)
-        summary = CampaignSummary(1, 0 if rep.holds_under(args.tol) else 1, rep.slack, args.seed)
+        rep = dataclasses.replace(ddvv_slack(t), tol=args.tol)
+        summary = CampaignSummary(1, 0 if rep.holds else 1, rep.slack, args.seed)
         doc = {**_header(args, n=t.n, m=t.m), **field_dict(summary), "report": rep}
     else:
         summary = _timed(run_ddvv_campaign, args.seed, args.trials, args.n, args.m, args.tol)
@@ -120,9 +120,10 @@ def cmd_ddvv_verify(args) -> tuple:
 def cmd_bw_verify(args) -> tuple:
     if args.input:
         x, y = read_pair_file(args.input)
-        pair, spec = bw_slack(x, y), bw_spectral_slack(x)
+        pair, spec = (dataclasses.replace(rep, tol=args.tol)
+                      for rep in (bw_slack(x, y), bw_spectral_slack(x)))
         doc = {**_header(args, n=int(x.shape[0])), "commutator": pair, "spectral": spec}
-        return doc, 0 if pair.holds_under(args.tol) and spec.holds_under(args.tol) else 1
+        return doc, 0 if pair.holds and spec.holds else 1
 
     result = _timed(run_bw_campaign, args.seed, args.trials, args.n, args.tol)
     doc = {**_header(args, n=args.n), "trials_run": result.commutator.trials_run,
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (OverflowError, FloatingPointError) as exc:
-        sys.stderr.write(f"error: input out of the float range: {exc}\n")
+        sys.stderr.write(f"error: input out of the float range: {exc.args[-1]}\n")
         return 2
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -5,27 +5,25 @@ entrywise-nonnegative x.  Two independent routes are provided: the
 principal-submatrix eigenvector criterion (every eigenvector of a
 negative eigenvalue of every principal submatrix must have strictly
 mixed signs) and a simplicial partition of the unit simplex used as the
-cross-validation oracle.
+cross-validation oracle.  Copositivity is scale invariant, so both decide
+P / 2^e (linalg.normalized), e the exponent of P's largest |entry|, with
+tolerances relative to it: a verdict and its certificate do not depend on
+P's scale.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import as_symmetric, eigh_descending, prescaled_norm
+from .linalg import as_symmetric, eigh_descending, normalized
 
 PROPERTY_K_DIM_CAP = 16
-# ||P||_F above DBL_MAX/2 could overflow the tolerances and the oracle's
-# edge minimizer, whose denominator (v_i - v_j)^T P (v_i - v_j) reaches
-# 2 ||P||; copositivity is scale invariant, so such a P is refused
-NORM_CAP = sys.float_info.max / 2
 # eigenvector entries this close to zero carry no sign information
 SIGN_ZERO_TOL = 1e-10
 
@@ -35,16 +33,6 @@ class CopositivityVerdict:
     copositive: bool
     certificate: Optional[np.ndarray] = None
     failing_submatrix: Optional[tuple] = None
-
-
-def _as_bounded_symmetric(p) -> tuple:
-    """p as a symmetric matrix, and its Frobenius norm, at most NORM_CAP."""
-    pm = as_symmetric(p, "p")
-    norm = float(prescaled_norm(pm))
-    if norm > NORM_CAP:
-        raise InputRejected(f"p: ||p||_F = {norm:.17g} is over DBL_MAX/2 = {NORM_CAP:.17g}; "
-                            "scale p down (copositivity is scale invariant)")
-    return pm, norm
 
 
 def _subsets(m: int, size: int) -> np.ndarray:
@@ -80,7 +68,7 @@ def _solve(pm: np.ndarray, subsets: np.ndarray, neg_eps: float) -> Optional[Copo
     return _violation(pm, subsets, values, vectors, neg_eps)
 
 
-# the shift of the PSD-plus-nonnegative certificate, as a fraction of ||p||
+# the shift of the PSD-plus-nonnegative certificate, as a fraction of ||P||
 SPN_SHIFT = 0.1
 
 
@@ -100,8 +88,9 @@ def _psd_plus_nonnegative(pm: np.ndarray, values: np.ndarray, vectors: np.ndarra
 def copositive_property_k(p) -> CopositivityVerdict:
     """Decide copositivity via the principal-submatrix eigenvector test.
 
-    Each principal submatrix is eigendecomposed; an eigenvalue below
-    neg_eps = 1e-10 * (1 + ||p||) whose eigenvector is one-signed (all
+    p is decided as P = p / 2^e, whose max |entry| is in [0.5, 1).  Each
+    principal submatrix of P is eigendecomposed; an eigenvalue below
+    neg_eps = 1e-10 * (1 + ||P||) whose eigenvector is one-signed (all
     nonnegative or all nonpositive up to the zero tolerance) disproves
     copositivity.  The verdict is that of the first such eigenvector in
     scan order (subsets by size, then lexicographic; eigenvalues
@@ -116,19 +105,19 @@ def copositive_property_k(p) -> CopositivityVerdict:
     |v|^T S |v| = lam (1 - 4 ||v_-||^2) + 4 v_-^T S v_-, so
     lam >= -mu - 4 s w^2 ||S|| - O(s eps ||S||).  For mu near neg_eps/2
     that is far above -neg_eps: such an S holds no violation.  (2) Every
-    principal submatrix S of p has such a mu when p's computed smallest
-    eigenvalue is >= -neg_eps/2 (Cauchy interlacing), or when sym(p) =
+    principal submatrix S of P has such a mu when P's computed smallest
+    eigenvalue is >= -neg_eps/2 (Cauchy interlacing), or when sym(P) =
     X + N is found with N >= 0 entrywise and X of that kind
     (_psd_plus_nonnegative).
 
-    So p itself is solved first, and the call returns copositive at once
+    So P itself is solved first, and the call returns copositive at once
     in either case.  Otherwise the sizes 1..m-1 are solved bottom-up, one
-    stack per size, and the first violation found is returned; p's own
+    stack per size, and the first violation found is returned; P's own
     eigenpairs decide last.  A matrix's eigenpairs do not depend on the
     stack it is solved in, so the verdict, failing submatrix and
     certificate are those of the scan over every subset, bit for bit.
     """
-    pm, norm = _as_bounded_symmetric(p)
+    pm, _, norm = normalized(as_symmetric(p, "p"))
     m = pm.shape[0]
     if m > PROPERTY_K_DIM_CAP:
         raise InputRejected(
@@ -158,9 +147,10 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     """Independent verdict by depth-first simplicial partition of the unit
     simplex (Bundfuss and Duer, LAA 428, 2008).
 
-    A simplex with vertex matrix V (one vertex per column) maps y on the
+    p is decided as P = p / 2^e, whose max |entry| is in [0.5, 1).  A
+    simplex with vertex matrix V (one vertex per column) maps y on the
     unit simplex to x = V y, with x^T P x = y^T Q y for Q = V^T P V.  With
-    eps = 1e-9 * (1 + ||p||), Q >= -eps entrywise leaves no violation on
+    eps = 1e-9 * (1 + ||P||), Q >= -eps entrywise leaves no violation on
     it; the most negative diagonal q_kk, if below -eps, makes vertex k the
     certificate; else the first edge with q_ij < -sqrt(q_ii) sqrt(q_jj) - eps
     gives it, at the minimum of the quadratic on that edge.  Otherwise the
@@ -169,7 +159,7 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     violation at this resolution.  More than ORACLE_BUDGET simplices
     examined x m^2 is refused.
     """
-    pm, norm = _as_bounded_symmetric(p)
+    pm, _, norm = normalized(as_symmetric(p, "p"))
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]

@@ -57,14 +57,14 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(norm_sq(a)))
 
 
-def _prescaled(a: np.ndarray) -> tuple:
-    """a / 2^e, e, and the Frobenius norm of each matrix of an (..., n, n)
-    stack, with e the frexp exponent of the matrix's max |a_ij|."""
+def normalized(a: np.ndarray) -> tuple:
+    """a / 2^e, e, and the Frobenius norm of a / 2^e for each matrix of an
+    (..., n, n) stack, with e the frexp exponent of the matrix's max |a_ij|.
+    The division is exact in the normal range, so a scale-invariant check
+    decides a / 2^e, whose max |entry| is in [0.5, 1), at every scale."""
     e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))[1]
     scaled = np.ldexp(a, -e[..., None, None])
-    root = np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
-    with np.errstate(over="ignore"):
-        return scaled, e, np.ldexp(root, e)
+    return scaled, e, np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
 
 
 def prescaled_norm(a: np.ndarray):
@@ -73,18 +73,19 @@ def prescaled_norm(a: np.ndarray):
     normal range, finite where the plain sum of squares overflows, and inf
     (with no overflow warning) only where the norm itself is over the
     float range."""
-    return _prescaled(a)[2]
+    _, e, root = normalized(a)
+    with np.errstate(over="ignore"):
+        return np.ldexp(root, e)
 
 
 def asymmetry(stack: np.ndarray) -> tuple:
     """Max |a_ij - a_ji| of each matrix of an (..., n, n) stack, and the
-    defect allowed it, SYMMETRY_TOL * (1 + ||a||).  The defect is formed on
-    the same a / 2^e as the norm, so one past DBL_MAX reads inf, with no
-    overflow warning."""
-    scaled, e, norm = _prescaled(stack)
+    defect allowed it, SYMMETRY_TOL * (1 + ||a||).  Both are formed on
+    a / 2^e, so one past DBL_MAX reads inf, with no overflow warning."""
+    scaled, e, root = normalized(stack)
     with np.errstate(over="ignore"):
         defect = np.ldexp(np.abs(scaled - scaled.swapaxes(-1, -2)).max(axis=(-2, -1)), e)
-    return defect, SYMMETRY_TOL * (1.0 + norm)
+        return defect, SYMMETRY_TOL * (1.0 + np.ldexp(root, e))
 
 
 def as_pair(a, b, name_a: str = "a", name_b: str = "b") -> tuple:

@@ -31,8 +31,4 @@ class SlackReport:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", tolerance(self.lhs, self.tol))
-        object.__setattr__(self, "holds", self.holds_under(None))
-
-    def holds_under(self, fixed: Optional[float]) -> bool:
-        """The verdict under a fixed tolerance, or under `tol` when `fixed` is None."""
-        return bool(self.slack >= -(self.tol if fixed is None else fixed))
+        object.__setattr__(self, "holds", bool(self.slack >= -self.tol))

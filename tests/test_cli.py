@@ -122,6 +122,23 @@ class TestBwVerify:
         assert doc["commutator"]["slack"] == doc["commutator"]["rhs"]
 
 
+class TestFixedTolReports:
+    """Under --tol an --input run's reports carry that tol, and their holds
+    fields agree with the exit code."""
+
+    @pytest.mark.parametrize("tol", ["-10", "-1e-6", "0", "1e-3"])
+    @pytest.mark.parametrize("argv,reports", [
+        ("ddvv-verify --input {data}/golden_veronese_tuple.json", ["report"]),
+        ("bw-verify --input {data}/bw_pair_sharp.json", ["commutator", "spectral"]),
+        ("bw-verify --input {data}/bw_pair_n5.json", ["commutator", "spectral"]),
+    ], ids=["ddvv", "bw-sharp", "bw-n5"])
+    def test_holds_matches_the_exit_code(self, capsys, argv, reports, tol):
+        argv = [a.replace("{data}", str(DATA)) for a in argv.split()] + [f"--tol={tol}"]
+        code, doc = run_json(capsys, argv)
+        assert [doc[key]["tol"] for key in reports] == [float(tol)] * len(reports)
+        assert code == (0 if all(doc[key]["holds"] for key in reports) else 1)
+
+
 class TestBwSearch:
     def test_small_search(self, capsys):
         code, doc = run_json(capsys, ["bw-search", "--n", "2", "--seed", "5",
@@ -242,19 +259,22 @@ class TestCopositive:
         assert doc["oracle"]["certificate"] == [0.0, 1.0]
         assert doc["agree"] is True
 
-    @pytest.mark.parametrize("text,extra", [
+    @pytest.mark.parametrize("text,twin,extra", [
         # ||p||_F overflowed, so neg_eps was inf and p read as copositive (exit 0)
-        ("2\n1e308 1e308\n1e308 -1e308\n", []),
+        ("2\n1e308 1e308\n1e308 -1e308\n", "2\n1 1\n1 -1\n", []),
         # 2 P x overflowed in the oracle's polish, which ended in an IndexError
-        ("2\n1e308 0\n0 -1e308\n", ["--oracle", "10"]),
+        ("2\n1e308 0\n0 -1e308\n", "2\n1 0\n0 -1\n", ["--oracle", "10"]),
     ], ids=["norm-overflows", "oracle-polish-overflows"])
-    def test_norm_over_half_dbl_max_rejected(self, capsys, tmp_path, text, extra):
-        path = write(tmp_path, "m.txt", text)
-        assert main(["copositive", "--input", path, *extra]) == 2
-        assert "over DBL_MAX/2" in capsys.readouterr().err
+    def test_norm_over_half_dbl_max_gets_its_twins_verdict(self, capsys, tmp_path, text, twin,
+                                                           extra):
+        # both tests decide p / 2^e, so p gets the document of its unit-scale twin
+        assert main(["copositive", "--input", write(tmp_path, "twin.txt", twin), *extra]) == 0
+        want = capsys.readouterr().out
+        assert main(["copositive", "--input", write(tmp_path, "m.txt", text), *extra]) == 0
+        assert capsys.readouterr().out == want
 
     def test_norm_under_half_dbl_max_gets_a_verdict(self, capsys, tmp_path):
-        # ||p||_F = 5.7e307, just under the cap: both tests see p_22 < 0
+        # ||p||_F = 5.7e307: both tests see p_22 < 0
         path = write(tmp_path, "m.txt", "2\n4e307 0\n0 -4e307\n")
         code, doc = run_json(capsys, ["copositive", "--input", path, "--oracle", "10"])
         assert code == 0
@@ -461,6 +481,16 @@ class TestSpectrum:
         assert code == 0
         assert doc["lambda_max"] == pytest.approx(2.0, abs=1e-12)
         assert doc["report"]["holds"] is True
+
+    def test_norm_past_dbl_max_gets_its_twins_spectrum(self, capsys, tmp_path):
+        # ||x||_F = 2e308: x divided by that inf norm was the zero matrix,
+        # lambda_max 0; x / 2^e divided by its own norm is the twin's unit x
+        assert main(["spectrum", "--input", write(tmp_path, "twin.txt", "2\n1 1\n1 -1\n"),
+                     "--format", "json"]) == 0
+        want = capsys.readouterr().out
+        path = write(tmp_path, "x.txt", "2\n1e308 1e308\n1e308 -1e308\n")
+        assert main(["spectrum", "--input", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_over_cap_rejected_before_building(self, capsys, tmp_path, monkeypatch):
         # T at n = 100 would take about 2.4 GB to build; n = 13 is refused unbuilt

@@ -42,6 +42,14 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_apart(flags: list, argv: list) -> subprocess.CompletedProcess:
+    """`python FLAGS -m ineqlab.cli ARGV` in a child process, on this checkout's source."""
+    src = str(Path(ineqlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *flags, "-m", "ineqlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("case", list(TEXT_CASES))
 def test_text_rendering_matches_the_document(capsys, tmp_path, case):
     argv = argv_of(case, tmp_path)
@@ -97,9 +105,11 @@ class TestOverflow:
 
     @pytest.mark.parametrize("command", ["ddvv-verify", "reduce"])
     def test_tuple_entries_of_1e150(self, capsys, tmp_path, command):
+        # Python's ** overflows first; its message is printed, not its errno tuple
         code = main([command, "--input", self.write_tuple(tmp_path, 1e150)])
         assert code == 2
-        assert "error: input out of the float range" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: input out of the float range: Numerical result out of range\n"
 
     @pytest.mark.parametrize("command", ["ddvv-verify", "reduce"])
     def test_tuple_entries_of_1e200(self, capsys, tmp_path, command):
@@ -114,10 +124,21 @@ class TestOverflow:
         # the CLI run apart, with the default warning filters a user has
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"n": 2, "m": 1, "c": 1.0, "h": [[[1e300, 0.0], [0.0, 1.0]]]}))
-        src = str(Path(ineqlab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "ineqlab.cli", "curvature", "--input",
-                               str(path)], capture_output=True, text=True, env=env, timeout=120)
+        proc = run_apart([], ["curvature", "--input", str(path)])
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    def test_copositive_of_1e_300_in_a_subprocess(self, capsys, tmp_path):
+        # under -W error, as the scale table is run: p / 2^e is decided, so
+        # 1e-300 P prints the document of P itself
+        twin = tmp_path / "twin.txt"
+        twin.write_text("2\n1 -3\n-3 1\n")
+        assert main(["copositive", "--input", str(twin), "--format", "json"]) == 0
+        want = capsys.readouterr().out
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1e-300 -3e-300\n-3e-300 1e-300\n")
+        proc = run_apart(["-W", "error"], ["copositive", "--input", str(path), "--format", "json"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+        assert '"copositive":false' in want
+

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ineqlab import copositive
@@ -24,6 +25,19 @@ from ineqlab.seeded import RandomStream, sub_seed
 
 DATA = Path(__file__).parent / "data"
 
+# As in test_serialize.py: a failing @given test imports libcst, whose
+# warning would otherwise abort the run under filterwarnings = error.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+
+
+def unit_scaled(p):
+    """P = p / 2^e with e the frexp exponent of p's max |entry|, e, and the
+    tolerance neg_eps = 1e-10 (1 + ||P||) that property K applies to P."""
+    e = np.frexp(np.max(np.abs(p)))[1]
+    pm = np.ldexp(p, -e)
+    return pm, e, 1e-10 * (1.0 + frobenius_norm(pm))
+
 
 def violates(p, subsets, neg_eps):
     """Whether the principal submatrices on `subsets` hold a violation."""
@@ -36,11 +50,12 @@ def violates(p, subsets, neg_eps):
 
 def bottom_up_scan(p):
     """The subsets of each stack the property-K scan solves, for a p with
-    no PSD-plus-nonnegative certificate, from first principles: p itself,
-    returning when its own eigvalsh is >= -neg_eps/2, then every subset of
-    each size from 1 up, stopping at the first size with a violation."""
+    no PSD-plus-nonnegative certificate, from first principles on
+    P = p / 2^e: P itself, returning when its own eigvalsh is >= -neg_eps/2,
+    then every subset of each size from 1 up, stopping at the first size
+    with a violation."""
+    p, _, neg_eps = unit_scaled(p)
     m = p.shape[0]
-    neg_eps = 1e-10 * (1.0 + frobenius_norm(p))
     full = tuple(range(m))
     stacks = [[full]]
     if np.linalg.eigvalsh(0.5 * (p + p.T))[0] >= -0.5 * neg_eps:
@@ -54,10 +69,9 @@ def bottom_up_scan(p):
 
 
 def full_scan(p):
-    """Property K over every principal submatrix, p last."""
-    pm = as_symmetric(p, "p")
+    """Property K over every principal submatrix of P = p / 2^e, P last."""
+    pm, _, neg_eps = unit_scaled(as_symmetric(p, "p"))
     m = pm.shape[0]
-    neg_eps = 1e-10 * (1.0 + frobenius_norm(pm))
     for size in range(1, m + 1):
         subsets = np.array(list(itertools.combinations(range(m), size)))
         values, vectors = eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])
@@ -99,9 +113,9 @@ def equivalence_inputs():
         b = stream.gaussian_matrix(m)
         b -= np.outer(u, u @ b) / (u @ u)
         gram = b @ b.T
+        _, e, neg_eps = unit_scaled(gram)
         for frac in (0.25, 0.49, 0.51, 0.99, 1.01, 1.5):
-            shift = frac * 1e-10 * (1.0 + frobenius_norm(gram))
-            yield "shifted", gram - shift * np.eye(m)
+            yield "shifted", gram - np.ldexp(frac * neg_eps, e) * np.eye(m)
         ones = np.ones((m, m))
         yield "J - I", ones - np.eye(m)
         yield "-I", -np.eye(m)
@@ -181,8 +195,9 @@ class TestPropertyK:
         assert len(singles) == (1 if m >= 3 else 0)
         want = bottom_up_scan(p)
         assert len(stacks) == len(want)
+        scaled = p / 2.0  # P = p / 2^e: max |entry| 1.5 = 0.75 * 2^1, so e = 1
         for got, subsets in zip(stacks, want):
-            assert np.array_equal(got, np.array([p[np.ix_(s, s)] for s in subsets]))
+            assert np.array_equal(got, np.array([scaled[np.ix_(s, s)] for s in subsets]))
         if m >= 3:
             assert verdict.failing_submatrix == (0, 1, 2)
 
@@ -240,7 +255,7 @@ class TestPropertyK:
         assert peak <= 24 * 2**20
 
     def test_huge_entries(self):
-        # ||p||^2 overflows; the prescaled norm keeps neg_eps finite
+        # ||p||^2 overflows; p / 2^e keeps neg_eps finite
         p = np.diag([1e200, -1e200])
         verdict = copositive_property_k(p)
         assert not verdict.copositive
@@ -253,6 +268,45 @@ class TestPropertyK:
     def test_dimension_cap(self):
         with pytest.raises(InputRejected, match="oracle"):
             copositive_property_k(np.eye(17))
+
+
+# equivalence_inputs at m <= 8: every nonzero entry times 2^k stays normal for |k| <= 900
+SCALE_INPUTS = [(family, p) for family, p in equivalence_inputs() if p.shape[0] <= 8]
+
+
+def bits(verdict):
+    """A verdict as plain values, its certificate as bytes, for a bit-for-bit comparison."""
+    certificate = None if verdict.certificate is None else verdict.certificate.tobytes()
+    return verdict.copositive, verdict.failing_submatrix, certificate
+
+
+class TestScale:
+    """Both tests decide p / 2^e, so a verdict does not depend on p's scale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(SCALE_INPUTS), k=st.integers(-900, 900))
+    def test_power_of_two_scaling_keeps_every_bit(self, case, k):
+        family, p = case
+        scaled = np.ldexp(p, k)
+        assert bits(copositive_property_k(scaled)) == bits(copositive_property_k(p)), family
+        # the partition of a copositive p takes seconds from m = 6 on, up to its budget
+        if p.shape[0] <= 5:
+            assert bits(copositive_oracle(scaled, 4)) == bits(copositive_oracle(p, 4)), family
+
+    @pytest.mark.parametrize("p", [
+        # each read as copositive under the absolute floor 1e-10 in neg_eps
+        [[-2.5e-11]],
+        1e-300 * np.array([[1.0, -3.0], [-3.0, 1.0]]),
+        [[0.0, -5e-324], [-5e-324, 0.0]],
+    ], ids=["-2.5e-11", "1e-300", "subnormal"])
+    def test_tiny_matrices_are_not_copositive(self, p):
+        verdict = copositive_property_k(p)
+        assert not verdict.copositive
+        assert not copositive_oracle(p, 10).copositive
+        assert verdict.certificate is not None and np.all(verdict.certificate >= 0.0)
+        # the certificate is a direction: on p / 2^e its value is negative
+        x = verdict.certificate
+        assert float(x @ unit_scaled(np.asarray(p))[0] @ x) < 0.0
 
 
 class TestOracle:

@@ -13,6 +13,7 @@ from ineqlab.linalg import (
     eigh_descending,
     frobenius_inner,
     frobenius_norm,
+    normalized,
     pair_indices,
     prescaled_norm,
     svd,
@@ -176,6 +177,17 @@ class TestPrescaledNorm:
                 a = scale * rng.gaussian_matrix(n)
                 assert prescaled_norm(a) == frobenius_norm(a), (k, n)
         assert prescaled_norm(np.zeros((3, 3))) == 0.0
+
+    def test_normalized_is_exact(self):
+        # a / 2^e has max |entry| in [0.5, 1) and scales back bit for bit,
+        # subnormal entries included
+        scales = np.array([1e-310, 1e-300, 1.0, 1e300])[:, None, None]
+        stack = RandomStream(19).gaussian_matrix(4) * scales
+        scaled, e, root = normalized(stack)
+        assert_array_equal(np.ldexp(scaled, e[:, None, None]), stack)
+        peak = np.max(np.abs(scaled), axis=(1, 2))
+        assert np.all((0.5 <= peak) & (peak < 1.0))
+        assert_array_equal(root, np.sqrt(np.sum(scaled * scaled, axis=(1, 2))))
 
     def test_finite_where_the_sum_of_squares_overflows(self):
         assert prescaled_norm(np.diag([1e200, -1e200])) == pytest.approx(np.sqrt(2.0) * 1e200,
