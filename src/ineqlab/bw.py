@@ -186,9 +186,10 @@ def small_s1_check(x, y) -> SlackReport:
     """
     xu, _ = _unit(x, "x")
     lam, b, c = svd_reduction(xu, y)
-    if lam[0] ** 2 > 0.5 + 1e-12:
+    s1_sq = lam[0] * lam[0]
+    if s1_sq > 0.5 + 1e-12:
         raise InputRejected(
-            f"s_1^2 = {lam[0] ** 2:.6f} > 1/2; this reduction does not apply, "
+            f"s_1^2 = {s1_sq:.6f} > 1/2; this reduction does not apply, "
             "use bw_slack for the general bound"
         )
     lhs = norm_sq(np.diag(lam) @ b - c @ np.diag(lam))
@@ -210,11 +211,9 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
         raise InputRejected("n must be >= 2")
     if abs(bm[0, 0]) > 1e-12:
         raise InputRejected(f"b_11 = {bm[0, 0]:.3e} must vanish (within 1e-12)")
-    p = np.zeros((n, n))
-    p[0, 0] = float(np.sum(bm[0, 1:] ** 2) + np.sum(cm[1:, 0] ** 2) + cm[0, 0] ** 2)
-    for i in range(1, n):
-        p[i, i] = bm[i, 0] ** 2 + cm[0, i] ** 2
-        p[0, i] = p[i, 0] = -(bm[0, i] * cm[0, i] + bm[i, 0] * cm[i, 0])
+    corner = np.sum(bm[0, 1:] ** 2) + np.sum(cm[1:, 0] ** 2) + cm[0, 0] * cm[0, 0]
+    p = np.diag(np.concatenate([[corner], bm[1:, 0] ** 2 + cm[0, 1:] ** 2]))
+    p[0, 1:] = p[1:, 0] = -(bm[0, 1:] * cm[0, 1:] + bm[1:, 0] * cm[1:, 0])
     lhs = float(sym_eigen(p).values[0])
     rhs = p[0, 0] + float(np.sum(bm[1:, 0] ** 2) + np.sum(cm[0, 1:] ** 2))
     return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -281,7 +281,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (OverflowError, FloatingPointError) as exc:
-        sys.stderr.write(f"error: input out of the float range: {exc.args[-1]}\n")
+        sys.stderr.write(f"error: input out of the float range: {exc}\n")
         return 2
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

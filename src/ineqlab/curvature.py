@@ -93,15 +93,24 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
     """
     if form.n < 2:
         raise InputRejected("rho is undefined for n < 2")
-    n, m, h = form.n, form.m, form.h
+    n, h = form.n, form.h
     coeff = 2.0 / (n * (n - 1.0))
     iu, ju = pair_indices(n)
+    mean = h.trace(axis1=1, axis2=2) / n
 
-    gauss = 0.0
-    for al in range(m):
-        diag = np.diag(h[al])
-        gauss += 0.5 * (float(np.sum(diag)) ** 2 - float(np.sum(diag * diag)))
-        gauss -= float(np.sum(h[al][iu, ju] ** 2))
+    # One pass over the slices.  Removing the trace part keeps a slice's
+    # off-diagonal entries and shifts its diagonal to diag - mean, so the
+    # shape slack's sums are read off h itself.
+    gauss = diag_part = off_part = 0.0
+    for a, mu in zip(h, mean):
+        diag = np.diag(a)
+        total = float(np.sum(diag))
+        off = float(np.sum(a[iu, ju] ** 2))
+        gauss += 0.5 * (total * total - float(np.sum(diag * diag)))
+        gauss -= off
+        gaps = diag - mu
+        diag_part += float(np.sum((gaps[iu] - gaps[ju]) ** 2))
+        off_part += off
     rho = form.c + coeff * gauss
 
     # sum_{r<s} sum_{i<j} ([A_r, A_s]_ij)^2: commutators of symmetric slices are
@@ -110,14 +119,8 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
     perp_sum = 0.5 * float(np.sum(commutator_norms_sq(h)))
     rho_perp = coeff * float(np.sqrt(perp_sum))
 
-    h2 = mean_curvature_sq(form)
+    h2 = float(np.sum(mean * mean))
     geometric_slack = h2 + form.c - rho - rho_perp
-
-    t = traceless(form).h
-    diag_part = sum(
-        float(np.sum((np.diag(t[al])[iu] - np.diag(t[al])[ju]) ** 2)) for al in range(m)
-    )
-    off_part = sum(float(np.sum(t[al][iu, ju] ** 2)) for al in range(m))
     shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(np.sqrt(perp_sum))
     return CurvatureReport(
         rho=rho,

@@ -147,10 +147,7 @@ def ddvv_sides(stack: np.ndarray) -> tuple:
     (..., m, n, n) stack, one value per leading index.  Unchecked: the
     members must already be validated."""
     total = np.sum(np.sum(stack * stack, axis=(-2, -1)), axis=-1)
-    # Squared as Python floats, i.e. by libm pow(x, 2), which differs from the
-    # correctly rounded x * x in the last bit for about 1 x in 1000; this
-    # keeps every lhs bit for bit what ddvv_slack has always reported.
-    lhs = np.array([v ** 2 for v in total.ravel().tolist()]).reshape(total.shape)
+    lhs = np.multiply(total, total)
     rhs = 2.0 * _sum_in_order(commutator_norms_sq(stack))
     return lhs, rhs
 
@@ -297,7 +294,8 @@ def sharp_pair_bound(a, b) -> SlackReport:
     if problem:
         raise InputRejected(problem)
     lhs = norm_sq(commutator(am, bm))
-    rhs = norm_sq(bm) + 2.0 * float(np.max(np.abs(bm))) ** 2
+    peak = float(np.max(np.abs(bm)))
+    rhs = norm_sq(bm) + 2.0 * (peak * peak)
     return SlackReport("sharp-pair-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 

@@ -67,17 +67,6 @@ def normalized(a: np.ndarray) -> tuple:
     return scaled, e, np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
 
 
-def prescaled_norm(a: np.ndarray):
-    """Frobenius norm of each matrix of an (..., n, n) stack, computed on
-    a / 2^e and scaled back by 2^e: bit for bit the plain norm in the
-    normal range, finite where the plain sum of squares overflows, and inf
-    (with no overflow warning) only where the norm itself is over the
-    float range."""
-    _, e, root = normalized(a)
-    with np.errstate(over="ignore"):
-        return np.ldexp(root, e)
-
-
 def asymmetry(stack: np.ndarray) -> tuple:
     """Max |a_ij - a_ji| of each matrix of an (..., n, n) stack, and the
     defect allowed it, SYMMETRY_TOL * (1 + ||a||).  Both are formed on

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -27,12 +27,12 @@ _INV_2_53 = float(2.0 ** -53)
 
 def sub_seed(seed: int, trial: int) -> int:
     """Sub-seed for trial `trial` of a campaign with master seed `seed`."""
-    return (int(seed) ^ int(trial)) & 0xFFFFFFFFFFFFFFFF
+    return (int(seed) ^ int(trial)) & MASK64
 
 
 def sub_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     """Sub-seeds of trials start..stop-1 as a uint64 array (sub_seed per entry)."""
-    return np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) ^ np.arange(start, stop, dtype=np.uint64)
+    return np.uint64(int(seed) & MASK64) ^ np.arange(start, stop, dtype=np.uint64)
 
 
 class RandomStream:
@@ -45,7 +45,7 @@ class RandomStream:
                 raise TypeError(f"seed array must be uint64, got {seed.dtype}")
             self._seed = seed
         else:
-            self._seed = np.asarray(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+            self._seed = np.asarray(np.uint64(int(seed) & MASK64))
         self._counter = 0
 
     def _raw(self, count: int) -> np.ndarray:

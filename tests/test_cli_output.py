@@ -95,7 +95,9 @@ def test_campaign_wall_time_goes_to_stderr_once(capsys, tmp_path, case, fmt):
 
 
 class TestOverflow:
-    """Sides that overflow Python's float arithmetic are an input error (exit 2)."""
+    """Sides that overflow the float range are an input error (exit 2)."""
+
+    OVERFLOW = "error: input out of the float range: overflow encountered in multiply\n"
 
     def write_tuple(self, tmp_path, v):
         path = tmp_path / "t.json"
@@ -104,21 +106,27 @@ class TestOverflow:
         return str(path)
 
     @pytest.mark.parametrize("command", ["ddvv-verify", "reduce"])
-    def test_tuple_entries_of_1e150(self, capsys, tmp_path, command):
-        # Python's ** overflows first; its message is printed, not its errno tuple
-        code = main([command, "--input", self.write_tuple(tmp_path, 1e150)])
-        assert code == 2
-        assert capsys.readouterr().err == \
-            "error: input out of the float range: Numerical result out of range\n"
-
-    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce"])
     def test_tuple_entries_of_1e200(self, capsys, tmp_path, command):
-        # numpy's stack * stack overflows first; the test run turns warnings
-        # into errors, so an overflow warning would fail this test too
-        code = main([command, "--input", self.write_tuple(tmp_path, 1e200)])
-        assert code == 2
-        assert capsys.readouterr().err == \
-            "error: input out of the float range: overflow encountered in multiply\n"
+        # at 1e200 stack * stack overflows first, at 1e150 the square of the
+        # norm sum; the test run turns warnings into errors, so an overflow
+        # warning would fail this test too
+        for v in (1e150, 1e200):
+            code = main([command, "--input", self.write_tuple(tmp_path, v)])
+            assert (code, capsys.readouterr().err) == (2, self.OVERFLOW), v
+
+    @pytest.mark.parametrize("command, v", [("ddvv-verify", 1e150), ("ddvv-verify", 1e200),
+                                            ("reduce", 1e150), ("reduce", 1e200),
+                                            ("curvature", 1e300)])
+    def test_overflow_rows_under_warnings_as_errors(self, tmp_path, command, v):
+        # the scale table's rows as the CLI runs them, under -W error
+        if command == "curvature":
+            path = tmp_path / "h.json"
+            path.write_text(json.dumps({"n": 2, "m": 1, "c": 1.0, "h": [[[v, 0.0], [0.0, 1.0]]]}))
+            path = str(path)
+        else:
+            path = self.write_tuple(tmp_path, v)
+        proc = run_apart(["-W", "error"], [command, "--input", path])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", self.OVERFLOW)
 
     def test_curvature_of_1e300_in_a_subprocess(self, tmp_path):
         # the CLI run apart, with the default warning filters a user has

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from ineqlab.curvature import (
 )
 from ineqlab.ddvv import SymmetricTuple, ddvv_slack, group_act
 from ineqlab.errors import InputRejected
+from ineqlab.linalg import commutator_norms_sq
 from ineqlab.seeded import RandomStream, sub_seed
 
 
@@ -111,6 +114,46 @@ class TestCurvatureReport:
     def test_rejects_n1(self):
         with pytest.raises(InputRejected, match="n < 2"):
             curvature_report(SecondFundamentalForm.from_array(np.zeros((1, 1, 1)), c=1.0))
+
+
+def _three_pass_report(form):
+    """Reference: the report's three passes over the slices (Gauss term,
+    then the traceless form's gap and off-diagonal sums), squares as products."""
+    n, m, h = form.n, form.m, form.h
+    coeff = 2.0 / (n * (n - 1.0))
+    iu, ju = np.triu_indices(n, k=1)
+    gauss = 0.0
+    for al in range(m):
+        diag = np.diag(h[al])
+        total = float(np.sum(diag))
+        gauss += 0.5 * (total * total - float(np.sum(diag * diag)))
+        gauss -= float(np.sum(h[al][iu, ju] * h[al][iu, ju]))
+    rho = form.c + coeff * gauss
+    perp_sum = 0.5 * float(np.sum(commutator_norms_sq(h)))
+    rho_perp = coeff * float(np.sqrt(perp_sum))
+    h2 = mean_curvature_sq(form)
+    t = traceless(form).h
+    gaps = [np.diag(t[al])[iu] - np.diag(t[al])[ju] for al in range(m)]
+    diag_part = sum(float(np.sum(g * g)) for g in gaps)
+    off_part = sum(float(np.sum(t[al][iu, ju] * t[al][iu, ju])) for al in range(m))
+    shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(np.sqrt(perp_sum))
+    return (rho, rho_perp, h2, h2 + form.c - rho - rho_perp, shape_slack)
+
+
+class TestSinglePassReport:
+    def test_bits_equal_the_three_pass_reference(self):
+        k = 0
+        for n in range(2, 13):
+            for m in range(1, 13):
+                h = RandomStream(sub_seed(541, k)).symmetric_tuple(n, m)
+                if k % 2:
+                    h[k % m] = 0.0  # a zero slice
+                k += 1
+                for c in (0.0, 1.0, -0.0, 1e16):
+                    form = SecondFundamentalForm.from_array(h, c=c)
+                    got = np.array(dataclasses.astuple(curvature_report(form)))
+                    want = np.array(_three_pass_report(form))
+                    assert got.tobytes() == want.tobytes(), (n, m, c)
 
 
 class TestFundamentalReport:

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 from conftest import offdiag2
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ineqlab.copositive import copositive_property_k
 from ineqlab.ddvv import (
     SymmetricTuple,
     canonical_reduce,
+    ddvv_sides,
     ddvv_slack,
     extremal_case_a,
     extremal_case_b,
@@ -22,7 +23,7 @@ from ineqlab.ddvv import (
 )
 from ineqlab.errors import InputRejected
 from ineqlab.linalg import commutator, norm_sq
-from ineqlab.seeded import RandomStream, sub_seed
+from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -124,6 +125,23 @@ class TestCommutatorKernelExactness:
             t = SymmetricTuple.from_matrices([a / lead for a in red.matrices])
             ref = _pair_norms_in_order(t.matrices)[: m - 1]
             assert key_lemma_slack(t).lhs == _sum_in_order(ref)
+
+
+class TestDdvvSides:
+    """The left side is the correctly rounded square of the norm sum."""
+
+    def test_lhs_where_pow_is_one_ulp_off(self):
+        # libm pow(t, 2) rounds this t^2 to the other neighbour of t * t
+        a = float.fromhex("0x1.fcbd835bc8fd3p+0")
+        t = a * a
+        lhs, rhs = ddvv_sides(np.array([[[a]]]))
+        assert (lhs, rhs) == (t * t, 0.0)
+
+    def test_lhs_is_the_product_over_the_grid(self):
+        for k, (n, m) in enumerate(TestCommutatorKernelExactness.GRID):
+            stack = RandomStream(sub_seeds(93, 50 * k, 50 * k + 50)).symmetric_tuple(n, m)
+            total = np.sum(np.sum(stack * stack, axis=(-2, -1)), axis=-1)
+            assert_array_equal(ddvv_sides(stack)[0], np.multiply(total, total), err_msg=f"{n}, {m}")
 
 
 class TestGroupAct:
