@@ -53,8 +53,6 @@ from .ddvv import (
 )
 from .errors import InputRejected, NumericalFailure
 from .linalg import (
-    EigenDecomposition,
-    SingularDecomposition,
     commutator,
     frobenius_inner,
     svd,
@@ -68,14 +66,12 @@ __all__ = [
     "CanonicalForm",
     "CopositivityVerdict",
     "CurvatureReport",
-    "EigenDecomposition",
     "FundamentalReport",
     "InputRejected",
     "NumericalFailure",
     "RandomStream",
     "RatioSearchResult",
     "SecondFundamentalForm",
-    "SingularDecomposition",
     "SlackReport",
     "SymmetricTuple",
     "TOperator",

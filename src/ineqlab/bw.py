@@ -24,12 +24,10 @@ from .linalg import (
     commutator,
     eigh_descending,
     eigvalsh,
-    frobenius_inner,
     frobenius_norm,
     norm_sq,
     normalized,
     svd,
-    sym_eigen,
 )
 from .report import SlackReport, tolerance
 from .seeded import RandomStream, sub_seeds
@@ -145,7 +143,7 @@ def partner_eigenvector(x, y) -> np.ndarray:
     top = t_operator(x)
     yu, ynorm = _unit(y, "y")
     ty = top.apply(yu)
-    alpha = frobenius_inner(yu, ty)
+    alpha = float(np.sum(yu * ty))
     residual = frobenius_norm(ty - alpha * yu)
     if residual > 1e-8 * (1.0 + abs(alpha)):
         raise InputRejected(
@@ -155,7 +153,7 @@ def partner_eigenvector(x, y) -> np.ndarray:
     pnorm = frobenius_norm(partner)
     if alpha > 1e-10 and pnorm == 0.0:
         raise NumericalFailure("partner vanished for a positive eigenvalue")
-    if abs(frobenius_inner(yu, partner)) > 1e-8 * (1.0 + pnorm):
+    if abs(float(np.sum(yu * partner))) > 1e-8 * (1.0 + pnorm):
         raise NumericalFailure("partner is not orthogonal to y")
     if frobenius_norm(top.apply(partner) - alpha * partner) > 1e-7 * (1.0 + abs(alpha)) * (
         1.0 + pnorm
@@ -171,10 +169,10 @@ def svd_reduction(x, y):
     ||[X, Y]|| = ||diag(lam) b - c diag(lam)||.
     """
     xm, ym = as_pair(x, y, "x", "y")
-    dec = svd(xm)
-    b = dec.q2 @ ym @ dec.q2.T
-    c = dec.q1.T @ ym @ dec.q1
-    return dec.lam, b, c
+    q1, lam, q2 = svd(xm)
+    b = q2 @ ym @ q2.T
+    c = q1.T @ ym @ q1
+    return lam, b, c
 
 
 def small_s1_check(x, y) -> SlackReport:
@@ -214,7 +212,7 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
     corner = np.sum(bm[0, 1:] ** 2) + np.sum(cm[1:, 0] ** 2) + cm[0, 0] * cm[0, 0]
     p = np.diag(np.concatenate([[corner], bm[1:, 0] ** 2 + cm[0, 1:] ** 2]))
     p[0, 1:] = p[1:, 0] = -(bm[0, 1:] * cm[0, 1:] + bm[1:, 0] * cm[1:, 0])
-    lhs = float(sym_eigen(p).values[0])
+    lhs = float(eigh_descending(p)[0][0])
     rhs = p[0, 0] + float(np.sum(bm[1:, 0] ** 2) + np.sum(cm[0, 1:] ** 2))
     return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 

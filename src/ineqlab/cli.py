@@ -3,8 +3,9 @@
 Subcommands: ddvv-verify, bw-verify, bw-search, reduce, copositive,
 curvature, models, spectrum.  Each handler returns one JSON document and
 its exit code: 0 all checks pass, 1 violation found, 2 input/config
-error.  The document is byte-identical across runs with the same
-arguments; a campaign's wall time goes to stderr instead.
+error; main exits 3 on a numerical failure.  The document is
+byte-identical across runs with the same arguments; a campaign's wall
+time goes to stderr instead.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
             doc, code = _COMMANDS[args.command][0](args)
             _emit(args, doc, code)
         return code
-    except (InputRejected, OSError) as exc:
+    except (InputRejected, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (OverflowError, FloatingPointError) as exc:
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
         return 2
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

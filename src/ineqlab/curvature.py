@@ -15,7 +15,7 @@ import numpy as np
 
 from .ddvv import SymmetricTuple
 from .errors import InputRejected
-from .linalg import DIM_CAP, commutator_norms_sq, pair_indices, sym_eigen
+from .linalg import DIM_CAP, commutator_norms_sq, eigh_descending, pair_indices
 from .report import tolerance
 
 
@@ -136,12 +136,12 @@ def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
     quantity ||sigma||^2 + lambda_2 (lambda_2 := 0 when m = 1), and whether
     it stays within the pinching boundary n, up to tolerance(pinch)."""
     s = form.to_tuple().gram()
-    eig = sym_eigen(s)
+    values = eigh_descending(s)[0]
     sigma_sq = float(np.trace(s))
-    pinch = sigma_sq + (float(eig.values[1]) if form.m >= 2 else 0.0)
+    pinch = sigma_sq + (float(values[1]) if form.m >= 2 else 0.0)
     return FundamentalReport(
         s=s,
-        eigenvalues=eig.values,
+        eigenvalues=values,
         sigma_sq=sigma_sq,
         pinch=pinch,
         pinch_boundary=form.n,

@@ -20,11 +20,11 @@ from .linalg import (
     asymmetry,
     commutator,
     commutator_norms_sq,
+    eigh_descending,
     frobenius_norm,
     is_orthogonal,
     norm_sq,
     pair_indices,
-    sym_eigen,
 )
 from .report import SlackReport
 
@@ -124,9 +124,10 @@ def _not_orthogonal(gram: np.ndarray):
 
 
 def _not_sorted(norms: np.ndarray, start: int):
-    """Checks that norms[start:] is nonincreasing within 1e-12 relative."""
+    """Checks that norms[start:] is nonincreasing within 1e-12 relative; an
+    overflowed norm (inf - inf is NaN) fails the check."""
     tail = norms[start:]
-    bad = np.nonzero(tail[:-1] < tail[1:] - 1e-12 * (1.0 + tail[1:]))[0]
+    bad = np.nonzero(~(tail[:-1] >= tail[1:] - 1e-12 * (1.0 + tail[1:])))[0]
     if bad.size:
         return f"member norms not nonincreasing at member {start + bad[0] + 1}"
     return None
@@ -181,8 +182,7 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
     both normalizations coexist.  The all-zero tuple is returned unchanged
     with the degenerate flag set.
     """
-    gram_eig = sym_eigen(t.gram())
-    q = gram_eig.vectors.T
+    q = eigh_descending(t.gram())[1].T
     mixed = np.einsum("rj,jab->rab", q, t.matrices)
 
     degenerate = frobenius_norm(mixed[0]) <= 1e-14 * (1.0 + frobenius_norm(t.matrices))
@@ -190,8 +190,7 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
         p = np.eye(t.n)
         reduced_stack = mixed
     else:
-        lead_eig = sym_eigen(mixed[0])
-        p = lead_eig.vectors.T
+        p = eigh_descending(mixed[0])[1].T
         reduced_stack = p @ mixed @ p.T
         # cosmetic determinism: make the first nonzero diagonal entry of A_1 positive
         diag = np.diag(reduced_stack[0])
@@ -262,7 +261,7 @@ def p_matrix_bound(s) -> SlackReport:
     p[np.arange(1, k + 1), np.arange(1, k + 1)] = sv
     p[0, 1:] = -sv
     p[1:, 0] = -sv
-    lhs = float(sym_eigen(p).values[0])
+    lhs = float(eigh_descending(p)[0][0])
     rhs = float(np.sum(sv) + np.max(sv))
     return SlackReport("arrowhead-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 

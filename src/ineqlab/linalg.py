@@ -10,7 +10,6 @@ convergence failures surface as :class:`NumericalFailure`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,37 +138,6 @@ def is_orthogonal(p: np.ndarray) -> bool:
     return bool(np.max(np.abs(p.T @ p - np.eye(n))) <= 1e-10)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition of a symmetric matrix.
-
-    `values` are sorted descending; column k of `vectors` is the unit
-    eigenvector paired with values[k].
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.vectors @ np.diag(self.values) @ self.vectors.T
-
-
-@dataclass(frozen=True)
-class SingularDecomposition:
-    """Factorization x = q1 @ diag(lam) @ q2 with orthogonal q1, q2.
-
-    `lam` holds the singular values, nonnegative and sorted descending;
-    note q2 is the full right factor (not its transpose).
-    """
-
-    q1: np.ndarray
-    lam: np.ndarray
-    q2: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.q1 @ np.diag(self.lam) @ self.q2
-
-
 def eigh_descending(a: np.ndarray) -> tuple:
     """Eigenvalues, descending, and unit eigenvectors (vectors[..., :, k] pairs
     with values[..., k]) of 0.5 * (a + a^T) over (..., n, n) stacks; unchecked."""
@@ -189,22 +157,25 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
 
 
-def sym_eigen(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+def sym_eigen(a) -> tuple:
+    """(values, vectors) of a symmetric matrix: eigh_descending behind
+    as_symmetric, the entry point for outside input.
 
     Rejects inputs whose symmetry defect exceeds 1e-12 * (1 + ||a||).
     """
-    return EigenDecomposition(*eigh_descending(as_symmetric(a, "a")))
+    return eigh_descending(as_symmetric(a, "a"))
 
 
-def svd(x) -> SingularDecomposition:
-    """Singular decomposition x = q1 diag(lam) q2, singular values descending."""
+def svd(x) -> tuple:
+    """(q1, lam, q2) with x = q1 diag(lam) q2, q1 and q2 orthogonal and the
+    singular values lam nonnegative and descending; q2 is the full right
+    factor (not its transpose)."""
     m = as_matrix(x, "x")
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
-    return SingularDecomposition(q1=u, lam=s, q2=vh)
+    return u, s, vh
 
 
 def vectorize_sym(a) -> np.ndarray:

@@ -111,7 +111,7 @@ def _write(obj, out: list) -> None:
 def _decode(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
         raise InputRejected(f"invalid JSON: {exc}") from exc
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ineqlab import bw, campaigns, cli, curvature, ddvv
+from ineqlab import bw, campaigns, cli, copositive, curvature, ddvv, linalg
 from ineqlab.cli import build_parser, main
 from ineqlab.ddvv import extremal_case_a, extremal_case_b
 from ineqlab.serialize import dumps, matrix_json, pair_json, sff_json, tuple_json
@@ -106,11 +106,11 @@ class TestBwVerify:
         assert doc["spectral"]["lhs"] == pytest.approx(2.0, abs=1e-12)
         assert doc["spectral"]["holds"] is True
 
-    def test_sanity_bound_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+    def test_sanity_bound_failure_exits_3(self, capsys, tmp_path, monkeypatch):
         x = np.zeros((2, 2)); x[0, 1] = 1.0
         path = write(tmp_path, "p.json", dumps(pair_json(x, x.T.copy())))
         monkeypatch.setattr(bw, "commutator", lambda a, b: 2.0 * (a @ b - b @ a))
-        assert main(["bw-verify", "--input", path]) == 1
+        assert main(["bw-verify", "--input", path]) == 3
         assert "constant-3" in capsys.readouterr().err
 
     def test_injected_commuting_pair(self, capsys, tmp_path):
@@ -465,7 +465,7 @@ class TestSpectrum:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         path = write(tmp_path, "x.txt", "2\n0 1\n0 0\n")
-        assert main(["spectrum", "--input", path]) == 1
+        assert main(["spectrum", "--input", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("numerical failure: eigensolver did not converge: "
@@ -537,6 +537,47 @@ class TestValidationCounts:
         monkeypatch.setattr(ddvv.SymmetricTuple, "from_matrices",
                             classmethod(lambda cls, mats: calls.append(1) or original(cls, mats)))
         return calls
+
+    @staticmethod
+    def count_symmetry_checks(monkeypatch) -> list:
+        """Count linalg.asymmetry calls, in every module that imports it."""
+        calls = []
+        original = linalg.asymmetry
+        for module in (linalg, ddvv, bw, copositive, curvature):
+            if getattr(module, "asymmetry", None) is original:
+                monkeypatch.setattr(module, "asymmetry",
+                                    lambda stack: calls.append(1) or original(stack))
+        return calls
+
+    @pytest.mark.parametrize("argv, checks", [
+        (["reduce", "--input", "{data}/golden_veronese_tuple.json"], 2),  # input, audit replay
+        (["curvature", "--input", "{tmp}/h.json"], 1),
+        # property K and the oracle each validate P, composed on one input
+        (["copositive", "--input", "{tmp}/m.txt", "--oracle", "6"], 2),
+    ], ids=["reduce", "curvature", "copositive-oracle"])
+    def test_symmetry_checks_per_command(self, capsys, tmp_path, monkeypatch, argv, checks):
+        write(tmp_path, "h.json", dumps(sff_json(curvature.veronese_tuple())))
+        write(tmp_path, "m.txt", "3\n1 -2 0\n-2 1 0\n0 0 1\n")
+        calls = self.count_symmetry_checks(monkeypatch)
+        argv = [a.replace("{data}", str(DATA)).replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run_json(capsys, argv)[0] == 0
+        assert len(calls) == checks
+
+    def test_derived_matrices_are_not_checked(self, monkeypatch):
+        # the Gram matrix, the rotated leader and the arrowheads are built
+        # from validated input; canonical_reduce's one check is its replay
+        t = extremal_case_b(3, 0.5)
+        form = curvature.veronese_tuple()
+        b = np.array([[0.0, 1.0], [2.0, 3.0]])
+        calls = self.count_symmetry_checks(monkeypatch)
+        counts = []
+        for call in (lambda: ddvv.canonical_reduce(t), lambda: curvature.fundamental_report(form),
+                     lambda: ddvv.p_matrix_bound([1.0, 2.0, 0.5]),
+                     lambda: bw.bw_case_matrix_bound(b, b.T)):
+            before = len(calls)
+            call()
+            counts.append(len(calls) - before)
+        assert counts == [1, 0, 0, 0]
 
     def test_campaign_checks_no_member(self, capsys, monkeypatch):
         calls = []

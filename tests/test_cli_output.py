@@ -94,6 +94,25 @@ def test_campaign_wall_time_goes_to_stderr_once(capsys, tmp_path, case, fmt):
     assert "wall_time" not in out
 
 
+BAD_FILES = {
+    "not-utf-8": b"\xff\xfe\x00",
+    "deeply-nested": b'{"n": 1, "entries": ' + b"[" * 10 ** 5,
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "copositive", "reduce", "curvature",
+                                     "bw-verify", "ddvv-verify"])
+@pytest.mark.parametrize("name", list(BAD_FILES))
+def test_unreadable_file_is_an_input_error(tmp_path, command, name):
+    # under -W error, as a user would see it: exit 2, one message, no traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_FILES[name])
+    proc = run_apart(["-W", "error"], [command, "--input", str(path)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 class TestOverflow:
     """Sides that overflow the float range are an input error (exit 2)."""
 

@@ -21,7 +21,7 @@ from ineqlab.ddvv import (
     sharp_pair_bound,
     sigma_matrix,
 )
-from ineqlab.errors import InputRejected
+from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import commutator, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
@@ -205,6 +205,14 @@ class TestCanonicalReduce:
         assert not reduced.flags.writeable
         with pytest.raises(ValueError):
             reduced[0, 0, 0] = 1.0
+
+    def test_overflowed_gram_is_refused(self):
+        # with overflow ignored the Gram matrix reads inf; the eigensolve
+        # behind it is unchecked, so the audit must refuse the reduction
+        t = SymmetricTuple.from_matrices([1e200 * np.eye(2), np.diag([1.0, -1.0])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises((InputRejected, NumericalFailure)):
+                canonical_reduce(t)
 
     def test_random_postconditions(self):
         for k in range(200):
