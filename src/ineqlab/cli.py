@@ -6,6 +6,14 @@ its exit code: 0 all checks pass, 1 violation found, 2 input/config
 error; main exits 3 on a numerical failure.  The document is
 byte-identical across runs with the same arguments; a campaign's wall
 time goes to stderr instead.
+
+A command line of the canonical form, the subcommand then `--option value`
+pairs with each option the subcommand's own, spelled in full, and no value
+starting with '-', is read straight from _COMMANDS and _ARGUMENTS into the
+Namespace argparse would build.  argparse parses every other command line
+and owns help, --version, usage errors and exit code 2.  The saving is per
+in-process main() call (tests, the benchmark, notebooks); a fresh process
+is dominated by import.
 """
 
 from __future__ import annotations
@@ -267,12 +275,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser main() reuses: building one costs 10-30x a parse."""
+    """The parser main() reuses for every command line _direct_parse declines,
+    so help, --version, usage errors and the other forms argparse accepts stay
+    argparse's.  Building one costs 10-30x a parse."""
     return build_parser()
 
 
+def _direct_parse(argv: list):
+    """The Namespace argparse would build for COMMAND --option value ...,
+    read straight from _COMMANDS and _ARGUMENTS with the same type, choices
+    and defaults; None for every other command line, which argparse then
+    parses or refuses: a flag not the command's own (abbreviations, -h,
+    --opt=value), a value starting with '-', a value its type or choices
+    refuse, an odd token count or a command with a positional argument."""
+    if not all(isinstance(a, str) for a in argv) or len(argv) % 2 != 1 \
+            or argv[0] not in _COMMANDS:
+        return None
+    command, options = argv[0], _COMMANDS[argv[0]][2]
+    if not all(opt.startswith("--") for opt in options):
+        return None
+    values = {opt: _ARGUMENTS[opt].get("default") for opt in options}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in options or text.startswith("-"):
+            return None
+        spec = _ARGUMENTS[flag]
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[flag] = value
+    return argparse.Namespace(command=command,
+                              **{opt[2:].replace("-", "_"): v for opt, v in values.items()})
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _direct_parse(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         with np.errstate(over="raise"):  # an overflow is a refusal, never a warning
             doc, code = _COMMANDS[args.command][0](args)

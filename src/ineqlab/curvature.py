@@ -15,7 +15,7 @@ import numpy as np
 
 from .ddvv import SymmetricTuple
 from .errors import InputRejected
-from .linalg import DIM_CAP, commutator_norms_sq, eigh_descending, pair_indices
+from .linalg import DIM_CAP, commutator_norms_sq, eigh_descending, in_float_range, pair_indices
 from .report import tolerance
 
 
@@ -135,7 +135,7 @@ def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
     """Gram matrix of the shape operators, its spectrum, the pinching
     quantity ||sigma||^2 + lambda_2 (lambda_2 := 0 when m = 1), and whether
     it stays within the pinching boundary n, up to tolerance(pinch)."""
-    s = form.to_tuple().gram()
+    s = in_float_range(form.to_tuple().gram(), "Gram matrix")
     values = eigh_descending(s)[0]
     sigma_sq = float(np.trace(s))
     pinch = sigma_sq + (float(values[1]) if form.m >= 2 else 0.0)

@@ -35,6 +35,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def in_float_range(a: np.ndarray, name: str) -> np.ndarray:
+    """`a`, a matrix the program derived from validated input, refused if
+    forming it overflowed (an inf, or a NaN from inf - inf), so that no
+    solver sees it."""
+    if not np.isfinite(a).all():
+        raise InputRejected(f"{name}: entries out of the float range")
+    return a
+
+
 def as_vector(v, name: str, fits, shape: str, nonnegative: bool = True) -> np.ndarray:
     """Finite (and by default nonnegative) vector whose size passes `fits`."""
     out = np.asarray(v, dtype=float)

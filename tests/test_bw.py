@@ -280,6 +280,13 @@ class TestCaseMatrixBound:
         with pytest.raises(InputRejected, match="b_11"):
             bw_case_matrix_bound(np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_case_matrix_past_the_float_range_rejected(self):
+        # with warnings ignored, the overflowing case matrix once gave lhs nan
+        b = np.array([[0.0, 1e200], [1e200, 1.0]])
+        with pytest.raises(InputRejected, match="case matrix: entries out of the float range"):
+            bw_case_matrix_bound(b, b)
+
     def test_unconstrained_campaign(self):
         # the bound holds standalone for arbitrary (b, c) with b_11 = 0
         for k in range(5000):

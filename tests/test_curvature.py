@@ -176,6 +176,14 @@ class TestFundamentalReport:
         assert rep.sigma_sq == 4.0 / 3.0
         assert abs(rep.pinch - 2.0) <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gram_matrix_past_the_float_range_rejected(self):
+        # with warnings ignored, the overflowing Gram matrix once gave NaN eigenvalues
+        h = np.array([[[1e200, 0.0], [0.0, 1e200]], [[0.0, 1e200], [1e200, 0.0]]])
+        form = SecondFundamentalForm.from_array(h, c=1.0)
+        with pytest.raises(InputRejected, match="Gram matrix: entries out of the float range"):
+            fundamental_report(form)
+
     def test_second_eigenvalue_bound_and_psd(self):
         for k in range(500):
             stream = RandomStream(sub_seed(541, k))

@@ -312,6 +312,12 @@ class TestArrowheadBound:
         with pytest.raises(InputRejected, match="nonnegative"):
             p_matrix_bound([1.0, -2.0])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_corner_past_the_float_range_rejected(self):
+        # sum(s) overflows; the solver once failed on the inf corner
+        with pytest.raises(InputRejected, match="arrowhead matrix: entries out of the float range"):
+            p_matrix_bound([1e308, 1e308])
+
     def test_random_weights(self):
         for k in range(500):
             stream = RandomStream(sub_seed(51, k))
