@@ -81,7 +81,8 @@ _ARGUMENTS = {
     "--model": dict(choices=("veronese", "clifford"), default=None),
     "--format": dict(choices=("text", "json"), default="text"),
     "--input": dict(default=None, help="input file"),
-    "--output": dict(default=None, help="file for the JSON document (default: stdout)"),
+    "--output": dict(default=None, help="file for the JSON document (default: stdout); for "
+                     "models, the required prefix of OUTPUT_h.json and OUTPUT_tuple.json"),
     "name": dict(choices=("clifford", "veronese")),
 }
 

@@ -9,19 +9,21 @@ no covariant derivatives enter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ddvv import SymmetricTuple
 from .errors import InputRejected
-from .linalg import DIM_CAP, commutator_norms_sq, eigh_descending, in_float_range, pair_indices
+from .linalg import (DIM_CAP, as_vector, commutator_norms_sq, eigh_descending, in_float_range,
+                     pair_indices)
 from .report import tolerance
 
 
 def finite_c(c) -> float:
-    """Ambient curvature c as a float, refused unless finite."""
-    if not np.isfinite(c):
+    """Ambient curvature c as a float, refused unless a finite real number."""
+    if not isinstance(c, numbers.Real) or not np.isfinite(float(c)):
         raise InputRejected("ambient curvature c must be finite")
     return float(c)
 
@@ -183,11 +185,7 @@ def veronese_immersion(p) -> np.ndarray:
     (yz/sqrt3, zx/sqrt3, xy/sqrt3, (x^2 - y^2)/(2 sqrt3), (x^2 + y^2 - 2z^2)/6).
     Antipodal points map to the same image.
     """
-    pv = np.asarray(p, dtype=float)
-    if pv.shape != (3,):
-        raise InputRejected("p must be a 3-vector")
-    if not np.all(np.isfinite(pv)):
-        raise InputRejected("p entries must be finite")
+    pv = as_vector(p, "p", lambda k: k == 3, "a 3-vector", nonnegative=False)
     radius_sq = float(np.sum(pv * pv))
     if abs(radius_sq - 3.0) > 1e-10:
         raise InputRejected(f"|p|^2 = {radius_sq:.12f}, point must lie on the sphere of radius sqrt(3)")

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InputRejected, NumericalFailure
 from .linalg import (
+    as_array,
     as_matrix,
     as_pair,
     as_symmetric,
@@ -78,16 +79,19 @@ def check_members(stack: np.ndarray) -> None:
 
 def _layout_problem(mats) -> str:
     """Name the first member that keeps `mats` from stacking to (m, n, n)."""
-    if len(mats) < 1:
+    not_a_sequence = f"expected a sequence of matrices, got {type(mats).__name__}"
+    try:
+        shapes = [as_array(a, f"member {k}").shape for k, a in enumerate(mats, start=1)]
+    except TypeError:  # a number, or a 0-d array
+        return not_a_sequence
+    if not shapes:
         return "tuple must contain at least one matrix"
-    first = np.shape(mats[0])
-    for k, a in enumerate(mats, start=1):
-        shape = np.shape(a)
+    for k, shape in enumerate(shapes, start=1):
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
             return f"member {k}: expected a nonempty square 2-D array, got shape {shape}"
-        if shape != first:
-            return f"member {k} is {shape[0]}x{shape[0]}, expected {first[0]}x{first[0]}"
-    return "members must hold numbers only"
+        if shape != shapes[0]:
+            return f"member {k} is {shape[0]}x{shape[0]}, expected {shapes[0][0]}x{shapes[0][0]}"
+    return not_a_sequence  # each member stacks, but numpy does not take `mats` as a sequence
 
 
 def _sum_in_order(values: np.ndarray) -> np.ndarray:
@@ -256,12 +260,8 @@ def p_matrix_bound(s) -> SlackReport:
     its top eigenvalue is at most sum(s) + max(s).
     """
     sv = as_vector(s, "s", lambda k: k >= 1, "a nonempty vector")
-    k = sv.size
-    p = np.zeros((k + 1, k + 1))
-    p[0, 0] = np.sum(sv)
-    p[np.arange(1, k + 1), np.arange(1, k + 1)] = sv
-    p[0, 1:] = -sv
-    p[1:, 0] = -sv
+    p = np.diag(np.concatenate([[np.sum(sv)], sv]))
+    p[0, 1:] = p[1:, 0] = -sv
     lhs = float(eigh_descending(in_float_range(p, "arrowhead matrix"))[0][0])
     rhs = float(np.sum(sv) + np.max(sv))
     return SlackReport("arrowhead-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -1,10 +1,10 @@
 """Dense small-matrix primitives: Frobenius geometry, commutators,
 symmetric eigendecomposition, SVD, and the symmetric vectorization map.
 
-Everything operates on plain float64 numpy arrays.  Inputs are validated
-(finite entries, square shape, symmetry where required) and rejected with
-:class:`InputRejected`, except by the unchecked commutator and eigen kernels;
-convergence failures surface as :class:`NumericalFailure`.
+Everything operates on plain float64 arrays, made from outside input by
+`as_array` alone.  Inputs are validated (numeric, finite, square, symmetric
+where required) and rejected with :class:`InputRejected`, except by the
+unchecked commutator and eigen kernels; a solver failure is a NumericalFailure.
 """
 
 from __future__ import annotations
@@ -23,9 +23,17 @@ SYMMETRY_TOL = 1e-12
 DIM_CAP = 12
 
 
+def as_array(a, name: str) -> np.ndarray:
+    """`a` as a float64 array; a ragged or non-numeric `a` is refused."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputRejected(f"{name} is not a numeric array: {exc}") from exc
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a square float64 array with finite entries."""
-    m = np.asarray(a, dtype=float)
+    m = as_array(a, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputRejected(f"{name}: expected a square 2-D array, got shape {m.shape}")
     if m.shape[0] < 1:
@@ -46,7 +54,7 @@ def in_float_range(a: np.ndarray, name: str) -> np.ndarray:
 
 def as_vector(v, name: str, fits, shape: str, nonnegative: bool = True) -> np.ndarray:
     """Finite (and by default nonnegative) vector whose size passes `fits`."""
-    out = np.asarray(v, dtype=float)
+    out = as_array(v, name)
     if out.ndim != 1 or not fits(out.size):
         raise InputRejected(f"{name} must be {shape}")
     if not np.all(np.isfinite(out)):
@@ -149,9 +157,9 @@ def is_orthogonal(p: np.ndarray) -> bool:
 
 def eigh_descending(a: np.ndarray) -> tuple:
     """Eigenvalues, descending, and unit eigenvectors (vectors[..., :, k] pairs
-    with values[..., k]) of 0.5 * (a + a^T) over (..., n, n) stacks; unchecked."""
+    with values[..., k]) of 0.5 a + 0.5 a^T, finite for finite a, over stacks; unchecked."""
     try:
-        w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+        w, v = np.linalg.eigh(0.5 * a + 0.5 * np.swapaxes(a, -1, -2))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return w[..., ::-1], v[..., ::-1]
@@ -195,6 +203,5 @@ def vectorize_sym(a) -> np.ndarray:
     norm of the output equals half the squared Frobenius norm of `a`.
     """
     m = as_symmetric(a, "a")
-    n = m.shape[0]
-    iu, ju = pair_indices(n)
+    iu, ju = pair_indices(m.shape[0])
     return np.concatenate([m[iu, ju], np.diag(m) / np.sqrt(2.0)])

@@ -29,7 +29,7 @@ import numpy as np
 from .curvature import SecondFundamentalForm
 from .ddvv import CanonicalForm, SymmetricTuple
 from .errors import InputRejected
-from .linalg import DIM_CAP
+from .linalg import DIM_CAP, as_array
 
 
 def _format_float(v: float) -> str:
@@ -148,10 +148,7 @@ def matrix_json(a: np.ndarray) -> dict:
 def parse_matrix_json(obj) -> np.ndarray:
     _require(obj, "matrix", ("n", "entries"))
     n = obj["n"]
-    try:
-        entries = np.asarray(obj["entries"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputRejected(f"field 'entries' is not a numeric array: {exc}") from exc
+    entries = as_array(obj["entries"], "field 'entries'")
     if entries.shape != (n, n):
         raise InputRejected(f"field 'entries' has shape {entries.shape}, expected ({n}, {n})")
     return entries
@@ -249,10 +246,7 @@ def parse_sff_json(obj) -> SecondFundamentalForm:
         raise InputRejected(f"field 'c' must be a number, got {c!r}")
     if not abs(c) <= sys.float_info.max:  # NaN, inf, or an int past the float range
         raise InputRejected("field 'c' must be finite and within the float range")
-    try:
-        arr = np.asarray(obj["h"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputRejected(f"field 'h' is not a numeric array: {exc}") from exc
+    arr = as_array(obj["h"], "field 'h'")
     if arr.ndim != 3:
         raise InputRejected(f"field 'h' must have axes (alpha, i, j), got shape {arr.shape}")
     form = SecondFundamentalForm.from_array(arr, c=float(c))

@@ -671,6 +671,16 @@ class TestRefusals:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestHelp:
+    def test_models_output_is_a_required_prefix(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["models", "-h"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--output OUTPUT file for the JSON document (default: stdout); for models, "
+                "the required prefix of OUTPUT_h.json and OUTPUT_tuple.json") in text
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert cli._parser() is cli._parser()

@@ -8,6 +8,7 @@ from ineqlab.curvature import (
     SecondFundamentalForm,
     clifford_model,
     curvature_report,
+    finite_c,
     fundamental_report,
     mean_curvature_sq,
     traceless,
@@ -23,6 +24,20 @@ from ineqlab.seeded import RandomStream, sub_seed
 def random_form(stream, n, m, c):
     h = np.stack([stream.symmetric_matrix(n) for _ in range(m)])
     return SecondFundamentalForm.from_array(h, c=c)
+
+
+class TestAmbientCurvature:
+    @pytest.mark.parametrize("c", ["x", "1.5", None, [1.0], 1j], ids=repr)
+    def test_non_number_is_refused(self, c):
+        with pytest.raises(InputRejected, match="^ambient curvature c must be finite$"):
+            finite_c(c)
+        with pytest.raises(InputRejected, match="^ambient curvature c must be finite$"):
+            SecondFundamentalForm.from_array(np.zeros((1, 2, 2)), c=c)
+
+    @pytest.mark.parametrize("c", [1, -0.0, np.float32(0.5), np.int64(-3), 1e308])
+    def test_real_number_is_its_float(self, c):
+        out = finite_c(c)
+        assert type(out) is float and out == float(c)
 
 
 class TestMeanCurvature:

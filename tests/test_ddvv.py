@@ -5,6 +5,7 @@ import pytest
 from conftest import offdiag2
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ineqlab import ddvv
 from ineqlab.copositive import copositive_property_k
 from ineqlab.ddvv import (
     SymmetricTuple,
@@ -213,6 +214,14 @@ class TestCanonicalReduce:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises((InputRejected, NumericalFailure)):
                 canonical_reduce(t)
+
+    def test_replay_mismatch_is_numerical_failure(self, monkeypatch):
+        # the audit replays (p, q) on the original tuple; a replay that
+        # returns the tuple unchanged cannot match its diagonalized leader
+        t = SymmetricTuple.from_matrices([[[2.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 3.0]]])
+        monkeypatch.setattr(ddvv, "group_act", lambda t, p, q: t)
+        with pytest.raises(NumericalFailure, match=r"^\(p, q\) does not reproduce reduced member 1$"):
+            canonical_reduce(t)
 
     def test_random_postconditions(self):
         for k in range(200):

@@ -167,6 +167,24 @@ class TestEighDescending:
         with pytest.raises(NumericalFailure, match="did not converge: stub"):
             eigh_descending(np.eye(2))
 
+    @pytest.mark.parametrize("a", [
+        np.array([[1e308, 1.5e308], [0.5e308, -1e308]]),
+        np.array([[[1e308, -0.7e308], [-0.7e308, 1e308]], [[2.0, 0.0], [0.0, 1.0]]]),
+    ], ids=["asymmetric", "stack"])
+    def test_entries_past_half_dbl_max(self, a):
+        # symmetrized as 0.5 a + 0.5 a^T, so a finite a has a finite
+        # symmetric part and eigh sees no inf
+        values, vectors = eigh_descending(a)
+        w, v = np.linalg.eigh(0.5 * a + 0.5 * np.swapaxes(a, -1, -2))
+        assert np.isfinite(values).all()
+        assert np.array_equal(values, w[..., ::-1])
+        assert np.array_equal(vectors, v[..., ::-1])
+
+    def test_huge_diagonal_matches_eigh(self):
+        values, vectors = eigh_descending(np.array([[1e308, 0.0], [0.0, 1.0]]))
+        assert values.tolist() == [1e308, 1.0]
+        assert np.array_equal(np.abs(vectors), np.eye(2))
+
 
 class TestPrescaledNorm:
     """The norm of a / 2^e from normalized, scaled back by ldexp(root, e)."""
@@ -253,6 +271,13 @@ class TestSvd:
             # singular values are the square roots of the spectrum of X^T X
             gram_vals = np.sort(np.linalg.eigvalsh(x.T @ x))[::-1]
             assert_allclose(lam ** 2, np.maximum(gram_vals, 0.0), atol=1e-9 * scale ** 2)
+
+    def test_nonconvergence_is_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("stub")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalFailure, match="^svd did not converge: stub$"):
+            svd(np.eye(2))
 
 
 class TestVectorizeSym:
