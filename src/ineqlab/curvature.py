@@ -9,7 +9,6 @@ no covariant derivatives enter.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,13 @@ from .report import tolerance
 
 
 def finite_c(c) -> float:
-    """Ambient curvature c as a float, refused unless a finite real number."""
-    if not isinstance(c, numbers.Real) or not np.isfinite(float(c)):
-        raise InputRejected("ambient curvature c must be finite")
-    return float(c)
+    """Ambient curvature c as a float, refused unless a finite number."""
+    try:
+        if np.isfinite(c):
+            return float(c)
+    except (TypeError, ValueError):  # not a number, or more than one
+        pass
+    raise InputRejected("ambient curvature c must be finite")
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,8 @@ def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
     values = eigh_descending(s)[0]
     sigma_sq = float(np.trace(s))
     pinch = sigma_sq + (float(values[1]) if form.m >= 2 else 0.0)
+    if not np.isfinite(pinch):  # a verdict against an infinite tolerance says nothing
+        raise InputRejected("||sigma||^2 + lambda_2 is out of the float range")
     return FundamentalReport(
         s=s,
         eigenvalues=values,

@@ -260,8 +260,12 @@ def p_matrix_bound(s) -> SlackReport:
     its top eigenvalue is at most sum(s) + max(s).
     """
     sv = as_vector(s, "s", lambda k: k >= 1, "a nonempty vector")
-    p = np.diag(np.concatenate([[np.sum(sv)], sv]))
-    p[0, 1:] = p[1:, 0] = -sv
+    k = sv.size
+    p = np.zeros((k + 1, k + 1))
+    p[0, 0] = np.sum(sv)
+    p[np.arange(1, k + 1), np.arange(1, k + 1)] = sv
+    p[0, 1:] = -sv
+    p[1:, 0] = -sv
     lhs = float(eigh_descending(in_float_range(p, "arrowhead matrix"))[0][0])
     rhs = float(np.sum(sv) + np.max(sv))
     return SlackReport("arrowhead-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)

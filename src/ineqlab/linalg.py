@@ -203,5 +203,6 @@ def vectorize_sym(a) -> np.ndarray:
     norm of the output equals half the squared Frobenius norm of `a`.
     """
     m = as_symmetric(a, "a")
-    iu, ju = pair_indices(m.shape[0])
+    n = m.shape[0]
+    iu, ju = pair_indices(n)
     return np.concatenate([m[iu, ju], np.diag(m) / np.sqrt(2.0)])

@@ -27,14 +27,16 @@ def random_form(stream, n, m, c):
 
 
 class TestAmbientCurvature:
-    @pytest.mark.parametrize("c", ["x", "1.5", None, [1.0], 1j], ids=repr)
+    @pytest.mark.parametrize("c", ["x", "1.5", None, [1.0], [1.0, 2.0], 1j], ids=repr)
     def test_non_number_is_refused(self, c):
         with pytest.raises(InputRejected, match="^ambient curvature c must be finite$"):
             finite_c(c)
         with pytest.raises(InputRejected, match="^ambient curvature c must be finite$"):
             SecondFundamentalForm.from_array(np.zeros((1, 2, 2)), c=c)
 
-    @pytest.mark.parametrize("c", [1, -0.0, np.float32(0.5), np.int64(-3), 1e308])
+    @pytest.mark.parametrize(
+        "c", [1, -0.0, np.float32(0.5), np.int64(-3), 1e308, np.array(1.0), np.True_], ids=repr
+    )
     def test_real_number_is_its_float(self, c):
         out = finite_c(c)
         assert type(out) is float and out == float(c)
@@ -197,6 +199,20 @@ class TestFundamentalReport:
         h = np.array([[[1e200, 0.0], [0.0, 1e200]], [[0.0, 1e200], [1e200, 0.0]]])
         form = SecondFundamentalForm.from_array(h, c=1.0)
         with pytest.raises(InputRejected, match="Gram matrix: entries out of the float range"):
+            fundamental_report(form)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scales, slices", [
+        ((0.9e154, 0.9e154), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),  # ||sigma||^2 past DBL_MAX
+        ((5.9e153,) * 3, [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]]),
+        ((6.3e153, 6.3e153), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),  # only + lambda_2 overflows
+    ], ids=["pair-0.9e154", "triple-7e307", "pair-lambda2"])
+    def test_pinch_past_the_float_range_rejected(self, scales, slices):
+        # finite Gram entries, but an infinite pinch once read as within the boundary
+        h = np.array(scales)[:, None, None] * np.array(slices, dtype=float)
+        form = SecondFundamentalForm.from_array(h, c=1.0)
+        assert np.isfinite(form.to_tuple().gram()).all()
+        with pytest.raises(InputRejected, match=r"^\|\|sigma\|\|\^2 \+ lambda_2 is out of the float range$"):
             fundamental_report(form)
 
     def test_second_eigenvalue_bound_and_psd(self):
