@@ -25,7 +25,6 @@ from .linalg import (
     eigh_descending,
     eigvalsh,
     frobenius_norm,
-    in_float_range,
     norm_sq,
     normalized,
     svd,
@@ -213,7 +212,7 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
     corner = np.sum(bm[0, 1:] ** 2) + np.sum(cm[1:, 0] ** 2) + cm[0, 0] * cm[0, 0]
     p = np.diag(np.concatenate([[corner], bm[1:, 0] ** 2 + cm[0, 1:] ** 2]))
     p[0, 1:] = p[1:, 0] = -(bm[0, 1:] * cm[0, 1:] + bm[1:, 0] * cm[1:, 0])
-    lhs = float(eigh_descending(in_float_range(p, "case matrix"))[0][0])
+    lhs = float(eigh_descending(p)[0][0])
     rhs = p[0, 0] + float(np.sum(bm[1:, 0] ** 2) + np.sum(cm[0, 1:] ** 2))
     return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 

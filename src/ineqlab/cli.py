@@ -3,9 +3,10 @@
 Subcommands: ddvv-verify, bw-verify, bw-search, reduce, copositive,
 curvature, models, spectrum.  Each handler returns one JSON document and
 its exit code: 0 all checks pass, 1 violation found, 2 input/config
-error; main exits 3 on a numerical failure.  The document is
-byte-identical across runs with the same arguments; a campaign's wall
-time goes to stderr instead.
+error (an overflow's inf or NaN that report.tolerance refuses included);
+main exits 3 on a numerical failure.  The document is byte-identical
+across runs with the same arguments; a campaign's wall time goes to
+stderr instead.
 
 A command line of the canonical form, the subcommand then `--option value`
 pairs with each option the subcommand's own, spelled in full, and no value
@@ -183,7 +184,9 @@ def cmd_curvature(args) -> tuple:
     rep = curvature_report(form)
     doc = {**_header(args, n=form.n, m=form.m, c=form.c), "curvature": rep,
            "fundamental": fundamental_report(form)}
-    return doc, 0 if rep.geometric_slack >= -tolerance(abs(rep.mean_curv_sq) + abs(form.c)) else 1
+    tol = tolerance(rep.mean_curv_sq + rep.rho_perp)
+    tolerance(rep.geometric_slack)  # as in a SlackReport, an inf or NaN slack is refused
+    return doc, 0 if rep.geometric_slack >= -tol else 1
 
 
 def cmd_models(args) -> tuple:
@@ -206,9 +209,10 @@ def cmd_spectrum(args) -> tuple:
 
 
 def _write_json(path: str, doc) -> None:
-    """Write `doc` to `path` as one line of canonical JSON."""
+    """Write `doc` to `path` as one line of canonical JSON, serialized before the file opens."""
+    text = dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc) + "\n")
+        fh.write(text)
 
 
 def _text_lines(path: str, value):
@@ -317,15 +321,12 @@ def main(argv=None) -> int:
     if args is None:
         args = _parser().parse_args(argv)
     try:
-        with np.errstate(over="raise"):  # an overflow is a refusal, never a warning
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN meet report.tolerance
             doc, code = _COMMANDS[args.command][0](args)
             _emit(args, doc, code)
         return code
-    except (InputRejected, OSError, UnicodeDecodeError) as exc:
+    except (InputRejected, OSError, OverflowError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OverflowError, FloatingPointError) as exc:
-        sys.stderr.write(f"error: input out of the float range: {exc}\n")
         return 2
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

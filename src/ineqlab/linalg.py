@@ -4,7 +4,8 @@ symmetric eigendecomposition, SVD, and the symmetric vectorization map.
 Everything operates on plain float64 arrays, made from outside input by
 `as_array` alone.  Inputs are validated (numeric, finite, square, symmetric
 where required) and rejected with :class:`InputRejected`, except by the
-unchecked commutator and eigen kernels; a solver failure is a NumericalFailure.
+unchecked commutator and eigen kernels, which let an overflow's inf or NaN
+through to report.tolerance; a solver failure is a NumericalFailure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import numpy as np
 
 from .errors import InputRejected, NumericalFailure
+from .report import tolerance
 
 # Relative tolerance for "is symmetric" input validation.
 SYMMETRY_TOL = 1e-12
@@ -41,15 +43,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InputRejected(f"{name}: entries must be finite (no NaN/Inf)")
     return m
-
-
-def in_float_range(a: np.ndarray, name: str) -> np.ndarray:
-    """`a`, a matrix the program derived from validated input, refused if
-    forming it overflowed (an inf, or a NaN from inf - inf), so that no
-    solver sees it."""
-    if not np.isfinite(a).all():
-        raise InputRejected(f"{name}: entries out of the float range")
-    return a
 
 
 def as_vector(v, name: str, fits, shape: str, nonnegative: bool = True) -> np.ndarray:
@@ -161,6 +154,7 @@ def eigh_descending(a: np.ndarray) -> tuple:
     try:
         w, v = np.linalg.eigh(0.5 * a + 0.5 * np.swapaxes(a, -1, -2))
     except np.linalg.LinAlgError as exc:
+        tolerance(a)  # out of the float range: an input error, not a solver failure
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return w[..., ::-1], v[..., ::-1]
 

@@ -1,16 +1,24 @@
 """Uniform verification output, and the lab's one verdict rule: a check holds
-when its slack is >= -tol, tol a fixed override or else TOL_COEFF * (1 + |scale|)."""
+when its slack is >= -tol, tol a fixed override or else TOL_COEFF * (1 + |scale|).
+It is also the float-range rule: a verdict on an inf or NaN scale or slack is refused."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from .errors import InputRejected
+
 TOL_COEFF = 1e-9
 
 
 def tolerance(scale, fixed: Optional[float] = None):
-    """`fixed` if given, else the relative tolerance of `scale` (elementwise)."""
+    """`fixed` if given, else the relative tolerance of `scale` (elementwise);
+    refused unless `scale` is all finite."""
+    if not np.isfinite(scale).all():
+        raise InputRejected("input out of the float range")
     return fixed if fixed is not None else TOL_COEFF * (1.0 + abs(scale))
 
 
@@ -31,4 +39,5 @@ class SlackReport:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", tolerance(self.lhs, self.tol))
+        tolerance(self.slack)  # a finite slack means both sides are finite
         object.__setattr__(self, "holds", bool(self.slack >= -self.tol))

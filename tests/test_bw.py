@@ -284,7 +284,7 @@ class TestCaseMatrixBound:
     def test_case_matrix_past_the_float_range_rejected(self):
         # with warnings ignored, the overflowing case matrix once gave lhs nan
         b = np.array([[0.0, 1e200], [1e200, 1.0]])
-        with pytest.raises(InputRejected, match="case matrix: entries out of the float range"):
+        with pytest.raises(InputRejected, match="input out of the float range"):
             bw_case_matrix_bound(b, b)
 
     def test_unconstrained_campaign(self):

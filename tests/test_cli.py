@@ -1,16 +1,19 @@
 import argparse
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ineqlab import bw, campaigns, cli, copositive, curvature, ddvv, linalg
 from ineqlab.cli import build_parser, main
 from ineqlab.ddvv import extremal_case_a, extremal_case_b
 from ineqlab.serialize import dumps, matrix_json, pair_json, sff_json, tuple_json
 from ineqlab.curvature import SecondFundamentalForm
+from ineqlab.seeded import RandomStream
 
 DATA = Path(__file__).parent / "data"
 
@@ -339,6 +342,25 @@ class TestCurvature:
         path = write(tmp_path, "h.json", '{"n": 2, "m": 1, "c": %s, "h": [[[1, 0], [0, 1]]]}' % c)
         assert main(["curvature", "--input", path]) == 2
         assert "field 'c' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 12), m=st.integers(1, 12))
+    def test_slack_and_verdict_free_of_c(self, seed, n, m):
+        # |H|^2 + c - rho - rho_perp is formed with c cancelled; h2 + c - (c + x)
+        # once lost the slack's low bits to a large c, and its sign at 1e300
+        form = SecondFundamentalForm.from_array(RandomStream(seed).symmetric_tuple(n, m), c=0.0)
+        seen = set()
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "h.json", Path(tmp) / "out.json"
+            path.write_text(dumps(sff_json(form)))
+            for c in ("-1", "0", "0.1", "1e16", str(2**53), "1e300"):
+                code = main(["curvature", "--input", str(path), "--c", c, "--output", str(out),
+                             "--format", "json"])
+                doc = json.loads(out.read_text(), parse_float=str, parse_int=str)
+                seen.add((code, doc["curvature"]["geometric_slack"]))  # 17g text: the bits
+        assert len(seen) == 1, seen
 
     def test_large_integer_c_accepted(self, capsys, tmp_path):
         path = write(tmp_path, "h.json",

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ineqlab
@@ -116,7 +117,7 @@ def test_unreadable_file_is_an_input_error(tmp_path, command, name):
 class TestOverflow:
     """Sides that overflow the float range are an input error (exit 2)."""
 
-    OVERFLOW = "error: input out of the float range: overflow encountered in multiply\n"
+    OVERFLOW = "error: input out of the float range\n"
 
     def write_tuple(self, tmp_path, v):
         path = tmp_path / "t.json"
@@ -150,6 +151,36 @@ class TestOverflow:
             path = self.write_tuple(tmp_path, v)
         proc = run_apart(["-W", "error"], [command, "--input", path])
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", self.OVERFLOW)
+
+    @pytest.mark.parametrize("command, doc", [
+        ("ddvv-verify", {"n": 2, "m": 1, "matrices": [{"n": 2, "entries": [[10**400, 0], [0, 1]]}]}),
+        ("spectrum", {"n": 2, "entries": [[10**400, 0], [0, 1]]}),
+        ("curvature", {"n": 2, "m": 1, "c": 1, "h": [[[10**400, 0], [0, 1]]]}),
+    ], ids=["tuple", "matrix", "h"])
+    def test_int_past_the_float_range_in_a_file(self, tmp_path, command, doc):
+        # JSON reads 10^400 as an exact int, which no float holds
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        proc = run_apart(["-W", "error"], [command, "--input", str(path)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: int too large to convert to float\n"
+
+    @pytest.mark.parametrize("n, slices, err", [
+        (2, [[[1e100, 0.0], [0.0, -1e100]], [[0.0, 1e100], [1e100, 0.0]]], OVERFLOW),
+        (12, [(1e307 ** 0.5 * np.eye(12)).tolist()], OVERFLOW),  # slack -inf
+        (3, [np.diag([0.6e308 ** 0.5, -0.6e308 ** 0.5, 0.0]).tolist()],
+         "error: cannot serialize non-finite number\n"),
+    ], ids=["slices-1e100", "umbilic-rho-inf", "shape-slack-inf"])
+    def test_curvature_refusal_leaves_no_output_file(self, tmp_path, n, slices, err):
+        # refused by the verdict rule before the document is made; the shape
+        # slack, which no verdict reads, by the writer before it opens the file
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": n, "m": len(slices), "c": 1.0, "h": slices}))
+        out = tmp_path / "F.json"
+        proc = run_apart(["-W", "error"], ["curvature", "--input", str(path),
+                                           "--output", str(out), "--format", "json"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+        assert not out.exists()
 
     def test_curvature_of_1e300_in_a_subprocess(self, tmp_path):
         # the CLI run apart, with the default warning filters a user has

@@ -324,7 +324,7 @@ class TestArrowheadBound:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_corner_past_the_float_range_rejected(self):
         # sum(s) overflows; the solver once failed on the inf corner
-        with pytest.raises(InputRejected, match="arrowhead matrix: entries out of the float range"):
+        with pytest.raises(InputRejected, match="input out of the float range"):
             p_matrix_bound([1e308, 1e308])
 
     def test_random_weights(self):
