@@ -12,6 +12,7 @@ lockstep over one stack, each bit for bit its standalone search.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,15 @@ def unit_stack(a: np.ndarray) -> np.ndarray:
     return a / np.sqrt(np.sum(a * a, axis=(-2, -1), keepdims=True))
 
 
+@functools.lru_cache(maxsize=DIM_CAP)
+def basis_matrices(n: int) -> np.ndarray:
+    """Read-only (n^2, n, n) stack of the standard basis matrices E_ij in
+    row-major order, np.eye(n * n).reshape(-1, n, n), built once per n."""
+    basis = np.eye(n * n).reshape(-1, n, n)
+    basis.setflags(write=False)
+    return basis
+
+
 def t_matrices(xu: np.ndarray) -> np.ndarray:
     """T operator matrices of unit generators over the leading axes of xu.
 
@@ -74,7 +84,7 @@ def t_matrices(xu: np.ndarray) -> np.ndarray:
     """
     n = xu.shape[-1]
     x = xu[..., None, :, :]
-    images = commutator(np.swapaxes(x, -1, -2), commutator(x, np.eye(n * n).reshape(-1, n, n)))
+    images = commutator(np.swapaxes(x, -1, -2), commutator(x, basis_matrices(n)))
     return np.swapaxes(images.reshape(xu.shape[:-2] + (n * n, n * n)), -1, -2)
 
 
@@ -109,25 +119,26 @@ def spectral_report(values: np.ndarray) -> SlackReport:
 
 
 def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
-    """||[X, Y]||^2 and ||X||^2 ||Y||^2 over leading axes, unchecked.
+    """||[X, Y]||^2, ||X||^2 ||Y||^2 and tolerance(lhs) over leading axes, unchecked.
 
     Asserts the weaker constant-3 bound as a sanity layer; a failure names
     the trial seed when `seeds` (one per leading index) are given.
     """
     lhs, xx, yy = (np.sum(a * a, axis=(-2, -1)) for a in (commutator(x, y), x, y))
     scale = xx * yy
-    bad = np.flatnonzero(lhs > 3.0 * scale + tolerance(lhs))
+    tol = tolerance(lhs)
+    bad = np.flatnonzero(lhs > 3.0 * scale + tol)
     if bad.size:
         k = bad[0]
         where = "" if seeds is None else f"trial seed {seeds.flat[k]}: "
         raise NumericalFailure(f"{where}constant-3 sanity bound violated: "
                                f"{lhs.flat[k]} > 3 * {scale.flat[k]}")
-    return lhs, scale
+    return lhs, scale, tol
 
 
 def bw_slack(x, y) -> SlackReport:
     """Direct form: ||[X, Y]||^2 <= 2 ||X||^2 ||Y||^2."""
-    lhs, scale = map(float, bw_sides(*as_pair(x, y, "x", "y")))
+    lhs, scale, _ = map(float, bw_sides(*as_pair(x, y, "x", "y")))
     rhs = 2.0 * scale
     return SlackReport("bottcher-wenzel", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 

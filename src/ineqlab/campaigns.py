@@ -27,15 +27,9 @@ import numpy as np
 from .bw import bw_sides, maximize_ratios, t_matrices, unit_stack
 from .ddvv import ddvv_sides
 from .errors import InputRejected
-from .linalg import DIM_CAP, eigvalsh
+from .linalg import CHUNK_ELEMENTS, DIM_CAP, eigvalsh
 from .report import tolerance
 from .seeded import RandomStream, sub_seeds
-
-# Element budget of one chunk, counting a DDVV trial as m * m * n * n (its
-# pairwise commutator stacks hold about half that each).  Chunks this small
-# keep the kernel's arrays near cache size: 2^18 ran 1.2-1.4x slower per
-# trial at n, m in 3..12 on a 2-vCPU Xeon VM.
-CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,6 +102,8 @@ class BwCampaignSummary:
 # 9.3e-12 at N = n^2 = 144 (Higham, Accuracy and Stability of Numerical
 # Algorithms, Thm 10.5), so every eigenvalue of T is below mu + 9.3e-12;
 # eigvalsh's own error is about N u ||T||_2 = 6.4e-14.  1e-9 is ~100x both.
+# mu I - T is formed as -T plus mu on the diagonal: the same numbers but for
+# the sign of a zero, which no pivot of the Cholesky depends on.
 SCREEN_MARGIN = 1e-9
 
 
@@ -116,8 +112,10 @@ def _certified_below(tms: np.ndarray, mu: float) -> bool:
     for every T matrix of the stack."""
     if not mu > 0.0:
         return False
+    shifted = -tms
+    np.einsum("...ii->...i", shifted)[...] += mu
     try:
-        np.linalg.cholesky(mu * np.eye(tms.shape[-1]) - tms)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -142,8 +140,9 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
-        lhs, scale = bw_sides(xs, ys, seeds)
-        pair_track.update(2.0 * scale - lhs, tolerance(lhs, tol_override), seeds)
+        lhs, scale, tol = bw_sides(xs, ys, seeds)
+        pair_track.update(2.0 * scale - lhs, tol if tol_override is None else tol_override,
+                          seeds)
         tms = t_matrices(unit_stack(xs))
         if not _certified_below(tms, min(2.0 - spec_track.min_slack, ceiling) - SCREEN_MARGIN):
             top = eigvalsh(tms)[:, -1]

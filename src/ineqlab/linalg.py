@@ -11,6 +11,7 @@ through to report.tolerance; a solver failure is a NumericalFailure.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -23,6 +24,19 @@ SYMMETRY_TOL = 1e-12
 # Largest matrix dimension n and tuple length m the campaigns, the T operator
 # and the tuple and h files accept: the work grows like n^4 or m^2 n^3.
 DIM_CAP = 12
+
+# Element budget of one campaign chunk, counting a DDVV trial as m * m * n * n.
+# Chunks this small keep the kernels' arrays near cache size: 2^18 ran
+# 1.2-1.4x slower per trial at n, m in 3..12 on a 2-vCPU Xeon VM.
+CHUNK_ELEMENTS = 1 << 16
+
+# Pair elements (pairs x n x n) that commutator_norms_sq forms at once.  Its
+# two gathered pair copies and two products then hold 64 KiB each, which the
+# heap reuses from one block to the next.  Larger arrays are fresh pages on
+# every chunk: one block per chunk took about 950 minor page faults per cycle
+# of the benchmark's ddvv_campaign ops, CHUNK_ELEMENTS // 4 about 580, and
+# this bound 1-3 (glibc, 2-vCPU VM).
+PAIR_BLOCK = CHUNK_ELEMENTS // 8
 
 
 def as_array(a, name: str) -> np.ndarray:
@@ -123,9 +137,16 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
     row-major pair order (0, 1), (0, 2), ..., (m-2, m-1) along the last axis.
 
     Unchecked: the stack must already be validated (finite, square).  Each
-    value equals norm_sq(commutator(A_r, A_s)) bit for bit.
+    value equals norm_sq(commutator(A_r, A_s)) bit for bit.  A stack with
+    leading axes is formed in blocks along its first axis, each of at most
+    PAIR_BLOCK pair elements (or one leading index), which change no bit.
     """
     r, s = pair_indices(stack.shape[-3])
+    per_index = r.size * math.prod(stack.shape[1:-3]) * stack.shape[-1] ** 2
+    step = max(1, PAIR_BLOCK // max(1, per_index))
+    if stack.ndim > 3 and len(stack) > step:
+        return np.concatenate([commutator_norms_sq(stack[k:k + step])
+                               for k in range(0, len(stack), step)])
     comm = commutator(stack[..., r, :, :], stack[..., s, :, :])
     comm *= comm
     return np.sum(comm, axis=(-2, -1))

@@ -113,6 +113,23 @@ class TestTOperator:
                 assert np.array_equal(tm, t_operator(x).matrix)
                 assert top == t_spectrum(x)[0]
 
+    def test_cached_basis_equals_fresh_identity(self):
+        # T built on the cached E_ij stack equals the build on a fresh
+        # np.eye(n * n), bit for bit, for one X and for a stack
+        for n in range(1, 13):
+            xs = RandomStream(sub_seeds(420 + n, 0, 3)).gaussian_matrix(n)
+            xs = xs / np.linalg.norm(xs, axis=(-2, -1), keepdims=True)
+            for xu in (xs[0], xs):
+                x = xu[..., None, :, :]
+                eye = np.eye(n * n).reshape(-1, n, n)
+                images = commutator(np.swapaxes(x, -1, -2), commutator(x, eye))
+                want = np.swapaxes(images.reshape(xu.shape[:-2] + (n * n, n * n)), -1, -2)
+                assert t_matrices(xu).tobytes() == want.tobytes()
+            basis = bw.basis_matrices(n)
+            assert basis is bw.basis_matrices(n) and not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0, 0] = 2.0
+
 
 class TestSpectralSlack:
     def test_sharp_generator(self):

@@ -23,7 +23,7 @@ from ineqlab.ddvv import (
     sigma_matrix,
 )
 from ineqlab.errors import InputRejected, NumericalFailure
-from ineqlab.linalg import commutator, norm_sq
+from ineqlab.linalg import PAIR_BLOCK, commutator, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -126,6 +126,18 @@ class TestCommutatorKernelExactness:
             t = SymmetricTuple.from_matrices([a / lead for a in red.matrices])
             ref = _pair_norms_in_order(t.matrices)[: m - 1]
             assert key_lemma_slack(t).lhs == _sum_in_order(ref)
+
+    def test_chunk_blocks_equal_single_tuples(self):
+        # a 40-trial campaign chunk forms its pair commutators in several
+        # blocks at (5, 6), (6, 6) and (12, 12), and in one at m = 1 (no pairs)
+        for n, m in [(5, 6), (6, 6), (12, 12)]:
+            assert 40 * (m * (m - 1) // 2) * n * n > PAIR_BLOCK
+        for k, (n, m) in enumerate(self.GRID):
+            stack = RandomStream(sub_seeds(94, 40 * k, 40 * k + 40)).symmetric_tuple(n, m)
+            lhs, rhs = ddvv_sides(stack)
+            for t, mats in enumerate(stack):
+                for one in (mats, mats[None]):
+                    assert ddvv_sides(one) == (lhs[t], rhs[t]), (n, m, t)
 
 
 class TestDdvvSides:
