@@ -12,9 +12,12 @@ which the stacked kernels evaluate with no per-trial loop and no validation:
 0.5 (g + g^T) is symmetric bit for bit and Box-Muller normals are finite.
 The chunk size follows from the fixed element budget CHUNK_ELEMENTS, so
 memory stays bounded at any trial count, and a chunk's draws equal the
-per-trial draws bit for bit, so chunking changes no result.  The ratio
-search runs a chunk's seeds in lockstep the same way, each search bit for
-bit the standalone one from its sub-seed.
+per-trial draws bit for bit, so chunking changes no result.  A BW campaign
+draws its pairs in chunks on 16 n^2 elements per trial and screens their
+T matrices in blocks on 4 n^4, first solving the first chunk's likely
+largest lambda_max (run_bw_campaign).  The ratio search runs a chunk's
+seeds in lockstep the same way, each search bit for bit the standalone one
+from its sub-seed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .bw import bw_sides, maximize_ratios, t_matrices, unit_stack
 from .ddvv import ddvv_sides
 from .errors import InputRejected
-from .linalg import CHUNK_ELEMENTS, DIM_CAP, eigvalsh
+from .linalg import CHUNK_ELEMENTS, DIM_CAP, commutator, eigvalsh
 from .report import tolerance
 from .seeded import RandomStream, sub_seeds
 
@@ -121,32 +124,73 @@ def _certified_below(tms: np.ndarray, mu: float) -> bool:
     return True
 
 
+# Power steps behind each first-chunk trial's lower bound of lambda_max(T).
+_POWER_STEPS = 5
+
+
+def _lead_bounds(xu: np.ndarray) -> np.ndarray:
+    """Lower bounds of lambda_max(T) over a stack of unit X, with no T built:
+    T = C^T C for C: z -> [X, z], so z's Rayleigh quotient is ||[X, z]||^2 /
+    ||z||^2, here for z = T^_POWER_STEPS X^T, and 0 where z vanishes (n = 1,
+    normal X).  They only pick the trial solved first and certify nothing."""
+    xt = np.swapaxes(xu, -1, -2)
+    z, w = xt, commutator(xu, xt)
+    for _ in range(_POWER_STEPS):
+        z = commutator(xt, w)
+        w = commutator(xu, z)
+    num, den = (np.sum(a * a, axis=(-2, -1)) for a in (w, z))
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
 def run_bw_campaign(seed: int, trials: int, n: int,
                     tol_override: Optional[float] = None) -> BwCampaignSummary:
     """Random-pair campaign checking both forms of the commutator bound.
 
-    A chunk's T spectra are solved only if a trial could change the spectral
-    summary: a Cholesky certifies first that every lambda_max of the chunk is
-    SCREEN_MARGIN below both the least slack's lambda_max so far and 2 + tolerance(0),
-    which no violation reaches: one needs lambda > 2 + t under a fixed tolerance t,
-    and lambda > 2 + 1e-9 (1 + lambda) > 2 + 1e-9 under the relative one.
+    Pairs are drawn, and their direct sides checked, in chunks on a 16 n^2
+    budget; each chunk's T matrices are built and screened in blocks on a
+    4 n^4 budget, every trial's T exactly once.  A block's T spectra are solved
+    only if a trial could change the spectral summary: a Cholesky certifies
+    first that every lambda_max of the block is SCREEN_MARGIN below both the
+    least slack's lambda_max so far and 2 + tolerance(0), which no violation
+    reaches: one needs lambda > 2 + t under a fixed tolerance t, and
+    lambda > 2 + 1e-9 (1 + lambda) > 2 + 1e-9 under the relative one.  The
+    first chunk's trial of greatest _lead_bounds, the lead, is solved before
+    any block and screens from the start; its top eigenvalue joins its block's
+    in trial order.  A wrong lead costs solves, never a bit of the summary.
     """
     _check_config(trials, n)
     pair_track = _Tracker()
     spec_track = _Tracker()
     ceiling = 2.0 + tolerance(0.0, tol_override)
-    # a trial's T build holds four n^4-element temporaries
-    for seeds in _chunks(seed, trials, 4 * n**4):
+    # a trial's T build holds four n^4-element temporaries; its draw, direct
+    # sides and lead bound a few n^2-element ones
+    block = max(1, CHUNK_ELEMENTS // (4 * n**4))
+    lead_top = None
+    for seeds in _chunks(seed, trials, 16 * n * n):
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
         lhs, scale, tol = bw_sides(xs, ys, seeds)
         pair_track.update(2.0 * scale - lhs, tol if tol_override is None else tol_override,
                           seeds)
-        tms = t_matrices(unit_stack(xs))
-        if not _certified_below(tms, min(2.0 - spec_track.min_slack, ceiling) - SCREEN_MARGIN):
-            top = eigvalsh(tms)[:, -1]
-            spec_track.update(2.0 - top, tolerance(top, tol_override), seeds)
+        xu = unit_stack(xs)
+        lead = -1
+        if lead_top is None:
+            lead = int(np.argmax(_lead_bounds(xu)))
+            lead_top = float(eigvalsh(t_matrices(xu[lead:lead + 1]))[0, -1])
+        for start in range(0, len(seeds), block):
+            rows = np.arange(start, min(start + block, len(seeds)))
+            others = rows != lead
+            tops = np.full(rows.size, lead_top)
+            if others.any():
+                tms = t_matrices(xu[rows[others]])
+                level = min(max(2.0 - spec_track.min_slack, lead_top), ceiling)
+                if _certified_below(tms, level - SCREEN_MARGIN):
+                    rows, tops = rows[~others], tops[~others]
+                else:
+                    tops[others] = eigvalsh(tms)[:, -1]
+            if rows.size:
+                spec_track.update(2.0 - tops, tolerance(tops, tol_override), seeds[rows])
     return BwCampaignSummary(pair_track.summary(trials), spec_track.summary(trials))
 
 

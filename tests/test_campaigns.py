@@ -111,11 +111,11 @@ class TestBwCampaign:
         (-1, 25, 2, 1e-12),
         (2**64 + 5, 1, 4, None),
         (0, 40, 1, None),
-        (2**63 + 12345, 3, 10, None),  # n = 10 and 12: one trial per chunk
+        (2**63 + 12345, 3, 10, None),  # n = 10 and 12: one trial per T block
         (-1, 3, 12, 1e-12),
         (9, 40, 2, -1.0),  # demands slack >= 1: some trials violate
-        (6, 30, 6, None),  # three chunks of 12 trials at the real budget
-        # chunks after the first are screened: 4 trials a chunk at n = 8, one at 11 and 12
+        (6, 30, 6, None),  # one chunk, three T blocks of 12 trials at the real budget
+        # chunks of several T blocks: 4 trials a block at n = 8, one at 11 and 12
         (5, 40, 8, None),
         (2**63 + 8, 30, 11, None),
         (-3, 40, 12, None),
@@ -136,9 +136,19 @@ class TestBwCampaign:
 
     def test_screen_solves_few_chunks(self, monkeypatch):
         calls = _record_solves(monkeypatch)
-        run_bw_campaign(1, 200, 12)  # 200 chunks of one trial
-        assert len(calls["solved"]) <= 10
-        assert calls["certified"] >= 1 and calls["refused"] >= 1
+        run_bw_campaign(1, 200, 12)  # 200 T blocks of one trial
+        assert len(calls["solved"]) <= 2
+        assert calls["certified"] >= 198
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_wrong_lead_changes_no_bit(self, monkeypatch, n):
+        # the trial of least bound leads: the screen refuses and solves more, same bits
+        bounds = campaigns._lead_bounds
+        monkeypatch.setattr(campaigns, "_lead_bounds", lambda xu: -bounds(xu))
+        calls = _record_solves(monkeypatch)
+        got = run_bw_campaign(31, 40, n)
+        assert calls["refused"] >= 1
+        assert (_fields(got.commutator), _fields(got.spectral)) == reference_bw(31, 40, n)
 
     @pytest.mark.parametrize("n,trials", [(6, 60), (8, 40), (10, 40)])
     def test_violating_trials_are_solved(self, monkeypatch, n, trials):
@@ -155,18 +165,63 @@ class TestBwCampaign:
 
     @pytest.mark.parametrize("step", [1e-7, -1e-7])
     def test_screen_margin(self, monkeypatch, step):
-        # every chunk (one trial at n = 12) gets the T of one fixed unit X scaled by
-        # 1 + step k: rising, each trial holds a new least slack about 6e-8 below the
-        # last and must be solved; falling, no trial after the first may be
+        # trial 0 leads, and every T build (one trial at n = 12) gets the T of one
+        # fixed unit X scaled by 1 + step k: rising, each trial holds a new least
+        # slack about 6e-8 below the last and must be solved; falling, no trial
+        # after the first may be
         x = RandomStream(sub_seed(5, 0)).gaussian_matrix(12)
         t0 = t_matrices(x[None] / frobenius_norm(x))
         built = []
         monkeypatch.setattr(campaigns, "t_matrices",
                             lambda xu: built.append(1) or t0 * (1.0 + step * len(built)))
+        monkeypatch.setattr(campaigns, "_lead_bounds", lambda xu: -np.arange(float(len(xu))))
         calls = _record_solves(monkeypatch)
         got = run_bw_campaign(5, 20, 12)
         assert len(calls["solved"]) == (20 if step > 0 else 1)
         assert got.spectral.argmin_seed == sub_seed(5, 19 if step > 0 else 0)
+
+    @pytest.mark.parametrize("elements,seed,trials,n,tol", [
+        (256, 4, 30, 2, None),  # chunks of 4 trials, one T block each
+        (2048, 8, 40, 3, None),  # chunks of 14 trials in T blocks of 6
+        (2048, 8, 40, 3, -1.0),
+        (4096, -2, 25, 4, 1e-12),  # chunks of 16 trials in T blocks of 4
+        (64, 11, 9, 1, None),  # n = 1: T = 0, four trials a chunk, every slack 2
+    ])
+    def test_several_chunks_and_blocks(self, monkeypatch, elements, seed, trials, n, tol):
+        monkeypatch.setattr(campaigns, "CHUNK_ELEMENTS", elements)
+        got = run_bw_campaign(seed, trials, n, tol_override=tol)
+        pair, spec = reference_bw(seed, trials, n, tol)
+        assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
+
+    @pytest.mark.parametrize("n,trials", [(2, 40), (6, 40), (8, 40)])
+    def test_violating_lead_counted_once(self, n, trials):
+        # tol = -1 makes lambda_max(T) > 1 a violation, which the lead's is
+        seeds = next(campaigns._chunks(23, trials, 16 * n * n))
+        xu = bw.unit_stack(RandomStream(seeds).gaussian_matrix(n))
+        lead = int(np.argmax(campaigns._lead_bounds(xu)))
+        assert bw_spectral_slack(xu[lead]).lhs > 1.0
+        got = run_bw_campaign(23, trials, n, tol_override=-1.0)
+        pair, spec = reference_bw(23, trials, n, -1.0)
+        assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
+
+    @pytest.mark.parametrize("elements,trials,n", [
+        (None, 1, 1), (None, 37, 3), (None, 10, 8), (None, 40, 12), (2048, 40, 3),
+    ])
+    def test_each_t_built_once(self, monkeypatch, elements, trials, n):
+        if elements is not None:
+            monkeypatch.setattr(campaigns, "CHUNK_ELEMENTS", elements)
+        rows = []
+        build = campaigns.t_matrices
+        monkeypatch.setattr(campaigns, "t_matrices", lambda xu: rows.append(len(xu)) or build(xu))
+        run_bw_campaign(17, trials, n)
+        assert sum(rows) == trials
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_lead_bounds_are_lower_bounds(self, n):
+        xu = bw.unit_stack(RandomStream(sub_seeds(29, 0, 20)).gaussian_matrix(n))
+        bounds = campaigns._lead_bounds(xu)
+        tops = np.linalg.eigvalsh(t_matrices(xu))[:, -1]
+        assert np.all(bounds >= 0.0) and np.all(bounds <= tops + 1e-12)
 
     def test_faulty_kernel_names_trial_seed(self, monkeypatch):
         # a commutator kernel off by a factor 2 breaks the constant-3 layer
