@@ -33,6 +33,10 @@ from .linalg import (
 from .report import SlackReport, tolerance
 from .seeded import RandomStream, sub_seeds
 
+__all__ = ["RatioSearchResult", "TOperator", "bw_case_matrix_bound", "bw_slack",
+           "bw_spectral_slack", "maximize_ratio", "partner_eigenvector",
+           "small_s1_check", "svd_reduction", "t_operator", "t_spectrum"]
+
 
 @dataclass(frozen=True)
 class TOperator:

@@ -2,9 +2,10 @@
 
 Trial k of a campaign with master seed `seed` draws everything from the
 sub-seed ``seed ^ k``, so summaries are reproducible bit-for-bit and the
-trials can be evaluated in any order.  A trial counts as a violation when
-its slack falls below -tol, where tol is the report's own relative
-tolerance unless a fixed override is given.
+trials can be evaluated in any order: a summary keeps the least slack of
+the lowest k, whatever order its batches arrive in.  A trial counts as a
+violation when its slack falls below -tol, where tol is the report's own
+relative tolerance unless a fixed override is given.
 
 Trials run in chunks of consecutive k: one RandomStream over the chunk's
 sub-seeds draws all of its inputs as one array with a leading trial axis,
@@ -15,9 +16,9 @@ memory stays bounded at any trial count, and a chunk's draws equal the
 per-trial draws bit for bit, so chunking changes no result.  A BW campaign
 draws its pairs in chunks on 16 n^2 elements per trial and screens their
 T matrices in blocks on 4 n^4, first solving the first chunk's likely
-largest lambda_max (run_bw_campaign).  The ratio search runs a chunk's
-seeds in lockstep the same way, each search bit for bit the standalone one
-from its sub-seed.
+largest lambda_max as a block of its own (run_bw_campaign).  The ratio
+search runs a chunk's seeds in lockstep the same way, each search bit for
+bit the standalone one from its sub-seed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .ddvv import ddvv_sides
 from .errors import InputRejected
 from .linalg import CHUNK_ELEMENTS, DIM_CAP, commutator, eigvalsh
 from .report import tolerance
-from .seeded import RandomStream, sub_seeds
+from .seeded import MASK64, RandomStream, sub_seeds
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,12 @@ class CampaignSummary:
 
 
 class _Tracker:
-    """Violation count and the first trial of least slack, merged chunk by chunk."""
+    """Violation count and the first trial of least slack.  Candidates compare as
+    (slack, k), k = sub-seed ^ seed the trial index, so batches may arrive in
+    any order; within a batch np.argmin already picks the lowest k."""
 
-    def __init__(self):
+    def __init__(self, seed: int):
+        self.seed = int(seed) & MASK64
         self.violations = 0
         self.min_slack = float("inf")
         self.argmin_seed = 0
@@ -54,7 +58,7 @@ class _Tracker:
     def update(self, slack: np.ndarray, tol, seeds: np.ndarray) -> None:
         self.violations += int(np.count_nonzero(slack < -tol))
         k = int(np.argmin(slack))
-        if slack[k] < self.min_slack:
+        if (slack[k], int(seeds[k]) ^ self.seed) < (self.min_slack, self.argmin_seed ^ self.seed):
             self.min_slack = float(slack[k])
             self.argmin_seed = int(seeds[k])
 
@@ -83,7 +87,7 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
                       tol_override: Optional[float] = None) -> CampaignSummary:
     """Random-tuple campaign for the DDVV inequality."""
     _check_config(trials, n, m)
-    track = _Tracker()
+    track = _Tracker(seed)
     for seeds in _chunks(seed, trials, m * m * n * n):
         stack = RandomStream(seeds).symmetric_tuple(n, m)
         lhs, rhs = ddvv_sides(stack)
@@ -154,19 +158,19 @@ def run_bw_campaign(seed: int, trials: int, n: int,
     least slack's lambda_max so far and 2 + tolerance(0), which no violation
     reaches: one needs lambda > 2 + t under a fixed tolerance t, and
     lambda > 2 + 1e-9 (1 + lambda) > 2 + 1e-9 under the relative one.  The
-    first chunk's trial of greatest _lead_bounds, the lead, is solved before
-    any block and screens from the start; its top eigenvalue joins its block's
-    in trial order.  A wrong lead costs solves, never a bit of the summary.
+    first chunk's trial of greatest _lead_bounds, the lead, leaves its block
+    for a block of its own, screened first; with nothing recorded yet the
+    level is -inf, so it is solved and recorded, and screens from the start.
+    A wrong lead costs solves, never a bit of the summary.
     """
     _check_config(trials, n)
-    pair_track = _Tracker()
-    spec_track = _Tracker()
+    pair_track = _Tracker(seed)
+    spec_track = _Tracker(seed)
     ceiling = 2.0 + tolerance(0.0, tol_override)
     # a trial's T build holds four n^4-element temporaries; its draw, direct
     # sides and lead bound a few n^2-element ones
     block = max(1, CHUNK_ELEMENTS // (4 * n**4))
-    lead_top = None
-    for seeds in _chunks(seed, trials, 16 * n * n):
+    for chunk, seeds in enumerate(_chunks(seed, trials, 16 * n * n)):
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
@@ -174,22 +178,16 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         pair_track.update(2.0 * scale - lhs, tol if tol_override is None else tol_override,
                           seeds)
         xu = unit_stack(xs)
-        lead = -1
-        if lead_top is None:
+        all_rows = np.arange(len(seeds))
+        blocks = [all_rows[start:start + block] for start in range(0, len(seeds), block)]
+        if chunk == 0:
             lead = int(np.argmax(_lead_bounds(xu)))
-            lead_top = float(eigvalsh(t_matrices(xu[lead:lead + 1]))[0, -1])
-        for start in range(0, len(seeds), block):
-            rows = np.arange(start, min(start + block, len(seeds)))
-            others = rows != lead
-            tops = np.full(rows.size, lead_top)
-            if others.any():
-                tms = t_matrices(xu[rows[others]])
-                level = min(max(2.0 - spec_track.min_slack, lead_top), ceiling)
-                if _certified_below(tms, level - SCREEN_MARGIN):
-                    rows, tops = rows[~others], tops[~others]
-                else:
-                    tops[others] = eigvalsh(tms)[:, -1]
-            if rows.size:
+            blocks = [all_rows[lead:lead + 1]] + [b[b != lead] for b in blocks]
+        for rows in filter(len, blocks):
+            tms = t_matrices(xu[rows])
+            level = min(2.0 - spec_track.min_slack, ceiling)
+            if not _certified_below(tms, level - SCREEN_MARGIN):
+                tops = eigvalsh(tms)[:, -1]
                 spec_track.update(2.0 - tops, tolerance(tops, tol_override), seeds[rows])
     return BwCampaignSummary(pair_track.summary(trials), spec_track.summary(trials))
 

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import InputRejected
 from .linalg import as_symmetric, eigh_descending, normalized
 
+__all__ = ["CopositivityVerdict", "copositive_oracle", "copositive_property_k"]
+
 PROPERTY_K_DIM_CAP = 16
 # eigenvector entries this close to zero carry no sign information
 SIGN_ZERO_TOL = 1e-10

@@ -18,6 +18,10 @@ from .errors import InputRejected
 from .linalg import DIM_CAP, as_vector, commutator_norms_sq, eigh_descending, pair_indices
 from .report import tolerance
 
+__all__ = ["CurvatureReport", "FundamentalReport", "SecondFundamentalForm",
+           "clifford_model", "curvature_report", "fundamental_report",
+           "mean_curvature_sq", "traceless", "veronese_immersion", "veronese_tuple"]
+
 
 def finite_c(c) -> float:
     """Ambient curvature c as a float, refused unless a finite number."""

@@ -29,6 +29,11 @@ from .linalg import (
 )
 from .report import SlackReport
 
+__all__ = ["CanonicalForm", "SymmetricTuple", "canonical_reduce", "ddvv_slack",
+           "extremal_case_a", "extremal_case_b", "group_act", "key_lemma_slack",
+           "lemma1_slack", "lili_slack", "p_matrix_bound", "sharp_pair_bound",
+           "sigma_matrix"]
+
 
 @dataclass(frozen=True)
 class SymmetricTuple:

@@ -1,5 +1,7 @@
 """Exception types shared across the laboratory."""
 
+__all__ = ["InputRejected", "NumericalFailure"]
+
 
 class InputRejected(ValueError):
     """An input violates a documented precondition (shape, symmetry, range...)."""

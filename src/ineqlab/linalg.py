@@ -18,6 +18,8 @@ import numpy as np
 from .errors import InputRejected, NumericalFailure
 from .report import tolerance
 
+__all__ = ["commutator", "frobenius_inner", "svd", "sym_eigen", "vectorize_sym"]
+
 # Relative tolerance for "is symmetric" input validation.
 SYMMETRY_TOL = 1e-12
 

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import InputRejected
 
+__all__ = ["SlackReport"]
+
 TOL_COEFF = 1e-9
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["RandomStream", "sub_seed"]
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

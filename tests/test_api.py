@@ -8,6 +8,7 @@ import types
 from pathlib import Path
 
 import ineqlab
+from ineqlab import bw, copositive, curvature, ddvv, errors, linalg, report, seeded
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -19,6 +20,34 @@ def test_all_lists_exactly_the_public_names():
     assert set(ineqlab.__all__) == public | {"__version__"}
     for name in ineqlab.__all__:
         getattr(ineqlab, name)
+
+
+EXPORTING = (bw, copositive, curvature, ddvv, errors, linalg, report, seeded)
+
+PUBLIC_NAMES = {
+    "CanonicalForm", "CopositivityVerdict", "CurvatureReport", "FundamentalReport",
+    "InputRejected", "NumericalFailure", "RandomStream", "RatioSearchResult",
+    "SecondFundamentalForm", "SlackReport", "SymmetricTuple", "TOperator",
+    "bw_case_matrix_bound", "bw_slack", "bw_spectral_slack", "canonical_reduce",
+    "clifford_model", "commutator", "copositive_oracle", "copositive_property_k",
+    "curvature_report", "ddvv_slack", "extremal_case_a", "extremal_case_b",
+    "frobenius_inner", "fundamental_report", "group_act", "key_lemma_slack",
+    "lemma1_slack", "lili_slack", "maximize_ratio", "mean_curvature_sq",
+    "p_matrix_bound", "partner_eigenvector", "sharp_pair_bound", "sigma_matrix",
+    "small_s1_check", "sub_seed", "svd", "svd_reduction", "sym_eigen", "t_operator",
+    "t_spectrum", "traceless", "vectorize_sym", "veronese_immersion", "veronese_tuple",
+    "__version__",
+}
+
+
+def test_each_public_name_declared_once_where_defined():
+    declared = [name for module in EXPORTING for name in module.__all__]
+    for module in EXPORTING:
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+    assert len(declared) == len(set(declared))  # no name in two modules' lists
+    assert ineqlab.__all__ == declared + ["__version__"]
+    assert set(ineqlab.__all__) == PUBLIC_NAMES
 
 
 def test_readme_library_sketch_runs():

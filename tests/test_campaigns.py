@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ineqlab import bw, campaigns
 from ineqlab.bw import bw_slack, bw_spectral_slack, t_matrices
@@ -129,7 +130,9 @@ class TestBwCampaign:
         assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
 
     def test_multi_chunk(self, monkeypatch):
-        monkeypatch.setattr(campaigns, "CHUNK_ELEMENTS", 64)  # 3 trials a chunk at n = 3
+        # 3 trials a chunk at n = 3 (16 n^2 elements a trial), in one-trial T blocks
+        monkeypatch.setattr(campaigns, "CHUNK_ELEMENTS", 3 * 16 * 3**2)
+        assert next(campaigns._chunks(12, 20, 16 * 9)).size == 3
         got = run_bw_campaign(12, 20, 3)
         pair, spec = reference_bw(12, 20, 3)
         assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
@@ -140,15 +143,27 @@ class TestBwCampaign:
         assert len(calls["solved"]) <= 2
         assert calls["certified"] >= 198
 
-    @pytest.mark.parametrize("n", [6, 8, 12])
-    def test_wrong_lead_changes_no_bit(self, monkeypatch, n):
-        # the trial of least bound leads: the screen refuses and solves more, same bits
+    @pytest.mark.parametrize("n,trials,lead", [
+        # the trial of least bound leads: the screen refuses and solves more
+        *(pytest.param(n, 40, None, id=str(n)) for n in (6, 8, 12)),
+        # a one-hot bound makes each trial of the (one) chunk the lead in turn: at
+        # n = 1 every spectral slack is exactly 2, so only the tie rule keeps trial
+        # 0; at n = 8 the lead leaves a block of 4, at n = 12 a block of one
+        *(pytest.param(n, trials, lead, id=f"{n}-{trials}-lead{lead}")
+          for n, trials in ((1, 10), (3, 10), (8, 40), (12, 10)) for lead in range(trials)),
+    ])
+    def test_wrong_lead_changes_no_bit(self, monkeypatch, n, trials, lead):
         bounds = campaigns._lead_bounds
-        monkeypatch.setattr(campaigns, "_lead_bounds", lambda xu: -bounds(xu))
+        monkeypatch.setattr(campaigns, "_lead_bounds", lambda xu: -bounds(xu) if lead is None
+                            else np.eye(len(xu))[lead])
         calls = _record_solves(monkeypatch)
-        got = run_bw_campaign(31, 40, n)
-        assert calls["refused"] >= 1
-        assert (_fields(got.commutator), _fields(got.spectral)) == reference_bw(31, 40, n)
+        rows = []
+        build = campaigns.t_matrices
+        monkeypatch.setattr(campaigns, "t_matrices", lambda xu: rows.append(len(xu)) or build(xu))
+        got = run_bw_campaign(31, trials, n)
+        assert calls["refused"] >= 1 or lead is not None
+        assert sum(rows) == trials
+        assert (_fields(got.commutator), _fields(got.spectral)) == reference_bw(31, trials, n)
 
     @pytest.mark.parametrize("n,trials", [(6, 60), (8, 40), (10, 40)])
     def test_violating_trials_are_solved(self, monkeypatch, n, trials):
@@ -317,7 +332,7 @@ class TestSearchCampaign:
 
 class TestTracker:
     def test_first_least_slack_wins_within_and_across_chunks(self):
-        track = campaigns._Tracker()
+        track = campaigns._Tracker(0)
         track.update(np.array([3.0, 1.0, 1.0]), 0.0, np.array([10, 11, 12], dtype=np.uint64))
         track.update(np.array([2.0, 1.0]), 0.0, np.array([13, 14], dtype=np.uint64))
         assert (track.min_slack, track.argmin_seed) == (1.0, 11)
@@ -325,6 +340,30 @@ class TestTracker:
         assert (track.violations, track.min_slack, track.argmin_seed) == (0, -0.5, 15)
         track.update(np.array([-2.0, -0.5]), 1.0, np.array([16, 17], dtype=np.uint64))
         assert track.violations == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batch_order_changes_nothing(self, data):
+        slack = data.draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.5]), min_size=2,
+                                   max_size=40))
+        # an exact tie at the least slack, between two trials
+        i, j = data.draw(st.lists(st.integers(0, len(slack) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        slack[i] = slack[j] = min(slack)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(slack) - 1))))
+        batches = list(zip([0, *cuts], [*cuts, len(slack)]))
+        seed = data.draw(st.integers(-2**64, 2**65))
+
+        def feed(order):
+            track = campaigns._Tracker(seed)
+            for start, stop in order:
+                track.update(np.array(slack[start:stop]), 0.5, sub_seeds(seed, start, stop))
+            return track.violations, track.min_slack, track.argmin_seed
+
+        least = min(slack)
+        first = (sum(x < -0.5 for x in slack), least, sub_seed(seed, slack.index(least)))
+        assert feed(batches) == first
+        assert feed(data.draw(st.permutations(batches))) == first
 
 
 class TestChunkValidation:
