@@ -2,10 +2,9 @@
 
 Trial k of a campaign with master seed `seed` draws everything from the
 sub-seed ``seed ^ k``, so summaries are reproducible bit-for-bit and the
-trials can be evaluated in any order: a summary keeps the least slack of
-the lowest k, whatever order its batches arrive in.  A trial counts as a
-violation when its slack falls below -tol, where tol is the report's own
-relative tolerance unless a fixed override is given.
+trials can be evaluated in any order: a CampaignSummary keeps the least
+slack of the lowest k, whatever order its batches arrive in.  A trial is a
+violation unless report.holds, under its scale's relative tolerance or a fixed override.
 
 Trials run in chunks of consecutive k: one RandomStream over the chunk's
 sub-seeds draws all of its inputs as one array with a leading trial axis,
@@ -23,7 +22,7 @@ bit the standalone one from its sub-seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,38 +31,32 @@ from .bw import bw_sides, maximize_ratios, t_matrices, unit_stack
 from .ddvv import ddvv_sides
 from .errors import InputRejected
 from .linalg import CHUNK_ELEMENTS, DIM_CAP, commutator, eigvalsh
-from .report import tolerance
+from .report import holds, tolerance
 from .seeded import MASK64, RandomStream, sub_seeds
 
 
-@dataclass(frozen=True)
+@dataclass
 class CampaignSummary:
-    trials_run: int
-    violations: int
-    min_slack: float
-    argmin_seed: int
+    """Trials run, violations and the first trial of least slack, filled by update:
+    candidates compare as (slack, k), k = sub-seed ^ seed the trial index, so batches may
+    arrive in any order (np.argmin picks a batch's lowest k).  `seed` and `fixed` are not fields."""
 
+    trials_run: int = 0
+    violations: int = 0
+    min_slack: float = float("inf")
+    argmin_seed: int = 0
+    seed: InitVar[int] = 0
+    fixed: InitVar[Optional[float]] = None
 
-class _Tracker:
-    """Violation count and the first trial of least slack.  Candidates compare as
-    (slack, k), k = sub-seed ^ seed the trial index, so batches may arrive in
-    any order; within a batch np.argmin already picks the lowest k."""
+    def __post_init__(self, seed: int, fixed: Optional[float]):
+        self._seed, self._fixed = int(seed) & MASK64, fixed
 
-    def __init__(self, seed: int):
-        self.seed = int(seed) & MASK64
-        self.violations = 0
-        self.min_slack = float("inf")
-        self.argmin_seed = 0
-
-    def update(self, slack: np.ndarray, tol, seeds: np.ndarray) -> None:
-        self.violations += int(np.count_nonzero(slack < -tol))
+    def update(self, slack: np.ndarray, scale: np.ndarray, seeds: np.ndarray) -> None:
+        self.violations += slack.size - int(np.count_nonzero(holds(slack, scale, self._fixed)))
         k = int(np.argmin(slack))
-        if (slack[k], int(seeds[k]) ^ self.seed) < (self.min_slack, self.argmin_seed ^ self.seed):
+        if (slack[k], int(seeds[k]) ^ self._seed) < (self.min_slack, self.argmin_seed ^ self._seed):
             self.min_slack = float(slack[k])
             self.argmin_seed = int(seeds[k])
-
-    def summary(self, trials: int) -> CampaignSummary:
-        return CampaignSummary(trials, self.violations, self.min_slack, self.argmin_seed)
 
 
 def _check_config(trials: int, n: int, m: Optional[int] = None) -> None:
@@ -87,12 +80,12 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
                       tol_override: Optional[float] = None) -> CampaignSummary:
     """Random-tuple campaign for the DDVV inequality."""
     _check_config(trials, n, m)
-    track = _Tracker(seed)
+    summary = CampaignSummary(trials, seed=seed, fixed=tol_override)
     for seeds in _chunks(seed, trials, m * m * n * n):
         stack = RandomStream(seeds).symmetric_tuple(n, m)
         lhs, rhs = ddvv_sides(stack)
-        track.update(lhs - rhs, tolerance(lhs, tol_override), seeds)
-    return track.summary(trials)
+        summary.update(lhs - rhs, lhs, seeds)
+    return summary
 
 
 @dataclass(frozen=True)
@@ -164,8 +157,7 @@ def run_bw_campaign(seed: int, trials: int, n: int,
     A wrong lead costs solves, never a bit of the summary.
     """
     _check_config(trials, n)
-    pair_track = _Tracker(seed)
-    spec_track = _Tracker(seed)
+    pairs, spectral = (CampaignSummary(trials, seed=seed, fixed=tol_override) for _ in range(2))
     ceiling = 2.0 + tolerance(0.0, tol_override)
     # a trial's T build holds four n^4-element temporaries; its draw, direct
     # sides and lead bound a few n^2-element ones
@@ -174,9 +166,8 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
-        lhs, scale, tol = bw_sides(xs, ys, seeds)
-        pair_track.update(2.0 * scale - lhs, tol if tol_override is None else tol_override,
-                          seeds)
+        lhs, scale = bw_sides(xs, ys, seeds)
+        pairs.update(2.0 * scale - lhs, lhs, seeds)
         xu = unit_stack(xs)
         all_rows = np.arange(len(seeds))
         blocks = [all_rows[start:start + block] for start in range(0, len(seeds), block)]
@@ -185,11 +176,11 @@ def run_bw_campaign(seed: int, trials: int, n: int,
             blocks = [all_rows[lead:lead + 1]] + [b[b != lead] for b in blocks]
         for rows in filter(len, blocks):
             tms = t_matrices(xu[rows])
-            level = min(2.0 - spec_track.min_slack, ceiling)
+            level = min(2.0 - spectral.min_slack, ceiling)
             if not _certified_below(tms, level - SCREEN_MARGIN):
                 tops = eigvalsh(tms)[:, -1]
-                spec_track.update(2.0 - tops, tolerance(tops, tol_override), seeds[rows])
-    return BwCampaignSummary(pair_track.summary(trials), spec_track.summary(trials))
+                spectral.update(2.0 - tops, tops, seeds[rows])
+    return BwCampaignSummary(pairs, spectral)
 
 
 def run_search_campaign(seed: int, seeds: int, n: int, max_iters: int):

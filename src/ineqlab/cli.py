@@ -41,7 +41,7 @@ from .curvature import (
 )
 from .ddvv import canonical_reduce, ddvv_slack
 from .errors import InputRejected, NumericalFailure
-from .report import TOL_COEFF, tolerance
+from .report import TOL_COEFF, holds, tolerance
 from .serialize import (
     canonical_form_json,
     dumps,
@@ -151,6 +151,7 @@ def cmd_bw_search(args) -> tuple:
            "best_ratio": best.best_ratio, "best_seed_index": best_idx,
            "iterations": best.iterations, "converged": best.converged,
            "trajectory": list(best.trajectory), "pair": pair_json(best.x, best.y)}
+    # a bound, not a slack: holds(2 - ratio, 0) would flip the verdict at ratio 2.000000001
     return doc, 0 if best.best_ratio <= 2.0 + tolerance(0.0) else 1
 
 
@@ -184,9 +185,7 @@ def cmd_curvature(args) -> tuple:
     rep = curvature_report(form)
     doc = {**_header(args, n=form.n, m=form.m, c=form.c), "curvature": rep,
            "fundamental": fundamental_report(form)}
-    tol = tolerance(rep.mean_curv_sq + rep.rho_perp)
-    tolerance(rep.geometric_slack)  # as in a SlackReport, an inf or NaN slack is refused
-    return doc, 0 if rep.geometric_slack >= -tol else 1
+    return doc, 0 if holds(rep.geometric_slack, rep.mean_curv_sq + rep.rho_perp) else 1
 
 
 def cmd_models(args) -> tuple:

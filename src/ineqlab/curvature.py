@@ -152,6 +152,7 @@ def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
         sigma_sq=sigma_sq,
         pinch=pinch,
         pinch_boundary=form.n,
+        # a bound, not a slack: holds(n - pinch, pinch) would flip it at 4.000000005 (n = 4)
         within_boundary=bool(pinch <= form.n + tolerance(pinch)),
     )
 

@@ -17,9 +17,18 @@ TOL_COEFF = 1e-9
 
 
 def tolerance(scale, fixed: Optional[float] = None):
-    """`fixed` if given, else the relative tolerance of `scale` (elementwise);
-    refused unless `scale` is all finite."""
-    if not np.isfinite(scale).all():
+    """`fixed` if given, else TOL_COEFF (1 + |scale|) elementwise; refuses an inf or NaN scale."""
+    return _tolerance(scale, fixed, scale)
+
+
+def holds(slack, scale, fixed: Optional[float] = None):
+    """Whether slack >= -tolerance(scale, fixed) elementwise: every verdict of the lab.
+    Refused unless slack and scale, of one shape, are finite; one pass checks both."""
+    return slack >= -_tolerance(scale, fixed, (slack, scale))
+
+
+def _tolerance(scale, fixed, in_range):
+    if not np.isfinite(in_range).all():
         raise InputRejected("input out of the float range")
     return fixed if fixed is not None else TOL_COEFF * (1.0 + abs(scale))
 
@@ -41,5 +50,4 @@ class SlackReport:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", tolerance(self.lhs, self.tol))
-        tolerance(self.slack)  # a finite slack means both sides are finite
-        object.__setattr__(self, "holds", bool(self.slack >= -self.tol))
+        object.__setattr__(self, "holds", bool(holds(self.slack, self.lhs, self.tol)))

@@ -332,13 +332,15 @@ class TestSearchCampaign:
 
 class TestTracker:
     def test_first_least_slack_wins_within_and_across_chunks(self):
-        track = campaigns._Tracker(0)
-        track.update(np.array([3.0, 1.0, 1.0]), 0.0, np.array([10, 11, 12], dtype=np.uint64))
-        track.update(np.array([2.0, 1.0]), 0.0, np.array([13, 14], dtype=np.uint64))
+        # under a fixed tolerance the scale (one per trial) does not enter
+        track = campaigns.CampaignSummary(seed=0, fixed=1.0)
+        track.update(np.array([3.0, 1.0, 1.0]), np.zeros(3),
+                     np.array([10, 11, 12], dtype=np.uint64))
+        track.update(np.array([2.0, 1.0]), np.zeros(2), np.array([13, 14], dtype=np.uint64))
         assert (track.min_slack, track.argmin_seed) == (1.0, 11)
-        track.update(np.array([-0.5]), 1.0, np.array([15], dtype=np.uint64))
+        track.update(np.array([-0.5]), np.zeros(1), np.array([15], dtype=np.uint64))
         assert (track.violations, track.min_slack, track.argmin_seed) == (0, -0.5, 15)
-        track.update(np.array([-2.0, -0.5]), 1.0, np.array([16, 17], dtype=np.uint64))
+        track.update(np.array([-2.0, -0.5]), np.zeros(2), np.array([16, 17], dtype=np.uint64))
         assert track.violations == 1
 
     @settings(max_examples=200, deadline=None)
@@ -355,9 +357,10 @@ class TestTracker:
         seed = data.draw(st.integers(-2**64, 2**65))
 
         def feed(order):
-            track = campaigns._Tracker(seed)
+            track = campaigns.CampaignSummary(seed=seed, fixed=0.5)
             for start, stop in order:
-                track.update(np.array(slack[start:stop]), 0.5, sub_seeds(seed, start, stop))
+                batch = np.array(slack[start:stop])
+                track.update(batch, np.zeros_like(batch), sub_seeds(seed, start, stop))
             return track.violations, track.min_slack, track.argmin_seed
 
         least = min(slack)

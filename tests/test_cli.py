@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ineqlab import bw, campaigns, cli, copositive, curvature, ddvv, linalg
+from ineqlab import bw, campaigns, cli, copositive, curvature, ddvv, linalg, report
 from ineqlab.cli import build_parser, main
 from ineqlab.ddvv import extremal_case_a, extremal_case_b
 from ineqlab.serialize import dumps, matrix_json, pair_json, sff_json, tuple_json
@@ -640,6 +640,46 @@ class TestValidationCounts:
         prefix = str(tmp_path / "m")
         assert main(["models", "clifford", "--r", "1", "--n", "3", "--output", prefix]) == 0
         assert len(calls) == 1
+
+
+class TestOneVerdict:
+    """Every slack verdict is report.holds: with holds patched to refuse every
+    trial, in every module that imports it, each verdict turns."""
+
+    @staticmethod
+    def refuse_all(monkeypatch) -> list:
+        patched, original = [], report.holds
+        for module in (report, bw, campaigns, cli, copositive, curvature, ddvv, linalg):
+            if getattr(module, "holds", None) is original:
+                monkeypatch.setattr(module, "holds",
+                                    lambda slack, scale, fixed=None: np.zeros(np.shape(slack), bool))
+                patched.append(module.__name__)
+        return patched
+
+    @staticmethod
+    def solved_rows(monkeypatch) -> list:
+        solved, original = [], campaigns.eigvalsh
+        monkeypatch.setattr(campaigns, "eigvalsh", lambda a: solved.append(len(a)) or original(a))
+        return solved
+
+    def verdicts(self, capsys, monkeypatch) -> tuple:
+        solved = self.solved_rows(monkeypatch)
+        bw_run = campaigns.run_bw_campaign(5, 40, 3)
+        return (ddvv.ddvv_slack(extremal_case_b(3, 0.5)).holds,
+                campaigns.run_ddvv_campaign(5, 40, 3, 2).violations,
+                bw_run.commutator.violations, bw_run.spectral.violations, sum(solved),
+                main(["curvature", "--model", "veronese"]))
+
+    def test_the_verdicts_hold_as_drawn(self, capsys, monkeypatch):
+        held, ddvv_bad, pair_bad, spec_bad, solved, code = self.verdicts(capsys, monkeypatch)
+        assert (held, ddvv_bad, pair_bad, spec_bad, code) == (True, 0, 0, 0, 0) and solved >= 1
+
+    def test_every_verdict_goes_through_holds(self, capsys, monkeypatch):
+        assert self.refuse_all(monkeypatch) == ["ineqlab.report", "ineqlab.campaigns",
+                                                "ineqlab.cli"]
+        held, ddvv_bad, pair_bad, spec_bad, solved, code = self.verdicts(capsys, monkeypatch)
+        assert (held, ddvv_bad, pair_bad, code) == (False, 40, 40, 1)
+        assert spec_bad == solved >= 1
 
 
 class TestParser:

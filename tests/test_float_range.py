@@ -1,7 +1,8 @@
 """The float-range rule: kernels let IEEE inf and NaN through, and the verdict
-rule (report.tolerance, SlackReport) refuses them with InputRejected, as does
-eigh_descending when the solver fails on them.  A verdict taken against an
-infinite tolerance, or on an inf or NaN side, says nothing."""
+rule (report.tolerance, report.holds, SlackReport) refuses them with
+InputRejected, as does eigh_descending when the solver fails on them.  A
+verdict taken against an infinite tolerance, or on an inf or NaN side, says
+nothing."""
 
 import ast
 import sys
@@ -15,7 +16,7 @@ from ineqlab.bw import bw_case_matrix_bound, bw_slack
 from ineqlab.curvature import SecondFundamentalForm, fundamental_report
 from ineqlab.ddvv import SymmetricTuple, ddvv_slack, p_matrix_bound
 from ineqlab.errors import InputRejected
-from ineqlab.report import SlackReport, tolerance
+from ineqlab.report import SlackReport, holds, tolerance
 from ineqlab.seeded import RandomStream, sub_seed
 
 from conftest import eij
@@ -54,6 +55,15 @@ class TestVerdictRule:
     def test_tolerance_refuses(self, scale, fixed):
         with pytest.raises(InputRejected, match=OUT_OF_RANGE):
             tolerance(scale, fixed)
+
+    @pytest.mark.parametrize("slack, scale", [
+        (np.array([0.0, np.nan]), np.zeros(2)),
+        (np.array([0.0, -np.inf]), np.zeros(2)),
+        (np.zeros(2), np.array([1.0, np.inf])),  # under a fixed override too
+    ], ids=["slack-nan", "slack-inf", "scale-inf"])
+    def test_holds_refuses(self, slack, scale):
+        with pytest.raises(InputRejected, match=OUT_OF_RANGE):
+            holds(slack, scale, 1e-9)
 
     @pytest.mark.parametrize("slack", [np.inf, -np.inf, np.nan])
     def test_slack_report_refuses_a_non_finite_slack(self, slack):
