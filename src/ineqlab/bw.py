@@ -30,7 +30,7 @@ from .linalg import (
     normalized,
     svd,
 )
-from .report import SlackReport, tolerance
+from .report import TOL_COEFF, SlackReport
 from .seeded import RandomStream, sub_seeds
 
 __all__ = ["RatioSearchResult", "TOperator", "bw_case_matrix_bound", "bw_slack",
@@ -130,8 +130,8 @@ def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
     """
     lhs, xx, yy = (np.sum(a * a, axis=(-2, -1)) for a in (commutator(x, y), x, y))
     scale = xx * yy
-    # a sanity assertion, not a verdict: as a slack, 3 scale - lhs overflows past DBL_MAX / 3
-    bad = np.flatnonzero(lhs > 3.0 * scale + tolerance(lhs))
+    # sanity, not a verdict (3 scale - lhs overflows past DBL_MAX / 3): tolerance(lhs) unchecked
+    bad = np.flatnonzero(lhs > 3.0 * scale + TOL_COEFF * (1.0 + lhs))
     if bad.size:
         k = bad[0]
         where = "" if seeds is None else f"trial seed {seeds.flat[k]}: "

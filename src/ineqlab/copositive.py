@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import as_symmetric, eigh_descending, normalized
+from .linalg import eigh_descending, symmetric_normalized
 
 __all__ = ["CopositivityVerdict", "copositive_oracle", "copositive_property_k"]
 
@@ -119,7 +119,12 @@ def copositive_property_k(p) -> CopositivityVerdict:
     stack it is solved in, so the verdict, failing submatrix and
     certificate are those of the scan over every subset, bit for bit.
     """
-    pm, _, norm = normalized(as_symmetric(p, "p"))
+    _, (pm, _, norm) = symmetric_normalized(p, "p")
+    return decide_property_k(pm, norm)
+
+
+def decide_property_k(pm: np.ndarray, norm: float) -> CopositivityVerdict:
+    """copositive_property_k of P = pm, validated and normalized, ||P|| = norm."""
     m = pm.shape[0]
     if m > PROPERTY_K_DIM_CAP:
         raise InputRejected(
@@ -161,7 +166,12 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     violation at this resolution.  More than ORACLE_BUDGET simplices
     examined x m^2 is refused.
     """
-    pm, _, norm = normalized(as_symmetric(p, "p"))
+    _, (pm, _, norm) = symmetric_normalized(p, "p")
+    return decide_oracle(pm, norm, resolution)
+
+
+def decide_oracle(pm: np.ndarray, norm: float, resolution: int) -> CopositivityVerdict:
+    """copositive_oracle of P = pm, validated and normalized, ||P|| = norm."""
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]

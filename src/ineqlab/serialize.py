@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -61,14 +62,31 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
+_fields = functools.lru_cache(maxsize=64)(dataclasses.fields)  # once per dataclass
+
+
 def field_dict(obj) -> dict:
     """A dataclass instance's fields by name, in declaration order: the
     values themselves (dataclasses.asdict would deep-copy the arrays)."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
 
 
 def _write(obj, out: list) -> None:
-    if obj is None:
+    # an exact float, a dict and a str, a document's commonest values, come first
+    if type(obj) is float:
+        out.append(_format_float(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for k, (key, value) in enumerate(obj.items()):
+            if k:
+                out.append(",")
+            out.append(_quote(str(key)))
+            out.append(":")
+            _write(value, out)
+        out.append("}")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
@@ -76,8 +94,6 @@ def _write(obj, out: list) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim and obj.size:
             out.append(_format_array(obj))
@@ -90,15 +106,6 @@ def _write(obj, out: list) -> None:
                 out.append(",")
             _write(item, out)
         out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, (key, value) in enumerate(obj.items()):
-            if k:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _write(value, out)
-        out.append("}")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _write(field_dict(obj), out)
     else:

@@ -574,8 +574,8 @@ class TestValidationCounts:
     @pytest.mark.parametrize("argv, checks", [
         (["reduce", "--input", "{data}/golden_veronese_tuple.json"], 2),  # input, audit replay
         (["curvature", "--input", "{tmp}/h.json"], 1),
-        # property K and the oracle each validate P, composed on one input
-        (["copositive", "--input", "{tmp}/m.txt", "--oracle", "6"], 2),
+        # P is validated once, for both property K and the oracle
+        (["copositive", "--input", "{tmp}/m.txt", "--oracle", "6"], 1),
     ], ids=["reduce", "curvature", "copositive-oracle"])
     def test_symmetry_checks_per_command(self, capsys, tmp_path, monkeypatch, argv, checks):
         write(tmp_path, "h.json", dumps(sff_json(curvature.veronese_tuple())))
@@ -584,6 +584,19 @@ class TestValidationCounts:
         argv = [a.replace("{data}", str(DATA)).replace("{tmp}", str(tmp_path)) for a in argv]
         assert run_json(capsys, argv)[0] == 0
         assert len(calls) == checks
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle", "6"]], ids=["alone", "oracle"])
+    def test_one_normalization_per_copositive_command(self, capsys, tmp_path, monkeypatch,
+                                                     oracle):
+        # the symmetry check's P / 2^e is the P both verdicts decide
+        write(tmp_path, "m.txt", "3\n1 -2 0\n-2 1 0\n0 0 1\n")
+        calls, original = [], linalg.normalized
+        for module in (linalg, bw, copositive, curvature, ddvv):
+            if getattr(module, "normalized", None) is original:
+                monkeypatch.setattr(module, "normalized", lambda a: calls.append(1) or original(a))
+        checks = self.count_symmetry_checks(monkeypatch)
+        assert run_json(capsys, ["copositive", "--input", f"{tmp_path}/m.txt", *oracle])[0] == 0
+        assert (len(calls), len(checks)) == (1, 1)
 
     def test_derived_matrices_are_not_checked(self, monkeypatch):
         # the Gram matrix, the rotated leader and the arrowheads are built

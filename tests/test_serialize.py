@@ -51,6 +51,12 @@ class TestDumps:
         with pytest.raises(InputRejected):
             dumps({"v": float("nan")})
 
+    @settings(max_examples=200, deadline=None)
+    @given(*[st.text(st.one_of(st.characters(exclude_categories=()),  # lone surrogates too
+                               st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff')))] * 2)
+    def test_strings_quoted_as_json_dumps(self, key, value):
+        assert dumps({key: value}) == reference_dumps({key: value})
+
 
 class TestMatrixFormats:
     def test_json_roundtrip(self):
