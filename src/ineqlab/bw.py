@@ -130,7 +130,8 @@ def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
     """
     lhs, xx, yy = (np.sum(a * a, axis=(-2, -1)) for a in (commutator(x, y), x, y))
     scale = xx * yy
-    # sanity, not a verdict (3 scale - lhs overflows past DBL_MAX / 3): tolerance(lhs) unchecked
+    # a sanity assertion, not a verdict: as a slack, 3 scale - lhs overflows past DBL_MAX / 3;
+    # the tolerance(lhs) formula without its range check, which the verdict after it makes
     bad = np.flatnonzero(lhs > 3.0 * scale + TOL_COEFF * (1.0 + lhs))
     if bad.size:
         k = bad[0]

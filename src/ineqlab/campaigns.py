@@ -128,8 +128,8 @@ _POWER_STEPS = 5
 def _lead_bounds(xu: np.ndarray) -> np.ndarray:
     """Lower bounds of lambda_max(T) over a stack of unit X, with no T built:
     T = C^T C for C: z -> [X, z], so z's Rayleigh quotient is ||[X, z]||^2 /
-    ||z||^2, here for z = T^_POWER_STEPS X^T, and 0 where z vanishes (normal
-    X).  They only pick the trial solved first and certify nothing."""
+    ||z||^2, here for z = T^_POWER_STEPS X^T, and 0 where z vanishes (n = 1,
+    normal X).  They only pick the trial solved first and certify nothing."""
     xt = np.swapaxes(xu, -1, -2)
     z, w = xt, commutator(xu, xt)
     for _ in range(_POWER_STEPS):
@@ -171,16 +171,15 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         xu = unit_stack(xs)
         all_rows = np.arange(len(seeds))
         blocks = [all_rows[start:start + block] for start in range(0, len(seeds), block)]
-        if chunk == 0 and n > 1:
+        if chunk == 0:
             lead = int(np.argmax(_lead_bounds(xu)))
             blocks = [all_rows[lead:lead + 1]] + [b[b != lead] for b in blocks]
         for rows in filter(len, blocks):
             tms = t_matrices(xu[rows])
-            if n > 1 and _certified_below(tms, min(2.0 - spectral.min_slack, ceiling) - SCREEN_MARGIN):
-                continue
-            # n = 1 needs no lead, screen or solve: T = 0 is 1 x 1, its own lambda_max
-            tops = tms[:, 0, 0] if n == 1 else eigvalsh(tms)[:, -1]
-            spectral.update(2.0 - tops, tops, seeds[rows])
+            level = min(2.0 - spectral.min_slack, ceiling)
+            if not _certified_below(tms, level - SCREEN_MARGIN):
+                tops = eigvalsh(tms)[:, -1]
+                spectral.update(2.0 - tops, tops, seeds[rows])
     return BwCampaignSummary(pairs, spectral)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bw import bw_slack, bw_spectral_slack, spectral_report, t_spectrum
 from .campaigns import CampaignSummary, run_bw_campaign, run_ddvv_campaign, run_search_campaign
-from .copositive import decide_oracle, decide_property_k
+from .copositive import copositive_oracle, copositive_property_k
 from .curvature import (
     SecondFundamentalForm,
     clifford_model,
@@ -41,7 +41,7 @@ from .curvature import (
 )
 from .ddvv import canonical_reduce, ddvv_slack
 from .errors import InputRejected, NumericalFailure
-from .linalg import symmetric_normalized
+from .linalg import _symmetric_normalized
 from .report import TOL_COEFF, holds, tolerance
 from .serialize import (
     canonical_form_json,
@@ -164,10 +164,10 @@ def cmd_reduce(args) -> tuple:
 
 
 def cmd_copositive(args) -> tuple:
-    p = read_matrix_file(_input(args, "MATRIX_FILE"))
-    _, (pm, _, norm) = symmetric_normalized(p, "p")  # once, for property K and the oracle
-    verdict = decide_property_k(pm, norm)
-    oracle = decide_oracle(pm, norm, args.oracle) if args.oracle is not None else None
+    # P is validated and normalized once, for property K and the oracle
+    p, normal = _symmetric_normalized(read_matrix_file(_input(args, "MATRIX_FILE")), "p")
+    verdict = copositive_property_k(p, normal=normal)
+    oracle = None if args.oracle is None else copositive_oracle(p, args.oracle, normal=normal)
     agree = None if oracle is None else (oracle.copositive == verdict.copositive)
     doc = {**_header(args, n=int(p.shape[0])), "property_k": verdict, "oracle": oracle,
            "agree": agree}

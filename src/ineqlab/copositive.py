@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import eigh_descending, symmetric_normalized
+from .linalg import _symmetric_normalized, eigh_descending
 
 __all__ = ["CopositivityVerdict", "copositive_oracle", "copositive_property_k"]
 
@@ -87,7 +87,7 @@ def _psd_plus_nonnegative(pm: np.ndarray, values: np.ndarray, vectors: np.ndarra
     return bool(eigh_descending(x)[0][-1] >= -margin)
 
 
-def copositive_property_k(p) -> CopositivityVerdict:
+def copositive_property_k(p, *, normal=None) -> CopositivityVerdict:
     """Decide copositivity via the principal-submatrix eigenvector test.
 
     p is decided as P = p / 2^e, whose max |entry| is in [0.5, 1).  Each
@@ -118,13 +118,11 @@ def copositive_property_k(p) -> CopositivityVerdict:
     eigenpairs decide last.  A matrix's eigenpairs do not depend on the
     stack it is solved in, so the verdict, failing submatrix and
     certificate are those of the scan over every subset, bit for bit.
+
+    normal, if given, is the (P, e, ||P||) of a p that
+    linalg._symmetric_normalized has validated, and p is not checked again.
     """
-    _, (pm, _, norm) = symmetric_normalized(p, "p")
-    return decide_property_k(pm, norm)
-
-
-def decide_property_k(pm: np.ndarray, norm: float) -> CopositivityVerdict:
-    """copositive_property_k of P = pm, validated and normalized, ||P|| = norm."""
+    pm, _, norm = _symmetric_normalized(p, "p")[1] if normal is None else normal
     m = pm.shape[0]
     if m > PROPERTY_K_DIM_CAP:
         raise InputRejected(
@@ -150,7 +148,7 @@ def decide_property_k(pm: np.ndarray, norm: float) -> CopositivityVerdict:
 ORACLE_BUDGET = 1 << 22
 
 
-def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
+def copositive_oracle(p, resolution: int, *, normal=None) -> CopositivityVerdict:
     """Independent verdict by depth-first simplicial partition of the unit
     simplex (Bundfuss and Duer, LAA 428, 2008).
 
@@ -165,13 +163,11 @@ def copositive_oracle(p, resolution: int) -> CopositivityVerdict:
     the resolution-R lattice spacing: such a simplex counts as holding no
     violation at this resolution.  More than ORACLE_BUDGET simplices
     examined x m^2 is refused.
+
+    normal, if given, is the (P, e, ||P||) of a p that
+    linalg._symmetric_normalized has validated, and p is not checked again.
     """
-    _, (pm, _, norm) = symmetric_normalized(p, "p")
-    return decide_oracle(pm, norm, resolution)
-
-
-def decide_oracle(pm: np.ndarray, norm: float, resolution: int) -> CopositivityVerdict:
-    """copositive_oracle of P = pm, validated and normalized, ||P|| = norm."""
+    pm, _, norm = _symmetric_normalized(p, "p")[1] if normal is None else normal
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]

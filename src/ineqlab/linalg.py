@@ -92,11 +92,12 @@ def normalized(a: np.ndarray) -> tuple:
     return scaled, e, np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
 
 
-def asymmetry(stack) -> tuple:
-    """Max |a_ij - a_ji| of each matrix of an (..., n, n) stack, or of its normalized
-    triple, and the defect allowed it, SYMMETRY_TOL * (1 + ||a||).  Both are formed
-    on a / 2^e, so one past DBL_MAX reads inf, with no overflow warning."""
-    scaled, e, root = stack if isinstance(stack, tuple) else normalized(stack)
+def asymmetry(stack: np.ndarray, normal=None) -> tuple:
+    """Max |a_ij - a_ji| of each matrix of an (..., n, n) stack, and the
+    defect allowed it, SYMMETRY_TOL * (1 + ||a||).  Both are formed on
+    a / 2^e (normal, when the caller has formed normalized(stack) already),
+    so one past DBL_MAX reads inf, with no overflow warning."""
+    scaled, e, root = normalized(stack) if normal is None else normal
     with np.errstate(over="ignore"):
         defect = np.ldexp(np.abs(scaled - scaled.swapaxes(-1, -2)).max(axis=(-2, -1)), e)
         return defect, SYMMETRY_TOL * (1.0 + np.ldexp(root, e))
@@ -156,14 +157,14 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
 
 def as_symmetric(a, name: str = "matrix") -> np.ndarray:
     """as_matrix plus symmetry within SYMMETRY_TOL * (1 + ||a||)."""
-    return symmetric_normalized(a, name)[0]
+    return _symmetric_normalized(a, name)[0]
 
 
-def symmetric_normalized(a, name: str = "matrix") -> tuple:
-    """as_symmetric(a, name) and its normalized triple, which the symmetry check is decided on."""
+def _symmetric_normalized(a, name: str) -> tuple:
+    """as_symmetric(a, name) and the normalized(a) that its symmetry check decided on."""
     m = as_matrix(a, name)
     normal = normalized(m)
-    defect, allowed = asymmetry(normal)
+    defect, allowed = asymmetry(m, normal=normal)
     if defect > allowed:
         raise InputRejected(f"{name}: not symmetric (max |a_ij - a_ji| = {defect:.3e}, "
                             f"allowed {allowed:.3e})")

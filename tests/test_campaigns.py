@@ -208,19 +208,6 @@ class TestBwCampaign:
         pair, spec = reference_bw(seed, trials, n, tol)
         assert (_fields(got.commutator), _fields(got.spectral)) == (pair, spec)
 
-    @pytest.mark.parametrize("trials", [1, 2, 3, 10, 37])
-    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
-    @pytest.mark.parametrize("tol", [None, 0.0, -1.0])
-    def test_n1_reads_lambda_max_without_a_solve(self, monkeypatch, trials, seed, tol):
-        # T = 0 at n = 1: no lead bound, Cholesky screen or eigensolve
-        reference = reference_bw(seed, trials, 1, tol)
-        for owner, name in ((campaigns, "eigvalsh"), (campaigns, "_lead_bounds"),
-                            (np.linalg, "cholesky"), (np.linalg, "eigvalsh")):
-            monkeypatch.setattr(owner, name, lambda *args, name=name: pytest.fail(f"{name} called"))
-        got = run_bw_campaign(seed, trials, 1, tol_override=tol)
-        assert (_fields(got.commutator), _fields(got.spectral)) == reference
-        assert (got.spectral.violations, got.spectral.min_slack) == (0, 2.0)
-
     @pytest.mark.parametrize("n,trials", [(2, 40), (6, 40), (8, 40)])
     def test_violating_lead_counted_once(self, n, trials):
         # tol = -1 makes lambda_max(T) > 1 a violation, which the lead's is

@@ -567,8 +567,8 @@ class TestValidationCounts:
         original = linalg.asymmetry
         for module in (linalg, ddvv, bw, copositive, curvature):
             if getattr(module, "asymmetry", None) is original:
-                monkeypatch.setattr(module, "asymmetry",
-                                    lambda stack: calls.append(1) or original(stack))
+                monkeypatch.setattr(module, "asymmetry", lambda stack, normal=None:
+                                    calls.append(1) or original(stack, normal))
         return calls
 
     @pytest.mark.parametrize("argv, checks", [

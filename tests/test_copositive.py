@@ -383,12 +383,12 @@ class TestOracle:
         # P = v v^T, v = (1, -sqrt 2), is PSD with a zero inside the simplex;
         # no test decides the simplices around it, so the partition stops
         # there at the resolution's lattice spacing and finds no violation
-        source, first = inspect.getsourcelines(copositive.decide_oracle)
+        source, first = inspect.getsourcelines(copositive_oracle)
         stop = first + 1 + next(k for k, text in enumerate(source) if "<= finest" in text)
         lines = []
 
         def trace(frame, event, arg):
-            if event == "line" and frame.f_code is copositive.decide_oracle.__code__:
+            if event == "line" and frame.f_code is copositive_oracle.__code__:
                 lines.append(frame.f_lineno)
             return trace
 
