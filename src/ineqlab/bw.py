@@ -68,7 +68,7 @@ def _unit(x, name: str) -> tuple:
 
 def unit_stack(a: np.ndarray) -> np.ndarray:
     """Matrices of an (..., n, n) stack scaled to unit Frobenius norm; unchecked."""
-    return a / np.sqrt(np.sum(a * a, axis=(-2, -1), keepdims=True))
+    return a / np.sqrt((a * a).sum(axis=(-2, -1), keepdims=True))
 
 
 @functools.lru_cache(maxsize=DIM_CAP)
@@ -88,8 +88,8 @@ def t_matrices(xu: np.ndarray) -> np.ndarray:
     """
     n = xu.shape[-1]
     x = xu[..., None, :, :]
-    images = commutator(np.swapaxes(x, -1, -2), commutator(x, basis_matrices(n)))
-    return np.swapaxes(images.reshape(xu.shape[:-2] + (n * n, n * n)), -1, -2)
+    images = commutator(x.swapaxes(-1, -2), commutator(x, basis_matrices(n)))
+    return images.reshape(xu.shape[:-2] + (n * n, n * n)).swapaxes(-1, -2)
 
 
 def t_operator(x) -> TOperator:
@@ -128,7 +128,7 @@ def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
     Asserts the weaker constant-3 bound as a sanity layer; a failure names
     the trial seed when `seeds` (one per leading index) are given.
     """
-    lhs, xx, yy = (np.sum(a * a, axis=(-2, -1)) for a in (commutator(x, y), x, y))
+    lhs, xx, yy = ((a * a).sum(axis=(-2, -1)) for a in (commutator(x, y), x, y))
     scale = xx * yy
     # a sanity assertion, not a verdict: as a slack, 3 scale - lhs overflows past DBL_MAX / 3;
     # the tolerance(lhs) formula without its range check, which the verdict after it makes
@@ -159,7 +159,7 @@ def partner_eigenvector(x, y) -> np.ndarray:
     top = t_operator(x)
     yu, ynorm = _unit(y, "y")
     ty = top.apply(yu)
-    alpha = float(np.sum(yu * ty))
+    alpha = float((yu * ty).sum())
     residual = frobenius_norm(ty - alpha * yu)
     if residual > 1e-8 * (1.0 + abs(alpha)):
         raise InputRejected(
@@ -169,7 +169,7 @@ def partner_eigenvector(x, y) -> np.ndarray:
     pnorm = frobenius_norm(partner)
     if alpha > 1e-10 and pnorm == 0.0:
         raise NumericalFailure("partner vanished for a positive eigenvalue")
-    if abs(float(np.sum(yu * partner))) > 1e-8 * (1.0 + pnorm):
+    if abs(float((yu * partner).sum())) > 1e-8 * (1.0 + pnorm):
         raise NumericalFailure("partner is not orthogonal to y")
     if frobenius_norm(top.apply(partner) - alpha * partner) > 1e-7 * (1.0 + abs(alpha)) * (
         1.0 + pnorm
@@ -225,11 +225,11 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
         raise InputRejected("n must be >= 2")
     if abs(bm[0, 0]) > 1e-12:
         raise InputRejected(f"b_11 = {bm[0, 0]:.3e} must vanish (within 1e-12)")
-    corner = np.sum(bm[0, 1:] ** 2) + np.sum(cm[1:, 0] ** 2) + cm[0, 0] * cm[0, 0]
+    corner = (bm[0, 1:] ** 2).sum() + (cm[1:, 0] ** 2).sum() + cm[0, 0] * cm[0, 0]
     p = np.diag(np.concatenate([[corner], bm[1:, 0] ** 2 + cm[0, 1:] ** 2]))
     p[0, 1:] = p[1:, 0] = -(bm[0, 1:] * cm[0, 1:] + bm[1:, 0] * cm[1:, 0])
     lhs = float(eigh_descending(p)[0][0])
-    rhs = p[0, 0] + float(np.sum(bm[1:, 0] ** 2) + np.sum(cm[0, 1:] ** 2))
+    rhs = p[0, 0] + float((bm[1:, 0] ** 2).sum() + (cm[0, 1:] ** 2).sum())
     return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
@@ -272,7 +272,7 @@ def maximize_ratios(n: int, seeds: np.ndarray, max_iters: int) -> list:
         raise InputRejected("need at least one search seed")
     stream = RandomStream(seeds)
     x, y = unit_stack(stream.gaussian_matrix(n)), unit_stack(stream.gaussian_matrix(n))
-    last = np.sum(commutator(x, y) ** 2, axis=(-2, -1))
+    last = (commutator(x, y) ** 2).sum(axis=(-2, -1))
     trajectories = [[ratio] for ratio in last.tolist()]
     live = np.arange(seeds.size)
     for _ in range(max_iters):

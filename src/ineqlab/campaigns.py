@@ -53,7 +53,7 @@ class CampaignSummary:
 
     def update(self, slack: np.ndarray, scale: np.ndarray, seeds: np.ndarray) -> None:
         self.violations += slack.size - int(np.count_nonzero(holds(slack, scale, self._fixed)))
-        k = int(np.argmin(slack))
+        k = int(slack.argmin())
         if (slack[k], int(seeds[k]) ^ self._seed) < (self.min_slack, self.argmin_seed ^ self._seed):
             self.min_slack = float(slack[k])
             self.argmin_seed = int(seeds[k])
@@ -130,12 +130,12 @@ def _lead_bounds(xu: np.ndarray) -> np.ndarray:
     T = C^T C for C: z -> [X, z], so z's Rayleigh quotient is ||[X, z]||^2 /
     ||z||^2, here for z = T^_POWER_STEPS X^T, and 0 where z vanishes (n = 1,
     normal X).  They only pick the trial solved first and certify nothing."""
-    xt = np.swapaxes(xu, -1, -2)
+    xt = xu.swapaxes(-1, -2)
     z, w = xt, commutator(xu, xt)
     for _ in range(_POWER_STEPS):
         z = commutator(xt, w)
         w = commutator(xu, z)
-    num, den = (np.sum(a * a, axis=(-2, -1)) for a in (w, z))
+    num, den = ((a * a).sum(axis=(-2, -1)) for a in (w, z))
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
@@ -172,7 +172,7 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         all_rows = np.arange(len(seeds))
         blocks = [all_rows[start:start + block] for start in range(0, len(seeds), block)]
         if chunk == 0:
-            lead = int(np.argmax(_lead_bounds(xu)))
+            lead = int(_lead_bounds(xu).argmax())
             blocks = [all_rows[lead:lead + 1]] + [b[b != lead] for b in blocks]
         for rows in filter(len, blocks):
             tms = t_matrices(xu[rows])

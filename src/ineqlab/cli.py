@@ -10,11 +10,12 @@ stderr instead.
 
 A command line of the canonical form, the subcommand then `--option value`
 pairs with each option the subcommand's own, spelled in full, and no value
-starting with '-', is read straight from _COMMANDS and _ARGUMENTS into the
-Namespace argparse would build.  argparse parses every other command line
-and owns help, --version, usage errors and exit code 2.  The saving is per
-in-process main() call (tests, the benchmark, notebooks); a fresh process
-is dominated by import.
+starting with '-', is read into the Namespace argparse would build through
+_DIRECT, a table built once from _COMMANDS and _ARGUMENTS.  argparse parses
+every other command line and owns help, --version, usage errors and exit
+code 2; a token that is not a string, which only an in-process caller can
+pass, exits 2 before it.  The saving is per in-process main() call (tests,
+the benchmark, notebooks); a fresh process is dominated by import.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def _text_lines(path: str, value):
         for key, item in value.items():
             yield from _text_lines(f"{path}.{key}" if path else str(key), item)
     elif isinstance(value, (list, np.ndarray)):
-        yield f"{path}: " + dumps(np.ravel(value))[1:-1].replace(",", " ") + "\n"
+        yield f"{path}: " + dumps(np.asarray(value).ravel())[1:-1].replace(",", " ") + "\n"
     else:
         yield f"{path}: " + (value if isinstance(value, str) else dumps(value)) + "\n"
 
@@ -287,39 +288,50 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# The direct parse's table, built once: for each command whose arguments are
+# all options, flag -> (attribute, type, choices), and the attribute defaults.
+_DIRECT = {
+    name: ({opt: (opt[2:].replace("-", "_"), _ARGUMENTS[opt].get("type"),
+                  _ARGUMENTS[opt].get("choices")) for opt in options},
+           {opt[2:].replace("-", "_"): _ARGUMENTS[opt].get("default") for opt in options})
+    for name, (_, _, options) in _COMMANDS.items() if all(opt.startswith("--") for opt in options)
+}
+
+
 def _direct_parse(argv: list):
     """The Namespace argparse would build for COMMAND --option value ...,
-    read straight from _COMMANDS and _ARGUMENTS with the same type, choices
-    and defaults; None for every other command line, which argparse then
-    parses or refuses: a flag not the command's own (abbreviations, -h,
+    read from _DIRECT with _ARGUMENTS' types, choices and defaults; None for
+    every other command line, which argparse then parses or refuses: a token
+    not a string, a flag not the command's own (abbreviations, -h,
     --opt=value), a value starting with '-', a value its type or choices
     refuse, an odd token count or a command with a positional argument."""
-    if not all(isinstance(a, str) for a in argv) or len(argv) % 2 != 1 \
-            or argv[0] not in _COMMANDS:
+    entry = _DIRECT.get(argv[0]) if len(argv) % 2 and isinstance(argv[0], str) else None
+    if entry is None:
         return None
-    command, options = argv[0], _COMMANDS[argv[0]][2]
-    if not all(opt.startswith("--") for opt in options):
-        return None
-    values = {opt: _ARGUMENTS[opt].get("default") for opt in options}
+    specs, values = entry[0], dict(entry[1])
     for flag, text in zip(argv[1::2], argv[2::2]):
-        if flag not in options or text.startswith("-"):
+        spec = specs.get(flag) if isinstance(flag, str) else None
+        if spec is None or not isinstance(text, str) or text.startswith("-"):
             return None
-        spec = _ARGUMENTS[flag]
+        attr, convert, choices = spec
         try:
-            value = spec["type"](text) if "type" in spec else text
+            value = text if convert is None else convert(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if "choices" in spec and value not in spec["choices"]:
+        if choices is not None and value not in choices:
             return None
-        values[flag] = value
-    return argparse.Namespace(command=command,
-                              **{opt[2:].replace("-", "_"): v for opt, v in values.items()})
+        values[attr] = value
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _direct_parse(argv)
     if args is None:
+        for k, token in enumerate(argv):
+            if not isinstance(token, str):  # argparse would raise a TypeError on it
+                sys.stderr.write(f"error: argv[{k}] is of type {type(token).__name__}, not str\n")
+                return 2
         args = _parser().parse_args(argv)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN meet report.tolerance

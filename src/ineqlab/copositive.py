@@ -49,7 +49,7 @@ def _violation(pm: np.ndarray, subsets: np.ndarray, values: np.ndarray, vectors:
     """The verdict of the first violation among the eigenpairs (descending)
     of the principal submatrices on the rows of `subsets` (one size,
     itertools.combinations order), or None when there is none."""
-    mixed = np.any(vectors > SIGN_ZERO_TOL, axis=1) & np.any(vectors < -SIGN_ZERO_TOL, axis=1)
+    mixed = (vectors > SIGN_ZERO_TOL).any(axis=1) & (vectors < -SIGN_ZERO_TOL).any(axis=1)
     bad = np.flatnonzero((values < -neg_eps) & ~mixed)
     if not bad.size:
         return None
@@ -183,10 +183,10 @@ def copositive_oracle(p, resolution: int, *, normal=None) -> CopositivityVerdict
         v = stack.pop() if examined else np.eye(m)  # the unit simplex first
         examined += 1
         q = v.T @ pm @ v
-        if np.all(q >= -eps):
+        if (q >= -eps).all():
             continue
         diag = np.diag(q)
-        k = int(np.argmin(diag))
+        k = int(diag.argmin())
         if diag[k] < -eps:
             return CopositivityVerdict(False, certificate=v[:, k].copy())
         root = np.sqrt(np.maximum(diag, 0.0))
@@ -199,7 +199,7 @@ def copositive_oracle(p, resolution: int, *, normal=None) -> CopositivityVerdict
             return CopositivityVerdict(False, certificate=t * v[:, i] + (1.0 - t) * v[:, j])
         edges = v[:, :, None] - v[:, None, :]
         lengths = np.einsum("kij,kij->ij", edges, edges)
-        i, j = divmod(int(np.argmax(lengths)), m)
+        i, j = divmod(int(lengths.argmax()), m)
         if lengths[i, j] <= finest:
             continue
         mid = 0.5 * (v[:, i] + v[:, j])

@@ -78,7 +78,7 @@ class FundamentalReport:
 def mean_curvature_sq(form: SecondFundamentalForm) -> float:
     """|H|^2 = sum_a (trace(h^a) / n)^2."""
     traces = form.h.trace(axis1=1, axis2=2) / form.n
-    return float(np.sum(traces * traces))
+    return float((traces * traces).sum())
 
 
 def traceless(form: SecondFundamentalForm) -> SecondFundamentalForm:
@@ -111,22 +111,22 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
     gauss = diag_part = off_part = 0.0
     for a, mu in zip(h, mean):
         diag = np.diag(a)
-        total = float(np.sum(diag))
-        off = float(np.sum(a[iu, ju] ** 2))
-        gauss += 0.5 * (total * total - float(np.sum(diag * diag)))
+        total = float(diag.sum())
+        off = float((a[iu, ju] ** 2).sum())
+        gauss += 0.5 * (total * total - float((diag * diag).sum()))
         gauss -= off
         gaps = diag - mu
-        diag_part += float(np.sum((gaps[iu] - gaps[ju]) ** 2))
+        diag_part += float(((gaps[iu] - gaps[ju]) ** 2).sum())
         off_part += off
     rho = form.c + coeff * gauss
 
     # sum_{r<s} sum_{i<j} ([A_r, A_s]_ij)^2: commutators of symmetric slices are
     # antisymmetric, so this is half of sum_{r<s} ||[A_r, A_s]||^2.  Removing the
     # trace part changes no commutator, so the traceless form has the same sum.
-    perp_sum = 0.5 * float(np.sum(commutator_norms_sq(h)))
+    perp_sum = 0.5 * float(commutator_norms_sq(h).sum())
     rho_perp = coeff * float(np.sqrt(perp_sum))
 
-    h2 = float(np.sum(mean * mean))
+    h2 = float((mean * mean).sum())
     geometric_slack = h2 - coeff * gauss - rho_perp
     shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(np.sqrt(perp_sum))
     return CurvatureReport(
@@ -144,7 +144,7 @@ def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
     it stays within the pinching boundary n, up to tolerance(pinch)."""
     s = form.to_tuple().gram()
     values = eigh_descending(s)[0]
-    sigma_sq = float(np.trace(s))
+    sigma_sq = float(s.trace())
     pinch = sigma_sq + (float(values[1]) if form.m >= 2 else 0.0)
     return FundamentalReport(
         s=s,
@@ -192,7 +192,7 @@ def veronese_immersion(p) -> np.ndarray:
     Antipodal points map to the same image.
     """
     pv = as_vector(p, "p", lambda k: k == 3, "a 3-vector", nonnegative=False)
-    radius_sq = float(np.sum(pv * pv))
+    radius_sq = float((pv * pv).sum())
     if abs(radius_sq - 3.0) > 1e-10:
         raise InputRejected(f"|p|^2 = {radius_sq:.12f}, point must lie on the sphere of radius sqrt(3)")
     x, y, z = pv

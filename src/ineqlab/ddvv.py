@@ -59,7 +59,7 @@ class SymmetricTuple:
         return cls(n=stack.shape[1], m=stack.shape[0], matrices=stack)
 
     def norms_sq(self) -> np.ndarray:
-        return np.sum(self.matrices * self.matrices, axis=(1, 2))
+        return (self.matrices * self.matrices).sum(axis=(1, 2))
 
     def gram(self) -> np.ndarray:
         """Gram matrix of Frobenius inner products <A_a, A_b>."""
@@ -71,9 +71,9 @@ def check_members(stack: np.ndarray) -> None:
     (m, n, n) stack; symmetric means within SYMMETRY_TOL * (1 + ||A_k||)."""
     finite = np.isfinite(stack).all(axis=(-2, -1))
     if not finite.all():
-        raise InputRejected(f"member {np.argmin(finite) + 1}: entries must be finite (no NaN/Inf)")
+        raise InputRejected(f"member {finite.argmin() + 1}: entries must be finite (no NaN/Inf)")
     defect, allowed = asymmetry(stack)
-    k = int(np.argmax(defect > allowed))
+    k = int((defect > allowed).argmax())
     if defect[k] > allowed[k]:
         raise InputRejected(
             f"member {k + 1}: not symmetric "
@@ -103,7 +103,7 @@ def _sum_in_order(values: np.ndarray) -> np.ndarray:
     additions from 8 terms on."""
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1])
-    return np.cumsum(values, axis=-1)[..., -1]
+    return values.cumsum(axis=-1)[..., -1]
 
 
 # Canonical-position checks: each returns what is wrong, or None.
@@ -125,7 +125,7 @@ def _not_unit(a: np.ndarray, name: str):
 def _not_orthogonal(gram: np.ndarray):
     norms = np.sqrt(np.diag(gram))
     r, s = pair_indices(gram.shape[0])
-    bad = np.nonzero(np.abs(gram[r, s]) > 1e-10 * (1.0 + norms[r] * norms[s]))[0]
+    bad = (np.abs(gram[r, s]) > 1e-10 * (1.0 + norms[r] * norms[s])).nonzero()[0]
     if bad.size:
         i, j = r[bad[0]], s[bad[0]]
         return f"members {i + 1},{j + 1} not orthogonal (<A,B> = {gram[i, j]:.3e})"
@@ -136,7 +136,7 @@ def _not_sorted(norms: np.ndarray, start: int):
     """Checks that norms[start:] is nonincreasing within 1e-12 relative; an
     overflowed norm (inf - inf is NaN) fails the check."""
     tail = norms[start:]
-    bad = np.nonzero(~(tail[:-1] >= tail[1:] - 1e-12 * (1.0 + tail[1:])))[0]
+    bad = (~(tail[:-1] >= tail[1:] - 1e-12 * (1.0 + tail[1:]))).nonzero()[0]
     if bad.size:
         return f"member norms not nonincreasing at member {start + bad[0] + 1}"
     return None
@@ -156,7 +156,7 @@ def ddvv_sides(stack: np.ndarray) -> tuple:
     """DDVV sides (sum ||A_r||^2)^2 and 2 sum_{r<s} ||[A_r, A_s]||^2 of an
     (..., m, n, n) stack, one value per leading index.  Unchecked: the
     members must already be validated."""
-    total = np.sum(np.sum(stack * stack, axis=(-2, -1)), axis=-1)
+    total = (stack * stack).sum(axis=(-2, -1)).sum(axis=-1)
     lhs = np.multiply(total, total)
     rhs = 2.0 * _sum_in_order(commutator_norms_sq(stack))
     return lhs, rhs
@@ -203,7 +203,7 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
         reduced_stack = p @ mixed @ p.T
         # cosmetic determinism: make the first nonzero diagonal entry of A_1 positive
         diag = np.diag(reduced_stack[0])
-        nonzero = np.nonzero(np.abs(diag) > 1e-12 * (1.0 + frobenius_norm(reduced_stack[0])))[0]
+        nonzero = (np.abs(diag) > 1e-12 * (1.0 + frobenius_norm(reduced_stack[0]))).nonzero()[0]
         if nonzero.size and diag[nonzero[0]] < 0.0:
             q[0] *= -1.0
             reduced_stack[0] *= -1.0
@@ -225,8 +225,8 @@ def _verify_canonical(original: SymmetricTuple, form: CanonicalForm) -> None:
     if problem:
         raise NumericalFailure(problem)
     replay = group_act(original, form.p, form.q)
-    errs = np.sqrt(np.sum((replay.matrices - red.matrices) ** 2, axis=(1, 2)))
-    bad = np.nonzero(errs > 1e-9 * (1.0 + norms))[0]
+    errs = np.sqrt(((replay.matrices - red.matrices) ** 2).sum(axis=(1, 2)))
+    bad = (errs > 1e-9 * (1.0 + norms)).nonzero()[0]
     if bad.size:
         raise NumericalFailure(f"(p, q) does not reproduce reduced member {bad[0] + 1}")
 
@@ -239,21 +239,21 @@ def lemma1_slack(eta, r) -> SlackReport:
     Only the strict upper triangle of `r` is read.
     """
     ev = as_vector(eta, "eta", lambda k: k >= 2, "a vector of length >= 2", nonnegative=False)
-    if abs(float(np.sum(ev))) > 1e-10:
-        raise InputRejected(f"sum(eta) = {np.sum(ev):.3e}, must vanish within 1e-10")
-    if abs(float(np.sum(ev * ev)) - 1.0) > 1e-10:
-        raise InputRejected(f"sum(eta^2) = {np.sum(ev * ev):.6e}, must be 1 within 1e-10")
+    if abs(float(ev.sum())) > 1e-10:
+        raise InputRejected(f"sum(eta) = {ev.sum():.3e}, must vanish within 1e-10")
+    if abs(float((ev * ev).sum()) - 1.0) > 1e-10:
+        raise InputRejected(f"sum(eta^2) = {(ev * ev).sum():.6e}, must be 1 within 1e-10")
     n = ev.size
     rm = as_matrix(r, "r")
     if rm.shape[0] != n:
         raise InputRejected(f"weights must be {n}x{n} to match eta")
     iu, ju = pair_indices(n)
     weights = rm[iu, ju]
-    if np.any(weights < 0.0):
+    if (weights < 0.0).any():
         raise InputRejected("weights r_ij must be nonnegative")
     gaps = (ev[iu] - ev[ju]) ** 2
-    lhs = float(np.sum(gaps * weights))
-    rhs = float(np.sum(weights) + np.max(weights))
+    lhs = float((gaps * weights).sum())
+    rhs = float(weights.sum() + weights.max())
     return SlackReport("weighted-gap", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
@@ -266,12 +266,12 @@ def p_matrix_bound(s) -> SlackReport:
     sv = as_vector(s, "s", lambda k: k >= 1, "a nonempty vector")
     k = sv.size
     p = np.zeros((k + 1, k + 1))
-    p[0, 0] = np.sum(sv)
+    p[0, 0] = sv.sum()
     p[np.arange(1, k + 1), np.arange(1, k + 1)] = sv
     p[0, 1:] = -sv
     p[1:, 0] = -sv
     lhs = float(eigh_descending(p)[0][0])
-    rhs = float(np.sum(sv) + np.max(sv))
+    rhs = float(sv.sum() + sv.max())
     return SlackReport("arrowhead-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
@@ -289,7 +289,7 @@ def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
     if problem:
         raise InputRejected(f"precondition failed: {problem}")
     lhs = float(_sum_in_order(commutator_norms_sq(t.matrices)[: t.m - 1]))
-    tail = float(np.sum(norms_sq[1:]))
+    tail = float(norms_sq[1:].sum())
     rhs = tail + (float(norms_sq[1]) if t.m >= 2 else 0.0)
     return SlackReport("commutator-sum-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
@@ -302,7 +302,7 @@ def sharp_pair_bound(a, b) -> SlackReport:
     if problem:
         raise InputRejected(problem)
     lhs = norm_sq(commutator(am, bm))
-    peak = float(np.max(np.abs(bm)))
+    peak = float(np.abs(bm).max())
     rhs = norm_sq(bm) + 2.0 * (peak * peak)
     return SlackReport("sharp-pair-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
@@ -342,7 +342,7 @@ def sigma_matrix(t: SymmetricTuple) -> np.ndarray:
     """Pairwise squared commutator norms sigma_ij = ||[A_i, A_j]||^2 for a
     tuple of unit-norm members."""
     norms = np.sqrt(t.norms_sq())
-    bad = np.nonzero(np.abs(norms - 1.0) > 1e-10)[0]
+    bad = (np.abs(norms - 1.0) > 1e-10).nonzero()[0]
     if bad.size:
         raise InputRejected(
             f"member {bad[0] + 1} has norm {norms[bad[0]]:.12f}, all members must be unit norm"
@@ -359,6 +359,6 @@ def lili_slack(sigma, x) -> SlackReport:
     sm = as_symmetric(sigma, "sigma")
     xv = as_vector(x, "x", lambda k: k == sm.shape[0], f"a vector of length {sm.shape[0]}")
     lhs = float(xv @ sm @ xv)
-    total = float(np.sum(xv))
-    rhs = 1.5 * total * total - float(np.sum(xv * xv))
+    total = float(xv.sum())
+    rhs = 1.5 * total * total - float((xv * xv).sum())
     return SlackReport("li-li", lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -56,7 +56,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InputRejected(f"{name}: expected a square 2-D array, got shape {m.shape}")
     if m.shape[0] < 1:
         raise InputRejected(f"{name}: empty matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InputRejected(f"{name}: entries must be finite (no NaN/Inf)")
     return m
 
@@ -66,16 +66,16 @@ def as_vector(v, name: str, fits, shape: str, nonnegative: bool = True) -> np.nd
     out = as_array(v, name)
     if out.ndim != 1 or not fits(out.size):
         raise InputRejected(f"{name} must be {shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise InputRejected(f"{name} entries must be finite")
-    if nonnegative and np.any(out < 0.0):
+    if nonnegative and (out < 0.0).any():
         raise InputRejected(f"{name} entries must be nonnegative")
     return out
 
 
 def norm_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm."""
-    return float(np.sum(a * a))
+    return float((a * a).sum())
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -87,9 +87,9 @@ def normalized(a: np.ndarray) -> tuple:
     (..., n, n) stack, with e the frexp exponent of the matrix's max |a_ij|.
     The division is exact in the normal range, so a scale-invariant check
     decides a / 2^e, whose max |entry| is in [0.5, 1), at every scale."""
-    e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))[1]
+    e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
     scaled = np.ldexp(a, -e[..., None, None])
-    return scaled, e, np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
+    return scaled, e, np.sqrt((scaled * scaled).sum(axis=(-2, -1)))
 
 
 def asymmetry(stack: np.ndarray, normal=None) -> tuple:
@@ -115,7 +115,7 @@ def as_pair(a, b, name_a: str = "a", name_b: str = "b") -> tuple:
 def frobenius_inner(a, b) -> float:
     """Frobenius (Hilbert-Schmidt) inner product sum_ij a_ij b_ij."""
     am, bm = as_pair(a, b)
-    return float(np.sum(am * bm))
+    return float((am * bm).sum())
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
                                for k in range(0, len(stack), step)])
     comm = commutator(stack[..., r, :, :], stack[..., s, :, :])
     comm *= comm
-    return np.sum(comm, axis=(-2, -1))
+    return comm.sum(axis=(-2, -1))
 
 
 def as_symmetric(a, name: str = "matrix") -> np.ndarray:
@@ -174,14 +174,14 @@ def _symmetric_normalized(a, name: str) -> tuple:
 def is_orthogonal(p: np.ndarray) -> bool:
     """Entrywise check of p^T p = I within 1e-10."""
     n = p.shape[0]
-    return bool(np.max(np.abs(p.T @ p - np.eye(n))) <= 1e-10)
+    return bool(np.abs(p.T @ p - np.eye(n)).max() <= 1e-10)
 
 
 def eigh_descending(a: np.ndarray) -> tuple:
     """Eigenvalues, descending, and unit eigenvectors (vectors[..., :, k] pairs
     with values[..., k]) of 0.5 a + 0.5 a^T, finite for finite a, over stacks; unchecked."""
     try:
-        w, v = np.linalg.eigh(0.5 * a + 0.5 * np.swapaxes(a, -1, -2))
+        w, v = np.linalg.eigh(0.5 * a + 0.5 * a.swapaxes(-1, -2))
     except np.linalg.LinAlgError as exc:
         tolerance(a)  # out of the float range: an input error, not a solver failure
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc

@@ -53,11 +53,11 @@ class RandomStream:
     def _raw(self, count: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
-        with np.errstate(over="ignore"):
-            z = self._seed[..., None] + idx * _GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            return z ^ (z >> np.uint64(31))
+        # uint64 array arithmetic wraps mod 2^64 without an overflow signal
+        z = self._seed[..., None] + idx * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` uniforms in [0, 1) with 53-bit resolution."""
@@ -95,6 +95,6 @@ class RandomStream:
     def orthogonal_matrix(self, n: int) -> np.ndarray:
         """Haar-ish orthogonal matrix: QR of a Gaussian with sign-fixed R."""
         q, r = np.linalg.qr(self.gaussian_matrix(n))
-        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs = np.sign(r.diagonal(axis1=-2, axis2=-1))
         signs[signs == 0] = 1.0
         return q * signs[..., None, :]

@@ -11,9 +11,11 @@ fields in declaration order, so a report's field list is its document.
 File formats keep a writer beside their parser (matrix_json, tuple_json,
 pair_json, sff_json, and canonical_form_json for reduce's output).
 
-Matrix files come in two flavors, sniffed by the first character:
-JSON {"n": int, "entries": [[...], ...]} or plain text (first line n,
-then n rows of n space-separated decimals).
+Every input file is read by _read_text: one binary read, a strict UTF-8
+decode and text mode's newline translation.  Matrix files come in two
+flavors, sniffed by the first character: JSON {"n": int, "entries":
+[[...], ...]} or plain text (first line n, then n rows of n
+space-separated decimals).
 """
 
 from __future__ import annotations
@@ -122,9 +124,20 @@ def _decode(text: str):
         raise InputRejected(f"invalid JSON: {exc}") from exc
 
 
+def _read_text(path: str) -> str:
+    """The file's text as open(path, encoding="utf-8").read() gives it, from
+    one binary read: a strict UTF-8 decode, then text mode's newline
+    translation (CRLF and a lone CR to LF), so every parse and every error
+    message, a JSON error's line, column and offset included, is the same."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_json(path: str, parse):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(_decode(fh.read()))
+    return parse(_decode(_read_text(path)))
 
 
 def _require(obj, what: str, keys: tuple) -> None:
@@ -193,8 +206,7 @@ def loads_matrix(text: str) -> np.ndarray:
 
 
 def read_matrix_file(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
+    return loads_matrix(_read_text(path))
 
 
 # ---------------------------------------------------------------------------

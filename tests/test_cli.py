@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -788,3 +789,68 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
         assert first.strip()
+
+
+class TestNoNumpyWrapperLayer:
+    """ineqlab calls ndarray methods, not numpy's Python-level wrappers of
+    them in fromnumeric.py (np.sum, np.max, np.any, np.swapaxes, np.argmin,
+    ...): each wrapper runs the method's reduction behind a Python frame."""
+
+    HORN = "5\n1 -1 1 1 -1\n-1 1 -1 1 1\n1 -1 1 -1 1\n1 1 -1 1 -1\n-1 1 1 -1 1\n"
+    ARGVS = [
+        ["ddvv-verify", "--seed", "3", "--trials", "40", "--n", "3", "--m", "3"],
+        ["ddvv-verify", "--input", "{tmp}/t.json"],
+        ["bw-verify", "--seed", "3", "--trials", "40", "--n", "4"],
+        ["bw-verify", "--input", "{data}/bw_pair_n5.json"],
+        ["bw-search", "--seed", "3", "--trials", "3", "--n", "3", "--max-iters", "5"],
+        ["reduce", "--input", "{tmp}/t.json"],
+        ["copositive", "--input", "{tmp}/m.txt", "--oracle", "6"],  # a violation, both ways
+        ["copositive", "--input", "{tmp}/horn.txt"],  # every submatrix size solved
+        ["copositive", "--input", "{tmp}/eye.json", "--oracle", "4"],
+        ["curvature", "--input", "{tmp}/h.json"],
+        ["curvature", "--model", "clifford", "--r", "1", "--n", "3", "--c", "2"],
+        ["models", "veronese", "--output", "{tmp}/v"],
+        ["spectrum", "--input", "{data}/spectrum_n4.json"],
+        ["spectrum", "--input", "{data}/spectrum_nilpotent.txt"],
+    ]
+
+    @staticmethod
+    def wrapper_calls(run) -> list:
+        """(caller, wrapper) of each call from an ineqlab frame into fromnumeric.py."""
+        package = str(Path(linalg.__file__).parent)
+        wrappers = np._core.fromnumeric.__file__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == wrappers \
+                    and frame.f_back.f_code.co_filename.startswith(package):
+                calls.append((frame.f_back.f_code.co_name, frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_the_guard_sees_a_wrapper_call(self):
+        # the parent's norm_sq, compiled as if it were still in linalg.py
+        scope = {"np": np}
+        exec(compile("def norm_sq(a):\n    return float(np.sum(a * a))\n", linalg.__file__,
+                     "exec"), scope)
+        assert ("norm_sq", "sum") in self.wrapper_calls(lambda: scope["norm_sq"](np.eye(2)))
+        assert self.wrapper_calls(lambda: linalg.norm_sq(np.eye(2))) == []
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_no_command_calls_a_wrapper(self, capsys, tmp_path, fmt):
+        write(tmp_path, "t.json", dumps(tuple_json(extremal_case_b(3, 0.5))))
+        write(tmp_path, "m.txt", "3\n1 -2 0\n-2 1 0\n0 0 1\n")
+        write(tmp_path, "horn.txt", self.HORN)
+        write(tmp_path, "eye.json", dumps(matrix_json(np.eye(3))))
+        write(tmp_path, "h.json", dumps(sff_json(curvature.veronese_tuple())))
+        argvs = [[a.replace("{tmp}", str(tmp_path)).replace("{data}", str(DATA)) for a in argv]
+                 + ([] if argv[0] == "models" else ["--format", fmt]) for argv in self.ARGVS]
+        codes = []
+        calls = self.wrapper_calls(lambda: codes.extend(main(argv) for argv in argvs))
+        capsys.readouterr()
+        assert codes == [0] * len(argvs) and calls == []

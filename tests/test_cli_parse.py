@@ -191,3 +191,15 @@ class TestEntryPaths:
             main()
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"ineqlab {__version__}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ddvv-verify", "--n", 3, "--trials", "3"], "argv[2] is of type int, not str"),
+        (["models", "veronese", "--output", None], "argv[3] is of type NoneType, not str"),
+        ([b"spectrum"], "argv[0] is of type bytes, not str"),
+        ([["copositive"]], "argv[0] is of type list, not str"),
+    ], ids=["direct-form", "argparse-form", "bytes", "list"])
+    def test_token_not_a_string_exits_2(self, capsys, monkeypatch, argv, message):
+        # argparse would raise a TypeError on it, a traceback; it is never reached
+        monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("argparse reached"))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

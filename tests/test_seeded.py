@@ -16,6 +16,15 @@ class TestBits:
         u = RandomStream(2**63 + 99).uniforms(2)
         assert [v.hex() for v in u] == ["0x1.32e79ba95fce0p-3", "0x1.8712aebb2d214p-2"]
 
+    def test_wrapping_signals_nothing(self):
+        # SplitMix64 wraps mod 2^64 by design, and uint64 array arithmetic
+        # does so with no overflow signal, so _raw needs no np.errstate
+        with np.errstate(all="raise"):
+            u = RandomStream(2**63 + 99).uniforms(2)
+            batch = RandomStream(sub_seeds(2**64 - 1, 0, 5)).symmetric_tuple(3, 2)
+        assert [v.hex() for v in u] == ["0x1.32e79ba95fce0p-3", "0x1.8712aebb2d214p-2"]
+        assert np.array_equal(batch[4], RandomStream(sub_seed(2**64 - 1, 4)).symmetric_tuple(3, 2))
+
     def test_seed_reduced_mod_2_64(self):
         assert np.array_equal(RandomStream(-1).uniforms(5), RandomStream(2**64 - 1).uniforms(5))
         assert np.array_equal(RandomStream(5).uniforms(5), RandomStream(2**64 + 5).uniforms(5))

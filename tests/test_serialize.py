@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ineqlab.ddvv import canonical_reduce, ddvv_slack, extremal_case_a
 from ineqlab.errors import InputRejected
 from ineqlab.report import SlackReport
 from ineqlab.seeded import RandomStream
+from ineqlab import serialize
 from ineqlab.serialize import (
     dumps,
     loads_matrix,
@@ -24,6 +26,8 @@ from ineqlab.serialize import (
     parse_pair_json,
     parse_sff_json,
     parse_tuple_json,
+    read_matrix_file,
+    read_tuple_file,
     sff_json,
     tuple_json,
 )
@@ -85,6 +89,76 @@ class TestMatrixFormats:
             parse_matrix_json({"entries": [[1.0]]})
         with pytest.raises(InputRejected, match="shape"):
             parse_matrix_json({"n": 2, "entries": [[1.0]]})
+
+
+def text_mode_outcome(path, read, loads):
+    """What read(path) gives, and what loads gives on text mode's reading of
+    the file: the parsed arrays, or the refusal's type and message."""
+    def outcome(call):
+        try:
+            got = call()
+        except (InputRejected, UnicodeDecodeError) as exc:
+            return type(exc).__name__, str(exc)
+        return "parsed", got if isinstance(got, str) else np.asarray(
+            getattr(got, "matrices", got)).tolist()
+
+    def text_mode():
+        with open(path, "r", encoding="utf-8") as fh:
+            return loads(fh.read())
+
+    return outcome(lambda: read(path)), outcome(text_mode)
+
+
+def loads_tuple(text):
+    return parse_tuple_json(serialize._decode(text))
+
+
+_TUPLE_TEXT = dumps(tuple_json(extremal_case_a(2, 1.0))).replace(",", ",\n ")
+
+
+class TestReadText:
+    """Input files are read from bytes, as text mode would read them."""
+
+    @pytest.mark.parametrize("read, loads, text", [
+        (read_matrix_file, loads_matrix, '{"n": 2,\n "entries": [[1.5, 0],\n [0, -2.25]]}\n'),
+        (read_matrix_file, loads_matrix, "2\n1.5 0\n\n0 -2.25\n"),
+        (read_matrix_file, loads_matrix, "2\n1.5 0\n0 x\n"),
+        (read_matrix_file, loads_matrix, "\ufeff2\n1 0\n0 1\n"),  # a BOM is kept, as in text mode
+        # malformed JSON: the error names a line, a column and a char offset
+        (read_matrix_file, loads_matrix, '{"n": 2,\n "entries": [[1.5, 0]\n [0, -2.25]]}\n'),
+        (read_tuple_file, loads_tuple, _TUPLE_TEXT),
+        (read_tuple_file, loads_tuple, _TUPLE_TEXT.replace("]]}]", "]]}")),
+    ], ids=["matrix-json", "matrix-text", "text-bad-float", "bom", "json-line-column",
+            "tuple", "tuple-bad-json"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\r\r\n"],
+                             ids=["lf", "crlf", "cr", "cr-crlf"])
+    def test_same_as_text_mode(self, tmp_path, read, loads, text, newline):
+        path = tmp_path / "input"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        got, want = text_mode_outcome(str(path), read, loads)
+        assert got == want
+        if want[1][:12] == "invalid JSON":  # a CRLF file would count one char more a line
+            assert re.search(r": line \d+ column \d+ \(char \d+\)$", want[1])
+
+    @pytest.mark.parametrize("data", [b"2\r\n1 0\r\n0 \xff\r\n", b"\xff\xfe\x00",
+                                      b'{"n": 1, "entries": [[1\xe2\x82]]}',
+                                      b'{"n": 1,\r\n "entries": [[1]]}\xe2'],
+                             ids=["bad-byte", "utf-16-bom", "truncated-inner", "truncated-end"])
+    def test_undecodable_bytes_as_text_mode(self, tmp_path, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        got, want = text_mode_outcome(str(path), read_matrix_file, loads_matrix)
+        assert got == want and want[0] == "UnicodeDecodeError"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(["\r", "\n", "\r\n", " ", "1", "{", "\u00e9", "\u2028"]))
+           .map("".join).map(lambda t: t.encode("utf-8"))
+           | st.binary(max_size=12))
+    def test_text_equals_text_mode(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("read") / "input"
+        path.write_bytes(data)
+        got, want = text_mode_outcome(str(path), serialize._read_text, lambda text: text)
+        assert got == want
 
 
 class TestTupleAndPair:
