@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InputRejected, NumericalFailure
 from .linalg import (
     DIM_CAP,
+    arrowhead_top,
     as_matrix,
     as_pair,
     commutator,
@@ -123,7 +124,7 @@ def spectral_report(values: np.ndarray) -> SlackReport:
 
 
 def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
-    """||[X, Y]||^2 and ||X||^2 ||Y||^2 over leading axes, unchecked.
+    """BW sides ||[X, Y]||^2 and 2 ||X||^2 ||Y||^2 over leading axes, unchecked.
 
     Asserts the weaker constant-3 bound as a sanity layer; a failure names
     the trial seed when `seeds` (one per leading index) are given.
@@ -138,13 +139,12 @@ def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
         where = "" if seeds is None else f"trial seed {seeds.flat[k]}: "
         raise NumericalFailure(f"{where}constant-3 sanity bound violated: "
                                f"{lhs.flat[k]} > 3 * {scale.flat[k]}")
-    return lhs, scale
+    return lhs, 2.0 * scale
 
 
 def bw_slack(x, y) -> SlackReport:
     """Direct form: ||[X, Y]||^2 <= 2 ||X||^2 ||Y||^2."""
-    lhs, scale = map(float, bw_sides(*as_pair(x, y, "x", "y")))
-    rhs = 2.0 * scale
+    lhs, rhs = map(float, bw_sides(*as_pair(x, y, "x", "y")))
     return SlackReport("bottcher-wenzel", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
@@ -226,10 +226,9 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
     if abs(bm[0, 0]) > 1e-12:
         raise InputRejected(f"b_11 = {bm[0, 0]:.3e} must vanish (within 1e-12)")
     corner = (bm[0, 1:] ** 2).sum() + (cm[1:, 0] ** 2).sum() + cm[0, 0] * cm[0, 0]
-    p = np.diag(np.concatenate([[corner], bm[1:, 0] ** 2 + cm[0, 1:] ** 2]))
-    p[0, 1:] = p[1:, 0] = -(bm[0, 1:] * cm[0, 1:] + bm[1:, 0] * cm[1:, 0])
-    lhs = float(eigh_descending(p)[0][0])
-    rhs = p[0, 0] + float((bm[1:, 0] ** 2).sum() + (cm[0, 1:] ** 2).sum())
+    lhs = arrowhead_top(corner, bm[1:, 0] ** 2 + cm[0, 1:] ** 2,
+                        -(bm[0, 1:] * cm[0, 1:] + bm[1:, 0] * cm[1:, 0]))
+    rhs = corner + float((bm[1:, 0] ** 2).sum() + (cm[0, 1:] ** 2).sum())
     return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 

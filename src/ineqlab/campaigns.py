@@ -166,8 +166,8 @@ def run_bw_campaign(seed: int, trials: int, n: int,
         stream = RandomStream(seeds)
         xs = stream.gaussian_matrix(n)
         ys = stream.gaussian_matrix(n)
-        lhs, scale = bw_sides(xs, ys, seeds)
-        pairs.update(2.0 * scale - lhs, lhs, seeds)
+        lhs, rhs = bw_sides(xs, ys, seeds)
+        pairs.update(rhs - lhs, lhs, seeds)
         xu = unit_stack(xs)
         all_rows = np.arange(len(seeds))
         blocks = [all_rows[start:start + block] for start in range(0, len(seeds), block)]

@@ -42,7 +42,7 @@ from .curvature import (
 )
 from .ddvv import canonical_reduce, ddvv_slack
 from .errors import InputRejected, NumericalFailure
-from .linalg import _symmetric_normalized
+from .linalg import as_matrix, check_symmetric
 from .report import TOL_COEFF, holds, tolerance
 from .serialize import (
     canonical_form_json,
@@ -166,7 +166,8 @@ def cmd_reduce(args) -> tuple:
 
 def cmd_copositive(args) -> tuple:
     # P is validated and normalized once, for property K and the oracle
-    p, normal = _symmetric_normalized(read_matrix_file(_input(args, "MATRIX_FILE")), "p")
+    p = as_matrix(read_matrix_file(_input(args, "MATRIX_FILE")), "p")
+    normal = check_symmetric(p, "p")
     verdict = copositive_property_k(p, normal=normal)
     oracle = None if args.oracle is None else copositive_oracle(p, args.oracle, normal=normal)
     agree = None if oracle is None else (oracle.copositive == verdict.copositive)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import _symmetric_normalized, eigh_descending
+from .linalg import as_matrix, check_symmetric, eigh_descending
 
 __all__ = ["CopositivityVerdict", "copositive_oracle", "copositive_property_k"]
 
@@ -119,10 +119,10 @@ def copositive_property_k(p, *, normal=None) -> CopositivityVerdict:
     stack it is solved in, so the verdict, failing submatrix and
     certificate are those of the scan over every subset, bit for bit.
 
-    normal, if given, is the (P, e, ||P||) of a p that
-    linalg._symmetric_normalized has validated, and p is not checked again.
+    normal, if given, is the (P, e, ||P||) that linalg.check_symmetric
+    returned for p, and p is not checked again.
     """
-    pm, _, norm = _symmetric_normalized(p, "p")[1] if normal is None else normal
+    pm, _, norm = check_symmetric(as_matrix(p, "p"), "p") if normal is None else normal
     m = pm.shape[0]
     if m > PROPERTY_K_DIM_CAP:
         raise InputRejected(
@@ -164,10 +164,10 @@ def copositive_oracle(p, resolution: int, *, normal=None) -> CopositivityVerdict
     violation at this resolution.  More than ORACLE_BUDGET simplices
     examined x m^2 is refused.
 
-    normal, if given, is the (P, e, ||P||) of a p that
-    linalg._symmetric_normalized has validated, and p is not checked again.
+    normal, if given, is the (P, e, ||P||) that linalg.check_symmetric
+    returned for p, and p is not checked again.
     """
-    pm, _, norm = _symmetric_normalized(p, "p")[1] if normal is None else normal
+    pm, _, norm = check_symmetric(as_matrix(p, "p"), "p") if normal is None else normal
     if resolution < 2:
         raise InputRejected("resolution must be >= 2")
     m = pm.shape[0]

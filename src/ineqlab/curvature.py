@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddvv import SymmetricTuple
+from .ddvv import SymmetricTuple, extremal_case_a
 from .errors import InputRejected
 from .linalg import DIM_CAP, as_vector, commutator_norms_sq, eigh_descending, pair_indices
 from .report import tolerance
@@ -175,13 +175,9 @@ def veronese_tuple() -> SecondFundamentalForm:
     """Pointwise shape operators of the Veronese surface in the 4-sphere:
     the extremal 2x2 pair scaled to ||sigma||^2 = 4/3; sits exactly on the
     pinching boundary with DDVV equality."""
-    f = np.sqrt(2.0 / 3.0)
-    s = 1.0 / np.sqrt(2.0)
-    h = np.zeros((2, 2, 2))
-    h[0, 0, 0] = f * s
-    h[0, 1, 1] = -f * s
-    h[1, 0, 1] = h[1, 1, 0] = f * s
-    return SecondFundamentalForm.from_array(h, c=1.0)
+    h = np.sqrt(2 / 3) * extremal_case_a(2, 1.0).matrices  # validated as the pair
+    h.flags.writeable = False
+    return SecondFundamentalForm(n=2, m=2, c=1.0, h=h)
 
 
 def veronese_immersion(p) -> np.ndarray:

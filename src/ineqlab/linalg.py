@@ -155,20 +155,27 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
     return comm.sum(axis=(-2, -1))
 
 
-def as_symmetric(a, name: str = "matrix") -> np.ndarray:
-    """as_matrix plus symmetry within SYMMETRY_TOL * (1 + ||a||)."""
-    return _symmetric_normalized(a, name)[0]
-
-
-def _symmetric_normalized(a, name: str) -> tuple:
-    """as_symmetric(a, name) and the normalized(a) that its symmetry check decided on."""
-    m = as_matrix(a, name)
-    normal = normalized(m)
-    defect, allowed = asymmetry(m, normal=normal)
+def check_symmetric(stack: np.ndarray, name: str) -> tuple:
+    """Refuse the first matrix of a finite (n, n) or (m, n, n) stack that is
+    not symmetric within SYMMETRY_TOL * (1 + ||a||), as `name`, or as
+    `name k` along the leading axis; return the normalized(stack) decided on."""
+    normal = normalized(stack)
+    defect, allowed = asymmetry(stack, normal=normal)
+    if stack.ndim == 3:
+        k = int((defect > allowed).argmax())
+        defect, allowed = defect[k], allowed[k]
     if defect > allowed:
-        raise InputRejected(f"{name}: not symmetric (max |a_ij - a_ji| = {defect:.3e}, "
+        where = name if stack.ndim == 2 else f"{name} {k + 1}"
+        raise InputRejected(f"{where}: not symmetric (max |a_ij - a_ji| = {defect:.3e}, "
                             f"allowed {allowed:.3e})")
-    return m, normal
+    return normal
+
+
+def as_symmetric(a, name: str = "matrix") -> np.ndarray:
+    """as_matrix plus check_symmetric."""
+    m = as_matrix(a, name)
+    check_symmetric(m, name)
+    return m
 
 
 def is_orthogonal(p: np.ndarray) -> bool:
@@ -186,6 +193,15 @@ def eigh_descending(a: np.ndarray) -> tuple:
         tolerance(a)  # out of the float range: an input error, not a solver failure
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return w[..., ::-1], v[..., ::-1]
+
+
+def arrowhead_top(corner, diag: np.ndarray, border: np.ndarray) -> float:
+    """Top eigenvalue of the arrowhead matrix with `corner` at (0, 0), `diag`
+    down the rest of the diagonal and `border` along the first row and column;
+    unchecked."""
+    p = np.diag(np.concatenate([[corner], diag]))
+    p[0, 1:] = p[1:, 0] = border
+    return float(eigh_descending(p)[0][0])
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:

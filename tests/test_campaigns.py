@@ -14,7 +14,7 @@ from ineqlab.bw import bw_slack, bw_spectral_slack, t_matrices
 from ineqlab.campaigns import (CHUNK_ELEMENTS, run_bw_campaign, run_ddvv_campaign,
                                run_search_campaign)
 from ineqlab.cli import main
-from ineqlab.ddvv import SymmetricTuple, check_members, ddvv_slack
+from ineqlab.ddvv import SymmetricTuple, ddvv_slack
 from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import commutator, eigh_descending, frobenius_norm, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
@@ -379,20 +379,20 @@ class TestChunkValidation:
         stack[0, 2, 0, 1] = np.nan
         stack[0, 0, 0, 1] += 1.0  # an earlier asymmetric member
         with pytest.raises(InputRejected, match="^member 3: entries must be finite"):
-            check_members(stack[0])
+            SymmetricTuple.from_matrices(stack[0])
 
     def test_names_first_asymmetric_member(self):
         _, stack = self._stack()
         stack[0, 3, 1, 2] += 1e-3
         stack[0, 1, 2, 0] += 1e-3
         with pytest.raises(InputRejected, match="^member 2: not symmetric"):
-            check_members(stack[0])
+            SymmetricTuple.from_matrices(stack[0])
 
     def test_without_seeds_names_member_only(self):
         _, stack = self._stack()
         stack[0, 3, 0, 1] = np.inf
         with pytest.raises(InputRejected, match="^member 4: entries must be finite"):
-            check_members(stack[0])
+            SymmetricTuple.from_matrices(stack[0])
 
 
 class TestChunkDraws:

@@ -615,15 +615,30 @@ class TestValidationCounts:
             counts.append(len(calls) - before)
         assert counts == [1, 0, 0, 0]
 
+    @staticmethod
+    def count_check_symmetric(monkeypatch) -> list:
+        """Count linalg.check_symmetric calls, in every module that imports it."""
+        calls, patched, original = [], [], linalg.check_symmetric
+        for module in (bw, campaigns, cli, copositive, curvature, ddvv, linalg, report):
+            if getattr(module, "check_symmetric", None) is original:
+                monkeypatch.setattr(module, "check_symmetric",
+                                    lambda stack, name: calls.append(1) or original(stack, name))
+                patched.append(module.__name__)
+        assert patched == ["ineqlab.cli", "ineqlab.copositive", "ineqlab.ddvv", "ineqlab.linalg"]
+        return calls
+
     def test_campaign_checks_no_member(self, capsys, monkeypatch):
-        calls = []
-        for module in (ddvv, campaigns):
-            monkeypatch.setattr(module, "check_members", lambda stack, *rest: calls.append(1),
-                                raising=False)
+        calls = self.count_check_symmetric(monkeypatch)
         code, doc = run_json(capsys, ["ddvv-verify", "--seed", "3", "--trials", "200",
                                       "--n", "3", "--m", "4"])
         assert code == 0 and doc["trials_run"] == 200
         assert calls == []
+
+    def test_tuple_file_is_checked_once(self, capsys, monkeypatch):
+        # the positive control of test_campaign_checks_no_member
+        calls = self.count_check_symmetric(monkeypatch)
+        code, _ = run_json(capsys, ["ddvv-verify", "--input", f"{DATA}/golden_veronese_tuple.json"])
+        assert (code, len(calls)) == (0, 1)
 
     def test_reduce_builds_the_input_and_the_replay(self, capsys, tmp_path, monkeypatch):
         path = write(tmp_path, "t.json", dumps(tuple_json(extremal_case_b(3, 0.5))))

@@ -9,6 +9,7 @@ from ineqlab.linalg import (
     SYMMETRY_TOL,
     as_symmetric,
     asymmetry,
+    check_symmetric,
     commutator,
     eigh_descending,
     frobenius_inner,
@@ -232,6 +233,24 @@ class TestPrescaledNorm:
         assert_array_equal(allowed, SYMMETRY_TOL * (1.0 + np.ldexp(root, e)))
         defect, allowed = asymmetry(np.array([[0.0, 1e308], [-1e308, 0.0]]))
         assert defect == np.inf and np.isfinite(allowed)
+
+
+class TestCheckSymmetric:
+    """The one symmetry check returns the normalized triple it decided on."""
+
+    def test_returns_the_normalized_triple(self):
+        stack = RandomStream(23).symmetric_tuple(4, 3) * 1e-5
+        for a in (stack[0], stack):
+            for got, want in zip(check_symmetric(a, "a"), normalized(a)):
+                assert_array_equal(got, want)
+
+    def test_names_the_matrix_or_its_member(self):
+        stack = RandomStream(24).symmetric_tuple(3, 4)
+        stack[2, 0, 1] += 1e-3
+        with pytest.raises(InputRejected, match=r"^p: not symmetric \(max"):
+            check_symmetric(stack[2], "p")
+        with pytest.raises(InputRejected, match=r"^member 3: not symmetric \(max"):
+            check_symmetric(stack, "member")
 
 
 class TestPairIndices:
