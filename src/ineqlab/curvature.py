@@ -15,7 +15,8 @@ import numpy as np
 
 from .ddvv import SymmetricTuple, extremal_case_a
 from .errors import InputRejected
-from .linalg import DIM_CAP, as_vector, commutator_norms_sq, eigh_descending, pair_indices
+from .linalg import (DIM_CAP, as_vector, commutator_norms_sq, eigh_descending, pair_indices,
+                     sum_in_order)
 from .report import tolerance
 
 __all__ = ["CurvatureReport", "FundamentalReport", "SecondFundamentalForm",
@@ -105,19 +106,19 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
     iu, ju = pair_indices(n)
     mean = h.trace(axis1=1, axis2=2) / n
 
-    # One pass over the slices.  Removing the trace part keeps a slice's
-    # off-diagonal entries and shifts its diagonal to diag - mean, so the
-    # shape slack's sums are read off h itself.
-    gauss = diag_part = off_part = 0.0
-    for a, mu in zip(h, mean):
-        diag = np.diag(a)
-        total = float(diag.sum())
-        off = float((a[iu, ju] ** 2).sum())
-        gauss += 0.5 * (total * total - float((diag * diag).sum()))
-        gauss -= off
-        gaps = diag - mu
-        diag_part += float(((gaps[iu] - gaps[ju]) ** 2).sum())
-        off_part += off
+    # Each slice's sums are np.sum over a row of a C-contiguous array, which adds
+    # them as over the slice alone; sum_in_order adds them slice by slice, for
+    # gauss a slice's 1/2 (total^2 - sum diag^2) and then its -off.  Removing the
+    # trace part keeps a slice's off-diagonal entries and shifts its diagonal to
+    # diag - mean, so the shape slack's sums are read off h itself.
+    diag = h.diagonal(axis1=1, axis2=2).copy()
+    off = (np.ascontiguousarray(h[:, iu, ju]) ** 2).sum(axis=1)
+    halves = 0.5 * (diag.sum(axis=1) ** 2 - (diag ** 2).sum(axis=1))
+    gauss = float(sum_in_order(np.column_stack([halves, -off]).ravel()))
+    gaps = diag - mean[:, None]
+    gap_sq = (gaps.take(iu, axis=1) - gaps.take(ju, axis=1)) ** 2
+    diag_part = float(sum_in_order(gap_sq.sum(axis=1)))
+    off_part = float(sum_in_order(off))
     rho = form.c + coeff * gauss
 
     # sum_{r<s} sum_{i<j} ([A_r, A_s]_ij)^2: commutators of symmetric slices are

@@ -27,6 +27,7 @@ from .linalg import (
     is_orthogonal,
     norm_sq,
     pair_indices,
+    sum_in_order,
 )
 from .report import SlackReport
 
@@ -87,14 +88,6 @@ def _layout_problem(mats) -> str:
     return not_a_sequence  # each member stacks, but numpy does not take `mats` as a sequence
 
 
-def _sum_in_order(values: np.ndarray) -> np.ndarray:
-    """Left-to-right float sum over the last axis; np.sum regroups the
-    additions from 8 terms on."""
-    if values.shape[-1] == 0:
-        return np.zeros(values.shape[:-1])
-    return values.cumsum(axis=-1)[..., -1]
-
-
 # Canonical-position checks: each returns what is wrong, or None.
 
 def _not_diagonal(a: np.ndarray, name: str):
@@ -147,7 +140,7 @@ def ddvv_sides(stack: np.ndarray) -> tuple:
     members must already be validated."""
     total = (stack * stack).sum(axis=(-2, -1)).sum(axis=-1)
     lhs = np.multiply(total, total)
-    rhs = 2.0 * _sum_in_order(commutator_norms_sq(stack))
+    rhs = 2.0 * sum_in_order(commutator_norms_sq(stack))
     return lhs, rhs
 
 
@@ -271,7 +264,7 @@ def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
                or _not_orthogonal(t.gram()) or _not_sorted(np.sqrt(norms_sq), 1))
     if problem:
         raise InputRejected(f"precondition failed: {problem}")
-    lhs = float(_sum_in_order(commutator_norms_sq(t.matrices)[: t.m - 1]))
+    lhs = float(sum_in_order(commutator_norms_sq(t.matrices)[: t.m - 1]))
     tail = float(norms_sq[1:].sum())
     rhs = tail + (float(norms_sq[1]) if t.m >= 2 else 0.0)
     return SlackReport("commutator-sum-bound", lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -5,7 +5,7 @@ Everything operates on plain float64 arrays, made from outside input by
 `as_array` alone.  Inputs are validated (numeric, finite, square, symmetric
 where required) and rejected with :class:`InputRejected`, except by the
 unchecked commutator and eigen kernels, which let an overflow's inf or NaN
-through to report.tolerance; a solver failure is a NumericalFailure.
+through to report.tolerance; a solver failure on finite input is a NumericalFailure.
 """
 
 from __future__ import annotations
@@ -155,6 +155,14 @@ def commutator_norms_sq(stack: np.ndarray) -> np.ndarray:
     return comm.sum(axis=(-2, -1))
 
 
+def sum_in_order(values: np.ndarray) -> np.ndarray:
+    """0.0 + v_0 + v_1 + ... over the last axis, left to right, as a Python
+    loop adds; np.sum regroups the additions from 8 terms on."""
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1])
+    return values.cumsum(axis=-1)[..., -1] + 0.0  # the loop's 0.0 start: -0.0 sums to 0.0
+
+
 def check_symmetric(stack: np.ndarray, name: str) -> tuple:
     """Refuse the first matrix of a finite (n, n) or (m, n, n) stack that is
     not symmetric within SYMMETRY_TOL * (1 + ||a||), as `name`, or as
@@ -184,14 +192,20 @@ def is_orthogonal(p: np.ndarray) -> bool:
     return bool(np.abs(p.T @ p - np.eye(n)).max() <= 1e-10)
 
 
+def _solved(solver, a: np.ndarray, what: str):
+    """solver(a) for a LAPACK routine; its failure on an inf or NaN `a` is the
+    float-range refusal, any other failure a NumericalFailure naming `what`."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        tolerance(a)  # out of the float range: an input error, not a solver failure
+        raise NumericalFailure(f"{what} did not converge: {exc}") from exc
+
+
 def eigh_descending(a: np.ndarray) -> tuple:
     """Eigenvalues, descending, and unit eigenvectors (vectors[..., :, k] pairs
     with values[..., k]) of 0.5 a + 0.5 a^T, finite for finite a, over stacks; unchecked."""
-    try:
-        w, v = np.linalg.eigh(0.5 * a + 0.5 * a.swapaxes(-1, -2))
-    except np.linalg.LinAlgError as exc:
-        tolerance(a)  # out of the float range: an input error, not a solver failure
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    w, v = _solved(np.linalg.eigh, 0.5 * a + 0.5 * a.swapaxes(-1, -2), "eigensolver")
     return w[..., ::-1], v[..., ::-1]
 
 
@@ -205,12 +219,8 @@ def arrowhead_top(corner, diag: np.ndarray, border: np.ndarray) -> float:
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh over (..., n, n) stacks, ascending; unchecked.  A
-    solver failure is a NumericalFailure."""
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    """np.linalg.eigvalsh over (..., n, n) stacks, ascending; unchecked."""
+    return _solved(np.linalg.eigvalsh, a, "eigensolver")
 
 
 def sym_eigen(a) -> tuple:
@@ -226,12 +236,7 @@ def svd(x) -> tuple:
     """(q1, lam, q2) with x = q1 diag(lam) q2, q1 and q2 orthogonal and the
     singular values lam nonnegative and descending; q2 is the full right
     factor (not its transpose)."""
-    m = as_matrix(x, "x")
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"svd did not converge: {exc}") from exc
-    return u, s, vh
+    return _solved(np.linalg.svd, as_matrix(x, "x"), "svd")
 
 
 def vectorize_sym(a) -> np.ndarray:

@@ -83,12 +83,11 @@ class RandomStream:
         return self.normals(n * n).reshape(self._seed.shape + (n, n))
 
     def symmetric_matrix(self, n: int) -> np.ndarray:
-        """Gaussian matrix symmetrized via (M + M^T)/2."""
-        g = self.gaussian_matrix(n)
-        return 0.5 * (g + g.swapaxes(-1, -2))
+        """Gaussian matrix symmetrized via (M + M^T)/2: a one-member symmetric_tuple."""
+        return self.symmetric_tuple(n, 1)[..., 0, :, :]
 
     def symmetric_tuple(self, n: int, m: int) -> np.ndarray:
-        """m successive symmetric_matrix draws as one (..., m, n, n) array."""
+        """m successive draws (M + M^T)/2, M a gaussian_matrix(n), as one (..., m, n, n) array."""
         g = self._normal_blocks(n * n, m).reshape(self._seed.shape + (m, n, n))
         return 0.5 * (g + g.swapaxes(-1, -2))
 

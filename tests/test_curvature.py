@@ -159,6 +159,7 @@ def _three_pass_report(form):
 
 class TestSinglePassReport:
     def test_bits_equal_the_three_pass_reference(self):
+        # exact powers of two move h off the unit scale without rounding it
         k = 0
         for n in range(2, 13):
             for m in range(1, 13):
@@ -166,11 +167,22 @@ class TestSinglePassReport:
                 if k % 2:
                     h[k % m] = 0.0  # a zero slice
                 k += 1
-                for c in (0.0, 1.0, -0.0, 1e16):
-                    form = SecondFundamentalForm.from_array(h, c=c)
-                    got = np.array(dataclasses.astuple(curvature_report(form)))
-                    want = np.array(_three_pass_report(form))
-                    assert got.tobytes() == want.tobytes(), (n, m, c)
+                for scale in (1.0, 2.0 ** -500, 2.0 ** -60, 2.0 ** 60, 2.0 ** 200):
+                    for c in (0.0, 1.0, -0.0, 1e16):
+                        form = SecondFundamentalForm.from_array(h * scale, c=c)
+                        got = np.array(dataclasses.astuple(curvature_report(form)))
+                        want = np.array(_three_pass_report(form))
+                        assert got.tobytes() == want.tobytes(), (n, m, scale, c)
+
+    def test_gauss_sum_of_negative_zeros_is_the_loops_zero(self):
+        # 1/2 (total^2 - sum diag^2) rounds to -0.0 here; a loop from 0.0 gives
+        # gauss 0.0, so rho = -0.0 + coeff * gauss is 0.0
+        h = np.array([[[2.0 ** -537, 0.0], [0.0, -(2.0 ** -538)]]])
+        form = SecondFundamentalForm.from_array(h, c=-0.0)
+        got = np.array(dataclasses.astuple(curvature_report(form)))
+        want = np.array(_three_pass_report(form))
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(curvature_report(form).rho)
 
 
 class TestFundamentalReport:

@@ -1,6 +1,6 @@
 """The float-range rule: kernels let IEEE inf and NaN through, and the verdict
 rule (report.tolerance, report.holds, SlackReport) refuses them with
-InputRejected, as does eigh_descending when the solver fails on them.  A
+InputRejected, as do the linalg solvers when LAPACK fails on them.  A
 verdict taken against an infinite tolerance, or on an inf or NaN side, says
 nothing."""
 
@@ -15,7 +15,8 @@ import ineqlab
 from ineqlab.bw import bw_case_matrix_bound, bw_slack
 from ineqlab.curvature import SecondFundamentalForm, fundamental_report
 from ineqlab.ddvv import SymmetricTuple, ddvv_slack, p_matrix_bound
-from ineqlab.errors import InputRejected
+from ineqlab.errors import InputRejected, NumericalFailure
+from ineqlab.linalg import eigh_descending, eigvalsh
 from ineqlab.report import SlackReport, holds, tolerance
 from ineqlab.seeded import RandomStream, sub_seed
 
@@ -104,6 +105,28 @@ class TestOverflowingDerivedMatrices:
                     p_matrix_bound(s)
 
 
+def _fail(a):
+    raise np.linalg.LinAlgError("stub")
+
+
+@pytest.mark.parametrize("kernel, solver", [(eigh_descending, "eigh"), (eigvalsh, "eigvalsh")],
+                         ids=["eigh_descending", "eigvalsh"])
+class TestSolverFailure:
+    """A LAPACK failure is the float-range refusal on an inf or NaN input, and
+    a NumericalFailure on a finite one, for every unchecked linalg solver."""
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_input_is_refused(self, monkeypatch, kernel, solver, entry):
+        monkeypatch.setattr(np.linalg, solver, _fail)
+        with pytest.raises(InputRejected, match=OUT_OF_RANGE):
+            kernel(np.array([[1.0, entry], [entry, 1.0]]))
+
+    def test_finite_input_is_a_numerical_failure(self, monkeypatch, kernel, solver):
+        monkeypatch.setattr(np.linalg, solver, _fail)
+        with pytest.raises(NumericalFailure, match="^eigensolver did not converge: stub$"):
+            kernel(np.eye(2))
+
+
 def _module(name: str) -> ast.Module:
     return ast.parse((SRC / f"{name}.py").read_text())
 
@@ -146,10 +169,10 @@ class TestOneHome:
         assert found == {"cli.main", "linalg.asymmetry", "bw._unit"}
 
     def test_refusal_raised_only_from_the_rule(self):
-        # report.py raises the refusal; eigh_descending is the one kernel
-        # that applies the rule for its own sake, to a solver's failure
+        # report.py raises the refusal; linalg's solver-failure rule is the
+        # one kernel that applies it for its own sake, to a solver's failure
         raising = {name for name in self.MODULES for node in ast.walk(_module(name))
                    if isinstance(node, ast.Raise)
                    and "out of the float range" in ast.unparse(node)}
         assert raising == {"report"}
-        assert _functions_calling(_module("linalg"), "tolerance") == ["eigh_descending"]
+        assert _functions_calling(_module("linalg"), "tolerance") == ["_solved"]

@@ -16,6 +16,7 @@ from ineqlab.linalg import (
     frobenius_norm,
     normalized,
     pair_indices,
+    sum_in_order,
     svd,
     sym_eigen,
     vectorize_sym,
@@ -264,6 +265,26 @@ class TestPairIndices:
             assert pair_indices(k) is pair_indices(k)
         with pytest.raises(ValueError):
             pair_indices(3)[0][0] = 1
+
+
+class TestSumInOrder:
+    def test_bits_equal_a_loop_from_zero(self):
+        regrouped = 0
+        scales = 10.0 ** np.arange(-3, 1)[:, None]
+        for size in range(0, 30):
+            rows = RandomStream(sub_seeds(61, 0, 4)).normals(size) * scales
+            got = sum_in_order(rows)
+            for row, value in zip(rows, got):
+                want = 0.0
+                for v in row:
+                    want += v
+                assert value.tobytes() == np.float64(want).tobytes()
+                regrouped += bool(np.sum(row) != want)
+        assert regrouped >= 10
+
+    def test_negative_zeros_sum_to_the_loops_zero(self):
+        got = sum_in_order(np.full((2, 3), -0.0))
+        assert np.signbit(got).tolist() == [False, False]
 
 
 class TestSvd:

@@ -1,5 +1,7 @@
 """Each rule has one home: no module reaches into another's private names,
-and the symmetry refusal is raised by linalg.check_symmetric alone."""
+the symmetry refusal is raised by linalg.check_symmetric alone, a solver's
+failure is read by one linalg function, and linalg.sum_in_order is the one
+left-to-right sum."""
 
 import ast
 from pathlib import Path
@@ -38,3 +40,15 @@ def test_not_symmetric_raised_only_by_check_symmetric():
     raising = {(name, fn) for name in MODULES
                for fn in _raising_functions(_module(name), "not symmetric")}
     assert raising == {("linalg", "check_symmetric")}
+
+
+def test_solver_failure_raised_by_one_linalg_function():
+    assert _raising_functions(_module("linalg"), "did not converge") == ["_solved"]
+
+
+def test_cumsum_called_only_by_sum_in_order():
+    calling = {(name, node.name) for name in MODULES for node in ast.walk(_module(name))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and ast.unparse(call.func).endswith("cumsum")
+                       for call in ast.walk(node))}
+    assert calling == {("linalg", "sum_in_order")}
