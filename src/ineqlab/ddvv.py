@@ -24,7 +24,6 @@ from .linalg import (
     commutator_norms_sq,
     eigh_descending,
     frobenius_norm,
-    is_orthogonal,
     norm_sq,
     pair_indices,
     sum_in_order,
@@ -157,7 +156,7 @@ def group_act(t: SymmetricTuple, p, q) -> SymmetricTuple:
     for name, g, size in (("p", pm, t.n), ("q", qm, t.m)):
         if g.shape[0] != size:
             raise InputRejected(f"{name} must be {size}x{size}")
-        if not is_orthogonal(g):
+        if not np.abs(g.T @ g - np.eye(size)).max() <= 1e-10:  # NaN is refused too
             raise InputRejected(f"{name} is not orthogonal within 1e-10")
     mixed = np.einsum("rj,jab->rab", qm, pm @ t.matrices @ pm.T)
     return SymmetricTuple.from_matrices(mixed)

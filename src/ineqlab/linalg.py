@@ -92,17 +92,6 @@ def normalized(a: np.ndarray) -> tuple:
     return scaled, e, np.sqrt((scaled * scaled).sum(axis=(-2, -1)))
 
 
-def asymmetry(stack: np.ndarray, normal=None) -> tuple:
-    """Max |a_ij - a_ji| of each matrix of an (..., n, n) stack, and the
-    defect allowed it, SYMMETRY_TOL * (1 + ||a||).  Both are formed on
-    a / 2^e (normal, when the caller has formed normalized(stack) already),
-    so one past DBL_MAX reads inf, with no overflow warning."""
-    scaled, e, root = normalized(stack) if normal is None else normal
-    with np.errstate(over="ignore"):
-        defect = np.ldexp(np.abs(scaled - scaled.swapaxes(-1, -2)).max(axis=(-2, -1)), e)
-        return defect, SYMMETRY_TOL * (1.0 + np.ldexp(root, e))
-
-
 def as_pair(a, b, name_a: str = "a", name_b: str = "b") -> tuple:
     """Validate two matrices with as_matrix and require equal shapes."""
     am = as_matrix(a, name_a)
@@ -166,9 +155,12 @@ def sum_in_order(values: np.ndarray) -> np.ndarray:
 def check_symmetric(stack: np.ndarray, name: str) -> tuple:
     """Refuse the first matrix of a finite (n, n) or (m, n, n) stack that is
     not symmetric within SYMMETRY_TOL * (1 + ||a||), as `name`, or as
-    `name k` along the leading axis; return the normalized(stack) decided on."""
-    normal = normalized(stack)
-    defect, allowed = asymmetry(stack, normal=normal)
+    `name k` along the leading axis; return the normalized(stack) decided on,
+    whose a / 2^e reads a defect past DBL_MAX as inf, with no overflow warning."""
+    normal = scaled, e, root = normalized(stack)
+    with np.errstate(over="ignore"):
+        defect = np.ldexp(np.abs(scaled - scaled.swapaxes(-1, -2)).max(axis=(-2, -1)), e)
+        allowed = SYMMETRY_TOL * (1.0 + np.ldexp(root, e))
     if stack.ndim == 3:
         k = int((defect > allowed).argmax())
         defect, allowed = defect[k], allowed[k]
@@ -184,12 +176,6 @@ def as_symmetric(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
     check_symmetric(m, name)
     return m
-
-
-def is_orthogonal(p: np.ndarray) -> bool:
-    """Entrywise check of p^T p = I within 1e-10."""
-    n = p.shape[0]
-    return bool(np.abs(p.T @ p - np.eye(n)).max() <= 1e-10)
 
 
 def _solved(solver, a: np.ndarray, what: str):
@@ -225,10 +211,7 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
 
 def sym_eigen(a) -> tuple:
     """(values, vectors) of a symmetric matrix: eigh_descending behind
-    as_symmetric, the entry point for outside input.
-
-    Rejects inputs whose symmetry defect exceeds 1e-12 * (1 + ||a||).
-    """
+    as_symmetric, the entry point for outside input."""
     return eigh_descending(as_symmetric(a, "a"))
 
 

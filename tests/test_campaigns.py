@@ -84,9 +84,10 @@ class TestDdvvCampaign:
         assert _fields(got) == reference_ddvv(4, trials, 12, 12)
 
     def test_peak_memory_bounded(self):
+        # a chunk at n = m = 12 holds 3 trials, so this spans 1000 chunks
         tracemalloc.start()
         try:
-            run_ddvv_campaign(5, 20_000, 12, 12)
+            run_ddvv_campaign(5, 3_000, 12, 12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -240,6 +240,18 @@ class TestCopositive:
         assert code == 0
         assert doc["oracle"]["copositive"] is True and doc["agree"] is True
 
+    def test_oracle_refutes_at_its_documented_resolution(self, capsys, tmp_path):
+        # P = G G^T - t J, t 1.2% over the least x^T G G^T x on the unit
+        # simplex (G from default_rng(5)): not copositive, by a margin the
+        # partition sees down to edge sqrt(2)/R at R = 4 and misses at 2 sqrt(2)/R
+        path = write(tmp_path, "m.txt", "3\n"
+                     "0.46818110596438867 -1.6580486403588712 -1.3924863412977735\n"
+                     "-1.6580486403588712 7.253796784577934 3.8008206700303857\n"
+                     "-1.3924863412977735 3.8008206700303857 4.9858296740164185\n")
+        code, doc = run_json(capsys, ["copositive", "--input", path, "--oracle", "4"])
+        assert code == 0 and doc["agree"] is True
+        assert doc["property_k"]["copositive"] is doc["oracle"]["copositive"] is False
+
     def test_over_cap_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "m.json", dumps(matrix_json(np.eye(17))))
         assert main(["copositive", "--input", path]) == 2
@@ -561,17 +573,6 @@ class TestValidationCounts:
                             classmethod(lambda cls, mats: calls.append(1) or original(cls, mats)))
         return calls
 
-    @staticmethod
-    def count_symmetry_checks(monkeypatch) -> list:
-        """Count linalg.asymmetry calls, in every module that imports it."""
-        calls = []
-        original = linalg.asymmetry
-        for module in (linalg, ddvv, bw, copositive, curvature):
-            if getattr(module, "asymmetry", None) is original:
-                monkeypatch.setattr(module, "asymmetry", lambda stack, normal=None:
-                                    calls.append(1) or original(stack, normal))
-        return calls
-
     @pytest.mark.parametrize("argv, checks", [
         (["reduce", "--input", "{data}/golden_veronese_tuple.json"], 2),  # input, audit replay
         (["curvature", "--input", "{tmp}/h.json"], 1),
@@ -581,7 +582,7 @@ class TestValidationCounts:
     def test_symmetry_checks_per_command(self, capsys, tmp_path, monkeypatch, argv, checks):
         write(tmp_path, "h.json", dumps(sff_json(curvature.veronese_tuple())))
         write(tmp_path, "m.txt", "3\n1 -2 0\n-2 1 0\n0 0 1\n")
-        calls = self.count_symmetry_checks(monkeypatch)
+        calls = self.count_check_symmetric(monkeypatch)
         argv = [a.replace("{data}", str(DATA)).replace("{tmp}", str(tmp_path)) for a in argv]
         assert run_json(capsys, argv)[0] == 0
         assert len(calls) == checks
@@ -595,7 +596,7 @@ class TestValidationCounts:
         for module in (linalg, bw, copositive, curvature, ddvv):
             if getattr(module, "normalized", None) is original:
                 monkeypatch.setattr(module, "normalized", lambda a: calls.append(1) or original(a))
-        checks = self.count_symmetry_checks(monkeypatch)
+        checks = self.count_check_symmetric(monkeypatch)
         assert run_json(capsys, ["copositive", "--input", f"{tmp_path}/m.txt", *oracle])[0] == 0
         assert (len(calls), len(checks)) == (1, 1)
 
@@ -605,7 +606,7 @@ class TestValidationCounts:
         t = extremal_case_b(3, 0.5)
         form = curvature.veronese_tuple()
         b = np.array([[0.0, 1.0], [2.0, 3.0]])
-        calls = self.count_symmetry_checks(monkeypatch)
+        calls = self.count_check_symmetric(monkeypatch)
         counts = []
         for call in (lambda: ddvv.canonical_reduce(t), lambda: curvature.fundamental_report(form),
                      lambda: ddvv.p_matrix_bound([1.0, 2.0, 0.5]),

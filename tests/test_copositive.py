@@ -241,6 +241,30 @@ class TestPropertyK:
         assert not certified(q)
         assert copositive_property_k(q).failing_submatrix == (0, 1)
 
+    def test_construction_decided_at_once(self, monkeypatch):
+        # B B^T + N, N uniform in [0, 1), drawn as the benchmark draws it, with
+        # a negative eigenvalue: the certificate at SPN_SHIFT = 0.1 decides it
+        # in two solves, where a shift of 0.3 or 0.5 ||P|| solves every size
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((12, 12))
+        p = b @ b.T + rng.uniform(0.0, 1.0, (12, 12))
+        p = 0.5 * (p + p.T)
+        assert np.linalg.eigvalsh(p)[0] < 0.0
+        solved, kernel = [], copositive.eigh_descending
+        monkeypatch.setattr(copositive, "eigh_descending",
+                            lambda a: solved.append(a.shape) or kernel(a))
+        assert copositive_property_k(p) == CopositivityVerdict(True)
+        assert solved == [(1, 12, 12), (12, 12)]  # P, then the certificate's X
+
+    def test_sign_tolerance_leaves_the_proof_its_margin(self):
+        # fact (1) of the docstring: an eigenvector one-signed up to w has
+        # lam >= -mu - 4 s w^2 ||S|| - 4e-15 ||P||, which must stay far above
+        # -neg_eps for mu = neg_eps / 2.  The worst case is the cap s = 16 with
+        # ||S|| = ||P|| = s (max |entry| < 1); there w = SIGN_ZERO_TOL costs
+        # under a tenth of neg_eps / 2 = 0.5e-10 (1 + ||P||)
+        s = copositive.PROPERTY_K_DIM_CAP
+        assert 4 * s * SIGN_ZERO_TOL**2 * s + 4e-15 * s <= 0.1 * 0.5e-10 * (1.0 + s)
+
     def test_one_solve_alive_at_a_time(self):
         # J - I is neither PSD nor certified and holds no violation, so all
         # 2^16 - 1 submatrices are solved; freeing each size before the

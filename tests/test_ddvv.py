@@ -191,6 +191,10 @@ class TestGroupAct:
             group_act(t, np.eye(3) * 1.5, np.eye(2))
         with pytest.raises(InputRejected, match="orthogonal"):
             group_act(t, np.eye(3), np.full((2, 2), 0.5))
+        # the rule is |p^T p - I| <= 1e-10 entrywise
+        assert group_act(t, np.diag([1.0, 1.0, 1.0 + 0.4e-10]), np.eye(2)).m == 2
+        with pytest.raises(InputRejected, match="p is not orthogonal within 1e-10"):
+            group_act(t, np.diag([1.0, 1.0, 1.0 + 0.6e-10]), np.eye(2))
 
 
 class TestCanonicalReduce:

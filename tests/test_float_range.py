@@ -166,7 +166,7 @@ class TestOneHome:
         # none: uint64 array arithmetic never signals overflow (test_seeded.py)
         found = {f"{name}.{fn}" for name in self.MODULES
                  for fn in _functions_calling(_module(name), "np.errstate")}
-        assert found == {"cli.main", "linalg.asymmetry", "bw._unit"}
+        assert found == {"cli.main", "linalg.check_symmetric", "bw._unit"}
 
     def test_refusal_raised_only_from_the_rule(self):
         # report.py raises the refusal; linalg's solver-failure rule is the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import eij, offdiag2
@@ -8,7 +10,6 @@ from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import (
     SYMMETRY_TOL,
     as_symmetric,
-    asymmetry,
     check_symmetric,
     commutator,
     eigh_descending,
@@ -223,17 +224,41 @@ class TestPrescaledNorm:
             as_symmetric(np.array([[1e200, 1e190], [0.0, -1e200]]))
 
     def test_asymmetry_bits_and_antisymmetric_pair_near_dbl_max(self):
-        # the defect is formed on a / 2^e: the same bits as the plain
-        # difference in the normal range, and inf with no overflow warning
-        # where a_ij - a_ji is over DBL_MAX; the allowed defect keeps its bits
-        scales = np.array([1e-100, 1.0, 1e100])[:, None, None]
-        stack = RandomStream(18).gaussian_matrix(5) * scales
-        defect, allowed = asymmetry(stack)
-        assert_array_equal(defect, np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)))
-        _, e, root = normalized(stack)
-        assert_array_equal(allowed, SYMMETRY_TOL * (1.0 + np.ldexp(root, e)))
-        defect, allowed = asymmetry(np.array([[0.0, 1e308], [-1e308, 0.0]]))
-        assert defect == np.inf and np.isfinite(allowed)
+        # check_symmetric forms the defect and the allowed defect on a / 2^e:
+        # it decides as the plain rule does in the normal range, matrices at
+        # the allowed defect of their own norm included, and reads a defect
+        # past DBL_MAX as inf with no overflow warning
+        def refused(a):
+            try:
+                check_symmetric(a, "a")
+            except InputRejected:
+                return True
+            return False
+
+        rng = RandomStream(18)
+        decided = set()
+        for k in range(20):
+            base = rng.symmetric_matrix(5)
+            for scale in (2.0**-300, 1.0, 2.0**300):
+                candidates = [base * scale, rng.gaussian_matrix(5) * scale]
+                a = base * scale
+                for _ in range(3):  # move a_01 to the allowed defect of the perturbed matrix
+                    a[0, 1] = a[1, 0] + SYMMETRY_TOL * (1.0 + frobenius_norm(a))
+                step = abs(a[0, 1]) * 2.0**-52
+                for delta in (-step, 0.0, step):
+                    c = a.copy()
+                    c[0, 1] += delta
+                    candidates.append(c)
+                for c in candidates:
+                    defect = np.abs(c - c.T).max()
+                    allowed = SYMMETRY_TOL * (1.0 + frobenius_norm(c))
+                    assert refused(c) == (defect > allowed), (k, scale)
+                    decided.add((bool(defect > allowed), bool(defect == allowed)))
+        assert decided == {(False, False), (False, True), (True, False)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputRejected, match=r"= inf, allowed"):
+                check_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]), "a")
 
 
 class TestCheckSymmetric:

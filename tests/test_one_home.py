@@ -1,7 +1,7 @@
 """Each rule has one home: no module reaches into another's private names,
 the symmetry refusal is raised by linalg.check_symmetric alone, a solver's
-failure is read by one linalg function, and linalg.sum_in_order is the one
-left-to-right sum."""
+failure is read by one linalg function, linalg.sum_in_order is the one
+left-to-right sum, and SYMMETRY_TOL is read by the symmetry check alone."""
 
 import ast
 from pathlib import Path
@@ -52,3 +52,14 @@ def test_cumsum_called_only_by_sum_in_order():
                and any(isinstance(call, ast.Call) and ast.unparse(call.func).endswith("cumsum")
                        for call in ast.walk(node))}
     assert calling == {("linalg", "sum_in_order")}
+
+
+def test_symmetry_tol_read_only_by_check_symmetric():
+    def reads(tree) -> int:
+        return sum(isinstance(n, ast.Name) and n.id == "SYMMETRY_TOL" and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute) and n.attr == "SYMMETRY_TOL"
+                   for n in ast.walk(tree))
+
+    check = next(node for node in ast.walk(_module("linalg"))
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_symmetric")
+    assert sum(reads(_module(name)) for name in MODULES) == reads(check) >= 1
