@@ -174,16 +174,13 @@ def copositive_oracle(p, resolution: int, *, normal=None) -> CopositivityVerdict
     eps = 1e-9 * (1.0 + norm)
     finest = 2.0 / resolution**2  # the squared lattice spacing
     limit = ORACLE_BUDGET // (m * m)  # simplices examined before the oracle refuses
-    over_budget = InputRejected(f"oracle at m = {m}, resolution {resolution} needs more than "
+    stack, examined = [], 0
+    while examined == 0 or stack:
+        if examined == limit:
+            raise InputRejected(f"oracle at m = {m}, resolution {resolution} needs more than "
                                 f"{limit} simplices x m^2, over the budget of {ORACLE_BUDGET}; "
                                 "lower the resolution")
-    if not limit:  # refused before a simplex is built
-        raise over_budget
-    stack, examined = [np.eye(m)], 0  # the unit simplex first
-    while stack:
-        if examined == limit:
-            raise over_budget
-        v = stack.pop()
+        v = stack.pop() if examined else np.eye(m)  # the unit simplex first
         examined += 1
         q = v.T @ pm @ v
         if (q >= -eps).all():

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -226,19 +227,25 @@ class TestPrescaledNorm:
     def test_asymmetry_bits_and_antisymmetric_pair_near_dbl_max(self):
         # check_symmetric forms the defect and the allowed defect on a / 2^e:
         # it decides as the plain rule does in the normal range, matrices at
-        # the allowed defect of their own norm included, and reads a defect
-        # past DBL_MAX as inf with no overflow warning
-        def refused(a):
+        # the allowed defect of their own norm included, decides a stack
+        # member by member, each on its own 2^e, naming the first member the
+        # plain rule refuses, and reads a defect past DBL_MAX as inf with no
+        # overflow warning
+        def refusal(a):
             try:
                 check_symmetric(a, "a")
-            except InputRejected:
-                return True
-            return False
+            except InputRejected as exc:
+                return str(exc)
+            return None
+
+        def fails(c):
+            return bool(np.abs(c - c.T).max() > SYMMETRY_TOL * (1.0 + frobenius_norm(c)))
 
         rng = RandomStream(18)
-        decided = set()
+        decided, firsts = set(), set()
         for k in range(20):
             base = rng.symmetric_matrix(5)
+            by_scale = []
             for scale in (2.0**-300, 1.0, 2.0**300):
                 candidates = [base * scale, rng.gaussian_matrix(5) * scale]
                 a = base * scale
@@ -252,12 +259,22 @@ class TestPrescaledNorm:
                 for c in candidates:
                     defect = np.abs(c - c.T).max()
                     allowed = SYMMETRY_TOL * (1.0 + frobenius_norm(c))
-                    assert refused(c) == (defect > allowed), (k, scale)
+                    assert (refusal(c) is not None) == fails(c), (k, scale)
                     decided.add((bool(defect > allowed), bool(defect == allowed)))
+                by_scale.append(candidates)
+            for members in itertools.product(*by_scale):  # members at 2^-300, 1, 2^300
+                failing = [j for j, c in enumerate(members) if fails(c)]
+                message = refusal(np.stack(members))
+                if failing:
+                    assert message.startswith(f"a {failing[0] + 1}: not symmetric"), k
+                    firsts.add((failing[0], len(failing) > 1))
+                else:
+                    assert message is None, k
         assert decided == {(False, False), (False, True), (True, False)}
+        assert firsts == {(0, False), (0, True), (1, False), (1, True), (2, False)}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputRejected, match=r"= inf, allowed"):
+            with pytest.raises(InputRejected, match=r"= inf, allowed [0-9]"):
                 check_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]), "a")
 
 

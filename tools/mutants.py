@@ -2,17 +2,17 @@
 
 Each mutant below is a one-line source change.  For each, the repository is
 copied to a temporary directory, the mutant applied there, and tier-1 run
-with -x; the mutant is killed when a test fails.  The repository itself is
-never modified.  A survivor gets a test that pins what it changes, or a
-comment here that declares it equivalent, with the reason.
+with -x; the mutant is killed when a test fails.  Tier-1 runs first on an
+unmutated copy, and the audit stops if that fails, since a test that fails
+anyway would "kill" every mutant.  The repository itself is never modified.
+A survivor gets a test that pins what it changes, or a comment here that
+declares it equivalent, with the reason.
 
-    python tools/mutants.py              # every mutant, a Markdown table on stdout
-    python tools/mutants.py spn-shift    # the named mutants only
+    python tools/mutants.py    # a Markdown table on stdout
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -45,39 +45,37 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
 
 
-def run(name: str, module: str, line: str, mutant: str) -> tuple:
-    """(outcome, seconds, first failing test) of tier-1 on a copy carrying the mutant."""
-    with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
+def tier1(edit=()) -> tuple:
+    """(exit code, seconds, first failing test) of tier-1 on a copy of the
+    repository, with edit = (module, line, mutant) applied to the copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=SKIP)
-        path = copy / "src" / "ineqlab" / module
-        text = path.read_text()
-        if text.count(line) != 1:
-            raise SystemExit(f"{name}: {line!r} occurs {text.count(line)} times in {module}")
-        path.write_text(text.replace(line, mutant))
+        if edit:
+            module, line, mutant = edit
+            path = copy / "src" / "ineqlab" / module
+            text = path.read_text()
+            if text.count(line) != 1:
+                raise SystemExit(f"{line!r} occurs {text.count(line)} times in {module}")
+            path.write_text(text.replace(line, mutant))
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         start = time.perf_counter()
         done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
     failed = re.search(r"^FAILED (\S+)", done.stdout, re.MULTILINE)
-    outcome = {0: "survived", 1: "killed"}.get(done.returncode, f"error {done.returncode}")
-    return outcome, seconds, failed.group(1) if failed else ""
+    return done.returncode, seconds, failed.group(1) if failed else ""
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = {mutant[0]: mutant for mutant in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
+def main() -> int:
+    code, _, test = tier1()
+    if code:
+        raise SystemExit(f"tier-1 fails unmutated ({test or f'exit {code}'}); no mutant judged")
     print("| mutant | change | outcome | seconds | killed by |")
     print("|---|---|---|---|---|")
     survivors = 0
-    for name in args.names or list(known):
-        _, module, line, mutant = known[name]
-        outcome, seconds, test = run(*known[name])
+    for name, module, line, mutant in MUTANTS:
+        code, seconds, test = tier1((module, line, mutant))
+        outcome = {0: "survived", 1: "killed"}.get(code, f"error {code}")
         survivors += outcome != "killed"
         print(f"| {name} | `{line.strip()}` -> `{mutant.strip()}` ({module}) | {outcome} "
               f"| {seconds:.1f} | {test and f'`{test}`'} |", flush=True)
