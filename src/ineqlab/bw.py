@@ -31,12 +31,15 @@ from .linalg import (
     normalized,
     svd,
 )
-from .report import TOL_COEFF, SlackReport
+from .report import SlackReport, tolerance
 from .seeded import RandomStream, sub_seeds
 
 __all__ = ["RatioSearchResult", "TOperator", "bw_case_matrix_bound", "bw_slack",
            "bw_spectral_slack", "maximize_ratio", "partner_eigenvector",
            "small_s1_check", "svd_reduction", "t_operator", "t_spectrum"]
+
+# The sharp constant C of ||[X, Y]||^2 <= C ||X||^2 ||Y||^2, and so lambda_max(T) <= C.
+BW_CONSTANT = 2.0
 
 
 @dataclass(frozen=True)
@@ -119,27 +122,26 @@ def bw_spectral_slack(x) -> SlackReport:
 def spectral_report(values: np.ndarray) -> SlackReport:
     """The spectral bound read off an already computed descending T spectrum."""
     lhs = float(values[0])
-    rhs = 2.0
-    return SlackReport("bw-spectral", lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    return SlackReport("bw-spectral", lhs=lhs, rhs=BW_CONSTANT, slack=BW_CONSTANT - lhs)
 
 
 def bw_sides(x: np.ndarray, y: np.ndarray, seeds=None) -> tuple:
-    """BW sides ||[X, Y]||^2 and 2 ||X||^2 ||Y||^2 over leading axes, unchecked.
+    """BW sides ||[X, Y]||^2 and BW_CONSTANT ||X||^2 ||Y||^2 over leading axes.
 
-    Asserts the weaker constant-3 bound as a sanity layer; a failure names
-    the trial seed when `seeds` (one per leading index) are given.
+    Refuses an inf or NaN lhs (report.tolerance) and asserts the weaker
+    constant-3 bound as a sanity layer; a violation names the trial seed
+    when `seeds` (one per leading index) are given.
     """
     lhs, xx, yy = ((a * a).sum(axis=(-2, -1)) for a in (commutator(x, y), x, y))
     scale = xx * yy
-    # a sanity assertion, not a verdict: as a slack, 3 scale - lhs overflows past DBL_MAX / 3;
-    # the tolerance(lhs) formula without its range check, which the verdict after it makes
-    bad = np.flatnonzero(lhs > 3.0 * scale + TOL_COEFF * (1.0 + lhs))
+    # a sanity assertion, not a verdict: as a slack, 3 scale - lhs overflows past DBL_MAX / 3
+    bad = np.flatnonzero(lhs > 3.0 * scale + tolerance(lhs))
     if bad.size:
         k = bad[0]
         where = "" if seeds is None else f"trial seed {seeds.flat[k]}: "
         raise NumericalFailure(f"{where}constant-3 sanity bound violated: "
                                f"{lhs.flat[k]} > 3 * {scale.flat[k]}")
-    return lhs, 2.0 * scale
+    return lhs, BW_CONSTANT * scale
 
 
 def bw_slack(x, y) -> SlackReport:
@@ -207,7 +209,7 @@ def small_s1_check(x, y) -> SlackReport:
             "use bw_slack for the general bound"
         )
     lhs = norm_sq(np.diag(lam) @ b - c @ np.diag(lam))
-    rhs = 2.0 * norm_sq(as_matrix(y, "y"))
+    rhs = BW_CONSTANT * norm_sq(as_matrix(y, "y"))
     return SlackReport("small-s1", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bw import bw_sides, maximize_ratios, t_matrices, unit_stack
+from .bw import BW_CONSTANT, bw_sides, maximize_ratios, t_matrices, unit_stack
 from .ddvv import ddvv_sides
 from .errors import InputRejected
 from .linalg import CHUNK_ELEMENTS, DIM_CAP, commutator, eigvalsh
@@ -88,12 +88,6 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
     return summary
 
 
-@dataclass(frozen=True)
-class BwCampaignSummary:
-    commutator: CampaignSummary
-    spectral: CampaignSummary
-
-
 # How far below the least lambda_max(T) that could change the spectral
 # summary a chunk must be certified.  For unit X, ||T||_2 <= 4 ||X||_2^2 <= 4
 # (each commutator at most doubles a norm), so for 0 < mu <= 4 the matrix
@@ -140,16 +134,17 @@ def _lead_bounds(xu: np.ndarray) -> np.ndarray:
 
 
 def run_bw_campaign(seed: int, trials: int, n: int,
-                    tol_override: Optional[float] = None) -> BwCampaignSummary:
-    """Random-pair campaign checking both forms of the commutator bound.
+                    tol_override: Optional[float] = None) -> tuple:
+    """Random-pair campaign checking both forms of the commutator bound;
+    returns its (commutator, spectral) summaries.
 
     Pairs are drawn, and their direct sides checked, in chunks on a 16 n^2
     budget; each chunk's T matrices are built and screened in blocks on a
     4 n^4 budget, every trial's T exactly once.  A block's T spectra are solved
     only if a trial could change the spectral summary: a Cholesky certifies
     first that every lambda_max of the block is SCREEN_MARGIN below both the
-    least slack's lambda_max so far and 2 + tolerance(0), which no violation
-    reaches: one needs lambda > 2 + t under a fixed tolerance t, and
+    least slack's lambda_max so far and BW_CONSTANT + tolerance(0), which no
+    violation reaches: one needs lambda > 2 + t under a fixed tolerance t, and
     lambda > 2 + 1e-9 (1 + lambda) > 2 + 1e-9 under the relative one.  The
     first chunk's trial of greatest _lead_bounds, the lead, leaves its block
     for a block of its own, screened first; with nothing recorded yet the
@@ -158,7 +153,7 @@ def run_bw_campaign(seed: int, trials: int, n: int,
     """
     _check_config(trials, n)
     pairs, spectral = (CampaignSummary(trials, seed=seed, fixed=tol_override) for _ in range(2))
-    ceiling = 2.0 + tolerance(0.0, tol_override)
+    ceiling = BW_CONSTANT + tolerance(0.0, tol_override)
     # a trial's T build holds four n^4-element temporaries; its draw, direct
     # sides and lead bound a few n^2-element ones
     block = max(1, CHUNK_ELEMENTS // (4 * n**4))
@@ -176,11 +171,11 @@ def run_bw_campaign(seed: int, trials: int, n: int,
             blocks = [all_rows[lead:lead + 1]] + [b[b != lead] for b in blocks]
         for rows in filter(len, blocks):
             tms = t_matrices(xu[rows])
-            level = min(2.0 - spectral.min_slack, ceiling)
+            level = min(BW_CONSTANT - spectral.min_slack, ceiling)
             if not _certified_below(tms, level - SCREEN_MARGIN):
                 tops = eigvalsh(tms)[:, -1]
-                spectral.update(2.0 - tops, tops, seeds[rows])
-    return BwCampaignSummary(pairs, spectral)
+                spectral.update(BW_CONSTANT - tops, tops, seeds[rows])
+    return pairs, spectral
 
 
 def run_search_campaign(seed: int, seeds: int, n: int, max_iters: int):

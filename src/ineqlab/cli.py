@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bw import bw_slack, bw_spectral_slack, spectral_report, t_spectrum
+from .bw import BW_CONSTANT, bw_slack, bw_spectral_slack, spectral_report, t_spectrum
 from .campaigns import CampaignSummary, run_bw_campaign, run_ddvv_campaign, run_search_campaign
 from .copositive import copositive_oracle, copositive_property_k
 from .curvature import (
@@ -138,10 +138,10 @@ def cmd_bw_verify(args) -> tuple:
         doc = {**_header(args, n=int(x.shape[0])), "commutator": pair, "spectral": spec}
         return doc, 0 if pair.holds and spec.holds else 1
 
-    result = _timed(run_bw_campaign, args.seed, args.trials, args.n, args.tol)
-    doc = {**_header(args, n=args.n), "trials_run": result.commutator.trials_run,
-           **field_dict(result)}
-    return doc, 0 if result.commutator.violations + result.spectral.violations == 0 else 1
+    pair, spec = _timed(run_bw_campaign, args.seed, args.trials, args.n, args.tol)
+    doc = {**_header(args, n=args.n), "trials_run": pair.trials_run, "commutator": pair,
+           "spectral": spec}
+    return doc, 0 if pair.violations + spec.violations == 0 else 1
 
 
 def cmd_bw_search(args) -> tuple:
@@ -154,7 +154,7 @@ def cmd_bw_search(args) -> tuple:
            "iterations": best.iterations, "converged": best.converged,
            "trajectory": list(best.trajectory), "pair": pair_json(best.x, best.y)}
     # a bound, not a slack: holds(2 - ratio, 0) would flip the verdict at ratio 2.000000001
-    return doc, 0 if best.best_ratio <= 2.0 + tolerance(0.0) else 1
+    return doc, 0 if best.best_ratio <= BW_CONSTANT + tolerance(0.0) else 1
 
 
 def cmd_reduce(args) -> tuple:

@@ -156,7 +156,9 @@ def group_act(t: SymmetricTuple, p, q) -> SymmetricTuple:
     for name, g, size in (("p", pm, t.n), ("q", qm, t.m)):
         if g.shape[0] != size:
             raise InputRejected(f"{name} must be {size}x{size}")
-        if not np.abs(g.T @ g - np.eye(size)).max() <= 1e-10:  # NaN is refused too
+        # |g| <= 1 + 1e-10 follows from |g^T g - I| <= 1e-10; tested first, g^T g cannot overflow
+        if not (np.abs(g).max() <= 1.0 + 1e-10
+                and np.abs(g.T @ g - np.eye(size)).max() <= 1e-10):  # NaN is refused too
             raise InputRejected(f"{name} is not orthogonal within 1e-10")
     mixed = np.einsum("rj,jab->rab", qm, pm @ t.matrices @ pm.T)
     return SymmetricTuple.from_matrices(mixed)

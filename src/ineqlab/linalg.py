@@ -23,8 +23,8 @@ __all__ = ["commutator", "frobenius_inner", "svd", "sym_eigen", "vectorize_sym"]
 # Relative tolerance for "is symmetric" input validation.
 SYMMETRY_TOL = 1e-12
 
-# Largest matrix dimension n and tuple length m the campaigns, the T operator
-# and the tuple and h files accept: the work grows like n^4 or m^2 n^3.
+# Largest n and m the campaigns accept, n of the T operator, the ratio search and the
+# Clifford model, and m (not n) of the tuple and h files: work grows like n^4 or m^2 n^3.
 DIM_CAP = 12
 
 # Element budget of one campaign chunk, counting a DDVV trial as m * m * n * n.

@@ -34,7 +34,7 @@ def grid() -> dict:
             for n, trials in BW_CASES:
                 summary = run_bw_campaign(seed, trials, n, tol)
                 out[f"bw seed={seed} tol={tol} n={n} trials={trials}"] = [
-                    _fields(summary.commutator), _fields(summary.spectral)]
+                    *map(_fields, summary)]
             for n, m, trials in DDVV_CASES:
                 summary = run_ddvv_campaign(seed, trials, n, m, tol)
                 out[f"ddvv seed={seed} tol={tol} n={n} m={m} trials={trials}"] = [

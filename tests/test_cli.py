@@ -262,7 +262,9 @@ class TestCopositive:
         # partition keeps splitting there and outruns its budget at m = 16
         path = write(tmp_path, "m.json", dumps(matrix_json(np.eye(16) - 1.0 / 16.0)))
         assert main(["copositive", "--input", path, "--oracle", "40"]) == 2
-        assert "over the budget" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: oracle at m = 16, resolution 40 needs more than 16384 simplices x m^2, "
+            "over the budget of 4194304; lower the resolution\n")
 
     def test_huge_entries_not_copositive(self, capsys, tmp_path):
         # ||p||^2 overflows for P = diag(1e200, -1e200); both tests still see p_22 < 0
@@ -694,10 +696,10 @@ class TestOneVerdict:
 
     def verdicts(self, capsys, monkeypatch) -> tuple:
         solved = self.solved_rows(monkeypatch)
-        bw_run = campaigns.run_bw_campaign(5, 40, 3)
+        pairs, spectral = campaigns.run_bw_campaign(5, 40, 3)
         return (ddvv.ddvv_slack(extremal_case_b(3, 0.5)).holds,
                 campaigns.run_ddvv_campaign(5, 40, 3, 2).violations,
-                bw_run.commutator.violations, bw_run.spectral.violations, sum(solved),
+                pairs.violations, spectral.violations, sum(solved),
                 main(["curvature", "--model", "veronese"]))
 
     def test_the_verdicts_hold_as_drawn(self, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestGroupAct:
         assert group_act(t, np.diag([1.0, 1.0, 1.0 + 0.4e-10]), np.eye(2)).m == 2
         with pytest.raises(InputRejected, match="p is not orthogonal within 1e-10"):
             group_act(t, np.diag([1.0, 1.0, 1.0 + 0.6e-10]), np.eye(2))
+
+    @pytest.mark.parametrize("name, p, q", [
+        ("q", np.eye(2), [[1e200, 1e200], [1e200, -1e200]]),
+        ("p", [[1e200, 1e200], [1e200, -1e200]], np.eye(2)),
+        ("p", np.diag([1e160, 1.0]), np.eye(2)),
+    ], ids=["q-overflows", "p-overflows", "p-diagonal"])
+    def test_refuses_huge_entries_without_overflow(self, name, p, q):
+        # g^T g would overflow to inf: the entry bound refuses g before the product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputRejected, match=f"^{name} is not orthogonal within 1e-10$"):
+                group_act(extremal_case_a(2, 1.0), p, q)
 
 
 class TestCanonicalReduce:

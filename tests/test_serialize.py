@@ -291,7 +291,7 @@ def _results() -> dict:
         "curvature": curvature_report(veronese_tuple()),
         "fundamental": fundamental_report(veronese_tuple()),
         "ddvv-campaign": run_ddvv_campaign(3, 40, 3, 2),
-        "bw-campaign": run_bw_campaign(5, 20, 3),
+        "bw-campaign": run_bw_campaign(5, 20, 3)[1],
         "search": maximize_ratio(2, 7, 5),
         "canonical-form": canonical_reduce(extremal_case_a(2, 1.0)),
     }

@@ -5,8 +5,8 @@ copied to a temporary directory, the mutant applied there, and tier-1 run
 with -x; the mutant is killed when a test fails.  Tier-1 runs first on an
 unmutated copy, and the audit stops if that fails, since a test that fails
 anyway would "kill" every mutant.  The repository itself is never modified.
-A survivor gets a test that pins what it changes, or a comment here that
-declares it equivalent, with the reason.
+A survivor gets a test that pins what it changes, or an EQUIVALENT entry
+that declares it equivalent for verdicts, with the reason.
 
     python tools/mutants.py    # a Markdown table on stdout
 """
@@ -36,9 +36,29 @@ MUTANTS = [
     ("symmetry-tol", "linalg.py", "SYMMETRY_TOL = 1e-12", "SYMMETRY_TOL = 1e-6"),
     ("symmetry-boundary", "linalg.py", "    if defect > allowed:", "    if defect >= allowed:"),
     ("orthogonal-tol", "ddvv.py",
-     "np.eye(size)).max() <= 1e-10:", "np.eye(size)).max() <= 1e-6:"),
+     "np.eye(size)).max() <= 1e-10):", "np.eye(size)).max() <= 1e-6):"),
+    ("orthogonal-entry-bound", "ddvv.py",
+     "np.abs(g).max() <= 1.0 + 1e-10", "np.abs(g).max() <= 1.0 + 1e-6"),
     ("tol-coeff", "report.py", "TOL_COEFF = 1e-9", "TOL_COEFF = 1e-6"),
+    ("holds-boundary", "report.py",
+     "return slack >= -_tolerance(", "return slack > -_tolerance("),
+    ("oracle-budget", "copositive.py", "ORACLE_BUDGET = 1 << 22", "ORACLE_BUDGET = 1 << 20"),
+    ("screen-positive", "campaigns.py", "if not mu > 0.0:", "if not mu >= 0.0:"),
+    ("bw-constant", "bw.py", "BW_CONSTANT = 2.0", "BW_CONSTANT = 2.5"),
+    ("bw-lhs-halved", "bw.py",
+     "return lhs, BW_CONSTANT * scale", "return 0.5 * lhs, BW_CONSTANT * scale"),
+    ("ddvv-rhs-halved", "ddvv.py",
+     "rhs = 2.0 * sum_in_order(", "rhs = 1.0 * sum_in_order("),
 ]
+
+# Mutants that change no verdict, with the reason: they still run, and a survivor
+# among them reads "equivalent" instead of failing the audit.
+EQUIVALENT = {
+    "orthogonal-entry-bound": "the entry bound follows from max abs(g^T g - I) <= 1e-10, so it "
+                              "only decides which non-orthogonal g skip the product",
+    "screen-positive": "at mu = 0 the Cholesky of -T fails anyway, since T is positive "
+                       "semidefinite",
+}
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
@@ -70,15 +90,19 @@ def main() -> int:
     code, _, test = tier1()
     if code:
         raise SystemExit(f"tier-1 fails unmutated ({test or f'exit {code}'}); no mutant judged")
-    print("| mutant | change | outcome | seconds | killed by |")
+    print("| mutant | change | outcome | seconds | killed by, or why equivalent |")
     print("|---|---|---|---|---|")
     survivors = 0
     for name, module, line, mutant in MUTANTS:
         code, seconds, test = tier1((module, line, mutant))
         outcome = {0: "survived", 1: "killed"}.get(code, f"error {code}")
-        survivors += outcome != "killed"
+        if outcome == "survived" and name in EQUIVALENT:
+            outcome, test = "equivalent", EQUIVALENT[name]
+        else:
+            test = test and f"`{test}`"
+        survivors += outcome not in ("killed", "equivalent")
         print(f"| {name} | `{line.strip()}` -> `{mutant.strip()}` ({module}) | {outcome} "
-              f"| {seconds:.1f} | {test and f'`{test}`'} |", flush=True)
+              f"| {seconds:.1f} | {test} |", flush=True)
     return 1 if survivors else 0
 
 
