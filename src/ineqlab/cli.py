@@ -198,7 +198,7 @@ def cmd_models(args) -> tuple:
     form = _model_form(args.name, args)
     h_path, t_path = args.output + "_h.json", args.output + "_tuple.json"
     _write_json(h_path, sff_json(form))
-    _write_json(t_path, tuple_json(form.to_tuple()))
+    _write_json(t_path, tuple_json(form))
     return {**_header(args), "h_file": h_path, "tuple_file": t_path}, 0
 
 

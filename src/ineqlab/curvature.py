@@ -35,26 +35,17 @@ def finite_c(c) -> float:
 
 
 @dataclass(frozen=True)
-class SecondFundamentalForm:
-    """Array h[alpha, i, j], symmetric in (i, j), with ambient curvature c."""
+class SecondFundamentalForm(SymmetricTuple):
+    """The shape operators A_alpha = (h^alpha_ij) as a symmetric tuple, with
+    ambient curvature c."""
 
-    n: int
-    m: int
     c: float
-    h: np.ndarray
 
     @classmethod
     def from_array(cls, h, c: float) -> "SecondFundamentalForm":
         """Validate the slices h[alpha] as a symmetric tuple, and c as finite."""
         c = finite_c(c)
-        t = SymmetricTuple.from_matrices(h)
-        return cls(n=t.n, m=t.m, c=c, h=t.matrices)
-
-    def to_tuple(self) -> SymmetricTuple:
-        """The shape operators as a symmetric tuple on a read-only view of h."""
-        h = self.h.view()
-        h.flags.writeable = False
-        return SymmetricTuple(n=self.n, m=self.m, matrices=h)
+        return cls(SymmetricTuple.from_matrices(h).matrices, c)
 
 
 @dataclass(frozen=True)
@@ -78,9 +69,9 @@ class FundamentalReport:
 
 def traceless(form: SecondFundamentalForm) -> SecondFundamentalForm:
     """Remove the trace part of every slice."""
-    traces = form.h.trace(axis1=1, axis2=2) / form.n
-    out = form.h - traces[:, None, None] * np.eye(form.n)[None, :, :]
-    return SecondFundamentalForm(n=form.n, m=form.m, c=form.c, h=out)
+    traces = form.matrices.trace(axis1=1, axis2=2) / form.n
+    out = form.matrices - traces[:, None, None] * np.eye(form.n)[None, :, :]
+    return SecondFundamentalForm(out, form.c)
 
 
 def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
@@ -95,7 +86,7 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
     """
     if form.n < 2:
         raise InputRejected("rho is undefined for n < 2")
-    n, h = form.n, form.h
+    n, h = form.n, form.matrices
     coeff = 2.0 / (n * (n - 1.0))
     iu, ju = pair_indices(n)
     mean = h.trace(axis1=1, axis2=2) / n
@@ -124,6 +115,7 @@ def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
     h2 = float((mean * mean).sum())
     geometric_slack = h2 - coeff * gauss - rho_perp
     shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(np.sqrt(perp_sum))
+    tolerance(np.array([rho, rho_perp, geometric_slack]))  # refused past the float range
     return CurvatureReport(
         rho=rho,
         rho_perp=rho_perp,
@@ -137,7 +129,7 @@ def fundamental_report(form: SecondFundamentalForm) -> FundamentalReport:
     """Gram matrix of the shape operators, its spectrum, the pinching
     quantity ||sigma||^2 + lambda_2 (lambda_2 := 0 when m = 1), and whether
     it stays within the pinching boundary n, up to tolerance(pinch)."""
-    s = form.to_tuple().gram()
+    s = form.gram()
     values = eigh_descending(s)[0]
     sigma_sq = float(s.trace())
     pinch = sigma_sq + (float(values[1]) if form.m >= 2 else 0.0)
@@ -169,10 +161,8 @@ def clifford_model(r: int, n: int) -> SecondFundamentalForm:
 def veronese_tuple() -> SecondFundamentalForm:
     """Pointwise shape operators of the Veronese surface in the 4-sphere:
     the extremal 2x2 pair scaled to ||sigma||^2 = 4/3; sits exactly on the
-    pinching boundary with DDVV equality."""
-    h = np.sqrt(2 / 3) * extremal_case_a(2, 1.0).matrices  # validated as the pair
-    h.flags.writeable = False
-    return SecondFundamentalForm(n=2, m=2, c=1.0, h=h)
+    pinching boundary with DDVV equality.  Validated as the pair, not again."""
+    return SecondFundamentalForm(np.sqrt(2 / 3) * extremal_case_a(2, 1.0).matrices, 1.0)
 
 
 def veronese_immersion(p) -> np.ndarray:

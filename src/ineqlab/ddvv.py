@@ -28,7 +28,7 @@ from .linalg import (
     pair_indices,
     sum_in_order,
 )
-from .report import SlackReport
+from .report import SlackReport, tolerance
 
 __all__ = ["CanonicalForm", "SymmetricTuple", "canonical_reduce", "ddvv_slack",
            "extremal_case_a", "extremal_case_b", "group_act", "key_lemma_slack",
@@ -38,17 +38,22 @@ __all__ = ["CanonicalForm", "SymmetricTuple", "canonical_reduce", "ddvv_slack",
 
 @dataclass(frozen=True)
 class SymmetricTuple:
-    """Ordered tuple (A_1, ..., A_m) of symmetric n x n matrices, held as
-    one read-only float64 array `matrices` of shape (m, n, n)."""
+    """Ordered tuple (A_1, ..., A_m) of symmetric n x n matrices, held as one
+    float64 array `matrices` of shape (m, n, n), read-only from construction on."""
 
-    n: int
-    m: int
     matrices: np.ndarray
+
+    def __post_init__(self):
+        self.matrices.flags.writeable = False
+
+    n = property(lambda self: self.matrices.shape[1], doc="size n of each member")
+    m = property(lambda self: self.matrices.shape[0], doc="number m of members")
 
     @classmethod
     def from_matrices(cls, mats) -> "SymmetricTuple":
         """Validate the members once, as a stack: square, nonempty, finite
-        and symmetric within SYMMETRY_TOL * (1 + ||A_k||)."""
+        and symmetric within SYMMETRY_TOL * (1 + ||A_k||).  The result is a
+        plain SymmetricTuple whatever class it is called through."""
         try:
             stack = np.array(mats, dtype=float)
         except (TypeError, ValueError):  # ragged or non-numeric members
@@ -59,8 +64,7 @@ class SymmetricTuple:
         if not finite.all():
             raise InputRejected(f"member {finite.argmin() + 1}: entries must be finite (no NaN/Inf)")
         check_symmetric(stack, "member")
-        stack.flags.writeable = False
-        return cls(n=stack.shape[1], m=stack.shape[0], matrices=stack)
+        return SymmetricTuple(stack)
 
     def norms_sq(self) -> np.ndarray:
         return (self.matrices * self.matrices).sum(axis=(1, 2))
@@ -174,7 +178,9 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
     both normalizations coexist.  The all-zero tuple is returned unchanged
     with the degenerate flag set.
     """
-    q = eigh_descending(t.gram())[1].T
+    gram = t.gram()
+    tolerance(gram)  # an overflowed Gram matrix is past the float range, not a solver's fault
+    q = eigh_descending(gram)[1].T
     mixed = np.einsum("rj,jab->rab", q, t.matrices)
 
     degenerate = frobenius_norm(mixed[0]) <= 1e-14 * (1.0 + frobenius_norm(t.matrices))
@@ -192,9 +198,7 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
             reduced_stack[0] *= -1.0
 
     # an orthogonal transform of a validated tuple: nothing to re-validate
-    reduced_stack.flags.writeable = False
-    form = CanonicalForm(reduced=SymmetricTuple(n=t.n, m=t.m, matrices=reduced_stack),
-                         p=p, q=q, degenerate=degenerate)
+    form = CanonicalForm(reduced=SymmetricTuple(reduced_stack), p=p, q=q, degenerate=degenerate)
     _verify_canonical(t, form)
     return form
 
@@ -261,6 +265,7 @@ def key_lemma_slack(t: SymmetricTuple) -> SlackReport:
     """
     a1 = t.matrices[0]
     norms_sq = t.norms_sq()
+    tolerance(norms_sq)  # an overflowed norm is past the float range, not a failed precondition
     problem = (_not_diagonal(a1, "A_1") or _not_unit(a1, "A_1")
                or _not_orthogonal(t.gram()) or _not_sorted(np.sqrt(norms_sq), 1))
     if problem:

@@ -24,7 +24,7 @@ __all__ = ["commutator", "sym_eigen", "vectorize_sym"]
 SYMMETRY_TOL = 1e-12
 
 # Largest n and m the campaigns accept, n of the T operator, the ratio search and the
-# Clifford model, and m (not n) of the tuple and h files: work grows like n^4 or m^2 n^3.
+# Clifford model, and n and m of the tuple and h files: work grows like n^4 or m^2 n^3.
 DIM_CAP = 12
 
 # Element budget of one campaign chunk, counting a DDVV trial as m * m * n * n.

@@ -142,8 +142,8 @@ def _read_json(path: str, parse):
 
 def _require(obj, what: str, keys: tuple) -> None:
     """Check that `obj` is a JSON object with every key, that the counts
-    'n' and 'm' among them are positive integers, and that 'm' is at most
-    DIM_CAP, before any member is parsed."""
+    'n' and 'm' among them are positive integers, and that both are at most
+    DIM_CAP where 'm' is one (tuple and h files), before any member is parsed."""
     if not isinstance(obj, dict):
         raise InputRejected(f"{what} JSON must be an object")
     for key in keys:
@@ -154,8 +154,8 @@ def _require(obj, what: str, keys: tuple) -> None:
         if key in ("n", "m") and (isinstance(value, bool) or not isinstance(value, int)
                                   or value < 1):
             raise InputRejected(f"field '{key}' must be a positive integer, got {value!r}")
-        if key == "m" and value > DIM_CAP:
-            raise InputRejected(f"field 'm' = {value} is over the cap m <= {DIM_CAP}")
+        if (key == "m" or key == "n" and "m" in keys) and value > DIM_CAP:
+            raise InputRejected(f"field '{key}' = {value} is over the cap {key} <= {DIM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def read_pair_file(path: str):
 # second fundamental forms
 
 def sff_json(form: SecondFundamentalForm) -> dict:
-    return {"n": form.n, "m": form.m, "c": form.c, "h": form.h}
+    return {"n": form.n, "m": form.m, "c": form.c, "h": form.matrices}
 
 
 def parse_sff_json(obj) -> SecondFundamentalForm:

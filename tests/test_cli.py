@@ -538,29 +538,42 @@ class TestSpectrum:
 
 
 class TestTupleLengthCap:
-    """Tuple and h files hold at most 12 members; m = 13 is refused at parse
-    time, before any pairwise commutator stack is built."""
+    """Tuple and h files hold at most 12 members of size at most 12; m = 13 or
+    n = 13 is refused at parse time, before any pairwise commutator stack is built."""
 
     @staticmethod
-    def files(tmp_path, m: int) -> dict:
-        members = np.stack([np.diag([1.0 + k, -1.0]) for k in range(m)])
+    def files(tmp_path, m: int, n: int = 2) -> dict:
+        members = np.stack([np.diag([1.0 + k] + [-1.0] * (n - 1)) for k in range(m)])
         form = SecondFundamentalForm.from_array(members, c=1.0)
-        tuple_path = write(tmp_path, "t.json", dumps(tuple_json(form.to_tuple())))
+        tuple_path = write(tmp_path, "t.json", dumps(tuple_json(form)))
         return {"ddvv-verify": tuple_path, "reduce": tuple_path,
                 "curvature": write(tmp_path, "h.json", dumps(sff_json(form)))}
 
-    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
-    def test_m13_rejected_unbuilt(self, capsys, tmp_path, monkeypatch, command):
+    @staticmethod
+    def refused_unbuilt(capsys, monkeypatch, command, path, message):
         for module in (ddvv, curvature):
             monkeypatch.setattr(module, "commutator_norms_sq",
                                 lambda stack: pytest.fail("pair stacks were built"))
-        path = self.files(tmp_path, 13)[command]
         assert main([command, "--input", path]) == 2
-        assert "field 'm' = 13 is over the cap m <= 12" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
+    def test_m13_rejected_unbuilt(self, capsys, tmp_path, monkeypatch, command):
+        self.refused_unbuilt(capsys, monkeypatch, command, self.files(tmp_path, 13)[command],
+                             "field 'm' = 13 is over the cap m <= 12")
 
     @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
     def test_m12_accepted(self, capsys, tmp_path, command):
         assert run_json(capsys, [command, "--input", self.files(tmp_path, 12)[command]])[0] == 0
+
+    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
+    def test_n13_rejected_unbuilt(self, capsys, tmp_path, monkeypatch, command):
+        self.refused_unbuilt(capsys, monkeypatch, command, self.files(tmp_path, 2, 13)[command],
+                             "field 'n' = 13 is over the cap n <= 12")
+
+    @pytest.mark.parametrize("command", ["ddvv-verify", "reduce", "curvature"])
+    def test_n12_accepted(self, capsys, tmp_path, command):
+        assert run_json(capsys, [command, "--input", self.files(tmp_path, 2, 12)[command]])[0] == 0
 
 
 class TestValidationCounts:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from ineqlab.curvature import (
     veronese_immersion,
     veronese_tuple,
 )
-from ineqlab.ddvv import SymmetricTuple, ddvv_slack, group_act
+from ineqlab.ddvv import (SymmetricTuple, canonical_reduce, ddvv_slack, extremal_case_a,
+                          extremal_case_b, group_act)
 from ineqlab.errors import InputRejected
 from ineqlab.linalg import commutator_norms_sq
 from ineqlab.seeded import RandomStream, sub_seed
+from ineqlab.serialize import dumps, parse_sff_json, parse_tuple_json, sff_json, tuple_json
 
 
 def random_form(stream, n, m, c):
@@ -62,11 +65,11 @@ class TestTraceless:
         h = np.zeros((1, 3, 3))
         h[0] = -2.0 * np.eye(3)
         out = traceless(SecondFundamentalForm.from_array(h, c=1.0))
-        assert np.max(np.abs(out.h)) == 0.0
+        assert np.max(np.abs(out.matrices)) == 0.0
 
     def test_already_traceless_unchanged(self):
         form = clifford_model(2, 4)
-        assert_allclose(traceless(form).h, form.h, atol=0.0)
+        assert_allclose(traceless(form).matrices, form.matrices, atol=0.0)
 
     def test_removes_mean_curvature(self):
         form = random_form(RandomStream(501), 4, 3, 1.0)
@@ -134,7 +137,7 @@ class TestCurvatureReport:
 def _three_pass_report(form):
     """Reference: the report's three passes over the slices (Gauss term,
     then the traceless form's gap and off-diagonal sums), squares as products."""
-    n, m, h = form.n, form.m, form.h
+    n, m, h = form.n, form.m, form.matrices
     coeff = 2.0 / (n * (n - 1.0))
     iu, ju = np.triu_indices(n, k=1)
     gauss = 0.0
@@ -148,7 +151,7 @@ def _three_pass_report(form):
     rho_perp = coeff * float(np.sqrt(perp_sum))
     traces = h.trace(axis1=1, axis2=2) / n
     h2 = float((traces * traces).sum())
-    t = traceless(form).h
+    t = traceless(form).matrices
     gaps = [np.diag(t[al])[iu] - np.diag(t[al])[ju] for al in range(m)]
     diag_part = sum(float(np.sum(g * g)) for g in gaps)
     off_part = sum(float(np.sum(t[al][iu, ju] * t[al][iu, ju])) for al in range(m))
@@ -222,7 +225,7 @@ class TestFundamentalReport:
         # finite Gram entries, but an infinite pinch once read as within the boundary
         h = np.array(scales)[:, None, None] * np.array(slices, dtype=float)
         form = SecondFundamentalForm.from_array(h, c=1.0)
-        assert np.isfinite(form.to_tuple().gram()).all()
+        assert np.isfinite(form.gram()).all()
         with pytest.raises(InputRejected, match=r"^input out of the float range$"):
             fundamental_report(form)
 
@@ -236,28 +239,43 @@ class TestFundamentalReport:
             assert rep.sigma_sq == pytest.approx(float(np.sum(rep.eigenvalues)), rel=1e-10)
 
 
-class TestToTuple:
-    def test_read_only_and_unvalidated(self, monkeypatch):
-        form = traceless(random_form(RandomStream(sub_seed(5, 0)), 3, 2, 1.0))
-        monkeypatch.setattr(SymmetricTuple, "from_matrices", lambda mats: pytest.fail("revalidated"))
-        t = form.to_tuple()
-        assert (t.n, t.m) == (3, 2) and np.array_equal(t.matrices, form.h)
-        assert not t.matrices.flags.writeable
-        assert form.h.flags.writeable  # the read-only view leaves the form's own array alone
+class TestOneStackType:
+    """Each constructor of a tuple or a form returns one type on a read-only
+    stack, and a form is the symmetric tuple of its shape operators plus c."""
+
+    def test_read_only_stacks_and_forms_are_tuples(self):
+        stream = RandomStream(sub_seed(5, 0))
+        t = SymmetricTuple.from_matrices(stream.symmetric_tuple(3, 2))
+        form = random_form(stream, 3, 2, 1.0)
+        tuples = [t, group_act(t, stream.orthogonal_matrix(3), stream.orthogonal_matrix(2)),
+                  canonical_reduce(t).reduced, extremal_case_a(3, 0.5), extremal_case_b(3, 0.5),
+                  parse_tuple_json(json.loads(dumps(tuple_json(t)))),
+                  SecondFundamentalForm.from_matrices(form.matrices)]
+        forms = [form, traceless(form), veronese_tuple(), clifford_model(2, 4),
+                 parse_sff_json(json.loads(dumps(sff_json(form))))]
+        for x in tuples:
+            assert type(x) is SymmetricTuple and not x.matrices.flags.writeable
+        assert [f.name for f in dataclasses.fields(SecondFundamentalForm)] == ["matrices", "c"]
+        for f in forms:
+            assert type(f) is SecondFundamentalForm and isinstance(f, SymmetricTuple)
+            assert not f.matrices.flags.writeable
+            got, want = ddvv_slack(f), ddvv_slack(SymmetricTuple.from_matrices(f.matrices))
+            assert (np.array([got.lhs, got.rhs, got.slack]).tobytes()
+                    == np.array([want.lhs, want.rhs, want.slack]).tobytes())
 
 
 class TestCliffordModel:
     def test_smallest(self):
         form = clifford_model(1, 2)
-        assert_allclose(form.h[0], np.diag([1.0, -1.0]), atol=0.0)
+        assert_allclose(form.matrices[0], np.diag([1.0, -1.0]), atol=0.0)
 
     def test_balanced_four(self):
         form = clifford_model(2, 4)
-        assert_allclose(form.h[0], np.diag([1.0, 1.0, -1.0, -1.0]), atol=0.0)
+        assert_allclose(form.matrices[0], np.diag([1.0, 1.0, -1.0, -1.0]), atol=0.0)
 
     def test_trace_free(self):
         for r, n in [(1, 5), (2, 7), (4, 6)]:
-            assert abs(np.trace(clifford_model(r, n).h[0])) <= 1e-12
+            assert abs(np.trace(clifford_model(r, n).matrices[0])) <= 1e-12
 
     def test_rejects_bad_split(self):
         with pytest.raises(InputRejected):
@@ -314,7 +332,7 @@ class TestFrameInvariance:
             form = random_form(stream, n, m, c)
             p = stream.orthogonal_matrix(n)
             q = stream.orthogonal_matrix(m)
-            acted = group_act(form.to_tuple(), p, q)
+            acted = group_act(form, p, q)
             acted_form = SecondFundamentalForm.from_array(np.stack(acted.matrices), c=c)
             a, b = curvature_report(form), curvature_report(acted_form)
             for field in ("rho", "rho_perp", "mean_curv_sq", "geometric_slack", "shape_slack"):
@@ -322,5 +340,5 @@ class TestFrameInvariance:
                 assert vb == pytest.approx(va, rel=1e-9, abs=1e-9)
 
     def test_veronese_tuple_ddvv_equality(self):
-        rep = ddvv_slack(veronese_tuple().to_tuple())
+        rep = ddvv_slack(veronese_tuple())
         assert abs(rep.slack) <= 1e-12

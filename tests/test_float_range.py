@@ -13,8 +13,9 @@ import pytest
 
 import ineqlab
 from ineqlab.bw import bw_case_matrix_bound, bw_slack
-from ineqlab.curvature import SecondFundamentalForm, fundamental_report
-from ineqlab.ddvv import SymmetricTuple, ddvv_slack, p_matrix_bound
+from ineqlab.curvature import SecondFundamentalForm, curvature_report, fundamental_report
+from ineqlab.ddvv import (SymmetricTuple, canonical_reduce, ddvv_slack, key_lemma_slack,
+                          p_matrix_bound)
 from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import eigh_descending, eigvalsh
 from ineqlab.report import SlackReport, holds, tolerance
@@ -103,6 +104,42 @@ class TestOverflowingDerivedMatrices:
                 s = s / np.sum(s) * (0.99 * sys.float_info.max)
                 with pytest.raises(InputRejected, match=OUT_OF_RANGE):
                     p_matrix_bound(s)
+
+
+# (S, S/2) with S of entries near 1e200: finite members whose sums overflow
+_S = np.array([[1e200, 1e200 / 3], [1e200 / 3, -1e200]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflowingLibraryResults:
+    """A library call whose sums overflow refuses, as the commands do; it
+    returns no inf or NaN report and raises no NumericalFailure."""
+
+    def test_curvature_report(self):
+        # rho -inf and a NaN rho_perp and slacks were once returned
+        form = SecondFundamentalForm.from_array([_S, _S / 2], c=1.0)
+        with pytest.raises(InputRejected, match=OUT_OF_RANGE):
+            curvature_report(form)
+
+    def test_curvature_report_keeps_an_inf_shape_slack(self):
+        # the geometric slack decides; the writer refuses the inf shape slack
+        a = 0.6e308 ** 0.5
+        rep = curvature_report(SecondFundamentalForm.from_array([np.diag([a, -a, 0.0])], c=1.0))
+        assert np.isfinite([rep.rho, rep.rho_perp, rep.geometric_slack]).all()
+        assert rep.shape_slack == np.inf
+
+    def test_canonical_reduce(self):
+        # the overflowed Gram matrix once failed the audit, a NumericalFailure
+        with pytest.raises(InputRejected, match=OUT_OF_RANGE):
+            canonical_reduce(SymmetricTuple.from_matrices([_S, _S / 2]))
+
+    def test_key_lemma(self):
+        # an inf norm once failed the sorted-norms precondition
+        t = SymmetricTuple.from_matrices([np.diag([1.0, -1.0]) / np.sqrt(2.0),
+                                          1e200 * (eij(2, 0, 1) + eij(2, 1, 0)),
+                                          np.diag([1e200, 1e200]) / 2])
+        with pytest.raises(InputRejected, match=OUT_OF_RANGE):
+            key_lemma_slack(t)
 
 
 def _fail(a):

@@ -190,7 +190,7 @@ class TestSffFormat:
         form = veronese_tuple()
         back = parse_sff_json(json.loads(dumps(sff_json(form))))
         assert back.n == 2 and back.m == 2 and back.c == 1.0
-        assert_array_equal(back.h, form.h)
+        assert_array_equal(back.matrices, form.matrices)
 
     def test_shape_check(self):
         with pytest.raises(InputRejected, match="axes"):

@@ -49,6 +49,12 @@ MUTANTS = [
      "return lhs, BW_CONSTANT * scale", "return 0.5 * lhs, BW_CONSTANT * scale"),
     ("ddvv-rhs-halved", "ddvv.py",
      "rhs = 2.0 * sum_in_order(", "rhs = 1.0 * sum_in_order("),
+    ("tuple-n-cap", "serialize.py",
+     "and value > DIM_CAP:", "and value > DIM_CAP + 1:"),
+    ("traceless-writable", "ddvv.py",
+     "self.matrices.flags.writeable = False", "self.matrices.flags.writeable = True"),
+    ("reduce-float-range", "ddvv.py",
+     "    tolerance(gram)  #", "    pass  #"),
 ]
 
 # Mutants that change no verdict, with the reason: they still run, and a survivor
