@@ -42,7 +42,7 @@ __all__ = ["RatioSearchResult", "TOperator", "bw_case_matrix_bound", "bw_slack",
 BW_CONSTANT = 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TOperator:
     """Matrix of Y -> [X^T, [X, Y]] under row-major flattening of Y.
 
@@ -234,7 +234,7 @@ def bw_case_matrix_bound(b, c) -> SlackReport:
     return SlackReport("case-matrix", lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatioSearchResult:
     best_ratio: float
     x: np.ndarray

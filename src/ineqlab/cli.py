@@ -45,9 +45,9 @@ from .errors import InputRejected, NumericalFailure
 from .linalg import as_matrix, check_symmetric
 from .report import TOL_COEFF, holds, tolerance
 from .serialize import (
-    canonical_form_json,
     dumps,
     field_dict,
+    matrix_json,
     pair_json,
     read_matrix_file,
     read_pair_file,
@@ -161,7 +161,9 @@ def cmd_reduce(args) -> tuple:
     t = read_tuple_file(_input(args, "TUPLE_FILE"))
     before = ddvv_slack(t)
     form = canonical_reduce(t)
-    return canonical_form_json(form, before, ddvv_slack(form.reduced)), 0
+    doc = {"tuple": tuple_json(form), "p": matrix_json(form.p), "q": matrix_json(form.q),
+           "degenerate": form.degenerate, "slack_before": before, "slack_after": ddvv_slack(form)}
+    return doc, 0
 
 
 def cmd_copositive(args) -> tuple:

@@ -34,7 +34,7 @@ def finite_c(c) -> float:
     raise InputRejected("ambient curvature c must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondFundamentalForm(SymmetricTuple):
     """The shape operators A_alpha = (h^alpha_ij) as a symmetric tuple, with
     ambient curvature c."""
@@ -57,7 +57,7 @@ class CurvatureReport:
     shape_slack: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalReport:
     s: np.ndarray
     eigenvalues: np.ndarray

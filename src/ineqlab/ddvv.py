@@ -36,7 +36,7 @@ __all__ = ["CanonicalForm", "SymmetricTuple", "canonical_reduce", "ddvv_slack",
            "sigma_matrix"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricTuple:
     """Ordered tuple (A_1, ..., A_m) of symmetric n x n matrices, held as one
     float64 array `matrices` of shape (m, n, n), read-only from construction on."""
@@ -127,14 +127,13 @@ def _not_sorted(norms: np.ndarray, start: int):
     return None
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Reduced tuple plus the group element (p, q) that produced it."""
+@dataclass(frozen=True, eq=False)
+class CanonicalForm(SymmetricTuple):
+    """A tuple in canonical position, the (p, q) that put it there, and whether it is zero."""
 
-    reduced: SymmetricTuple
     p: np.ndarray
     q: np.ndarray
-    degenerate: bool = False
+    degenerate: bool
 
 
 def ddvv_sides(stack: np.ndarray) -> tuple:
@@ -165,6 +164,7 @@ def group_act(t: SymmetricTuple, p, q) -> SymmetricTuple:
                 and np.abs(g.T @ g - np.eye(size)).max() <= 1e-10):  # NaN is refused too
             raise InputRejected(f"{name} is not orthogonal within 1e-10")
     mixed = np.einsum("rj,jab->rab", qm, pm @ t.matrices @ pm.T)
+    tolerance(mixed)  # an overflowed member is past the float range, not a non-finite input
     return SymmetricTuple.from_matrices(mixed)
 
 
@@ -198,21 +198,20 @@ def canonical_reduce(t: SymmetricTuple) -> CanonicalForm:
             reduced_stack[0] *= -1.0
 
     # an orthogonal transform of a validated tuple: nothing to re-validate
-    form = CanonicalForm(reduced=SymmetricTuple(reduced_stack), p=p, q=q, degenerate=degenerate)
+    form = CanonicalForm(reduced_stack, p, q, degenerate)
     _verify_canonical(t, form)
     return form
 
 
 def _verify_canonical(original: SymmetricTuple, form: CanonicalForm) -> None:
     """Postcondition audit; raises NumericalFailure if the reduction is unsound."""
-    red = form.reduced
-    norms = np.sqrt(red.norms_sq())
-    problem = (_not_diagonal(red.matrices[0], "reduced A_1")
-               or _not_orthogonal(red.gram()) or _not_sorted(norms, 0))
+    norms = np.sqrt(form.norms_sq())
+    problem = (_not_diagonal(form.matrices[0], "reduced A_1")
+               or _not_orthogonal(form.gram()) or _not_sorted(norms, 0))
     if problem:
         raise NumericalFailure(problem)
     replay = group_act(original, form.p, form.q)
-    errs = np.sqrt(((replay.matrices - red.matrices) ** 2).sum(axis=(1, 2)))
+    errs = np.sqrt(((replay.matrices - form.matrices) ** 2).sum(axis=(1, 2)))
     bad = (errs > 1e-9 * (1.0 + norms)).nonzero()[0]
     if bad.size:
         raise NumericalFailure(f"(p, q) does not reproduce reduced member {bad[0] + 1}")

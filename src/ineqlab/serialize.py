@@ -9,7 +9,7 @@ float64 array is checked finite once and written one last-axis row per
 Result dataclasses write themselves: an instance is the object of its
 fields in declaration order, so a report's field list is its document.
 File formats keep a writer beside their parser (matrix_json, tuple_json,
-pair_json, sff_json, and canonical_form_json for reduce's output).
+pair_json, sff_json).
 
 Every input file is read by _read_text: one binary read, a strict UTF-8
 decode and text mode's newline translation.  Matrix files come in two
@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .curvature import SecondFundamentalForm
-from .ddvv import CanonicalForm, SymmetricTuple
+from .ddvv import SymmetricTuple
 from .errors import InputRejected
 from .linalg import DIM_CAP, as_array
 
@@ -276,18 +276,3 @@ def parse_sff_json(obj) -> SecondFundamentalForm:
 
 def read_sff_file(path: str) -> SecondFundamentalForm:
     return _read_json(path, parse_sff_json)
-
-
-# ---------------------------------------------------------------------------
-# reduce's output
-
-def canonical_form_json(cf: CanonicalForm, before, after) -> dict:
-    """The reduced tuple, its frame and the DDVV reports before and after."""
-    return {
-        "tuple": tuple_json(cf.reduced),
-        "p": matrix_json(cf.p),
-        "q": matrix_json(cf.q),
-        "degenerate": cf.degenerate,
-        "slack_before": before,
-        "slack_after": after,
-    }

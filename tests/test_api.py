@@ -1,5 +1,5 @@
-"""The public API: what `ineqlab` exports, why each name no module reads stays, and
-the README's library sketch."""
+"""The public API: what `ineqlab` exports, why each name no module reads stays, the
+README's library sketch, and how records that hold arrays compare."""
 
 import os
 import re
@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 from test_one_home import MODULES, _module, _reads
 
 import ineqlab
@@ -82,3 +83,20 @@ def test_readme_library_sketch_runs():
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == "[2. 2. 0. 0.]"
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # two distinct records equal in value: comparing their arrays field by
+    # field would raise, not answer, so each equals itself only, and hashes
+    pair = [np.diag([1.0, -1.0]), np.eye(2)]
+    makers = [lambda: ddvv.SymmetricTuple.from_matrices(pair),
+              lambda: curvature.SecondFundamentalForm.from_array(pair, c=1.0),
+              lambda: ddvv.canonical_reduce(ddvv.SymmetricTuple.from_matrices(pair)),
+              lambda: bw.t_operator(np.diag([1.0, 2.0])),
+              lambda: curvature.fundamental_report(
+                  curvature.SecondFundamentalForm.from_array(pair, c=1.0)),
+              lambda: bw.maximize_ratio(2, 7, 5)]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b}) == 2

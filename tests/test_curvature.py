@@ -15,8 +15,8 @@ from ineqlab.curvature import (
     veronese_immersion,
     veronese_tuple,
 )
-from ineqlab.ddvv import (SymmetricTuple, canonical_reduce, ddvv_slack, extremal_case_a,
-                          extremal_case_b, group_act)
+from ineqlab.ddvv import (CanonicalForm, SymmetricTuple, canonical_reduce, ddvv_slack,
+                          extremal_case_a, extremal_case_b, group_act)
 from ineqlab.errors import InputRejected
 from ineqlab.linalg import commutator_norms_sq
 from ineqlab.seeded import RandomStream, sub_seed
@@ -239,18 +239,26 @@ class TestFundamentalReport:
             assert rep.sigma_sq == pytest.approx(float(np.sum(rep.eigenvalues)), rel=1e-10)
 
 
+def _same_ddvv_bits(t):
+    got, want = ddvv_slack(t), ddvv_slack(SymmetricTuple.from_matrices(t.matrices))
+    return (np.array([got.lhs, got.rhs, got.slack]).tobytes()
+            == np.array([want.lhs, want.rhs, want.slack]).tobytes())
+
+
 class TestOneStackType:
     """Each constructor of a tuple or a form returns one type on a read-only
-    stack, and a form is the symmetric tuple of its shape operators plus c."""
+    stack; a form is the symmetric tuple of its shape operators plus c, and a
+    canonical form is the reduced tuple plus its frame (p, q)."""
 
     def test_read_only_stacks_and_forms_are_tuples(self):
         stream = RandomStream(sub_seed(5, 0))
         t = SymmetricTuple.from_matrices(stream.symmetric_tuple(3, 2))
         form = random_form(stream, 3, 2, 1.0)
         tuples = [t, group_act(t, stream.orthogonal_matrix(3), stream.orthogonal_matrix(2)),
-                  canonical_reduce(t).reduced, extremal_case_a(3, 0.5), extremal_case_b(3, 0.5),
+                  extremal_case_a(3, 0.5), extremal_case_b(3, 0.5),
                   parse_tuple_json(json.loads(dumps(tuple_json(t)))),
-                  SecondFundamentalForm.from_matrices(form.matrices)]
+                  SecondFundamentalForm.from_matrices(form.matrices),
+                  CanonicalForm.from_matrices(t.matrices)]
         forms = [form, traceless(form), veronese_tuple(), clifford_model(2, 4),
                  parse_sff_json(json.loads(dumps(sff_json(form))))]
         for x in tuples:
@@ -259,9 +267,19 @@ class TestOneStackType:
         for f in forms:
             assert type(f) is SecondFundamentalForm and isinstance(f, SymmetricTuple)
             assert not f.matrices.flags.writeable
-            got, want = ddvv_slack(f), ddvv_slack(SymmetricTuple.from_matrices(f.matrices))
-            assert (np.array([got.lhs, got.rhs, got.slack]).tobytes()
-                    == np.array([want.lhs, want.rhs, want.slack]).tobytes())
+            assert _same_ddvv_bits(f)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (2, 4), (4, 1)])
+    def test_a_canonical_form_is_its_reduced_tuple(self, n, m):
+        t = SymmetricTuple.from_matrices(RandomStream(sub_seed(6, n)).symmetric_tuple(n, m))
+        form = canonical_reduce(t)
+        assert type(form) is CanonicalForm and isinstance(form, SymmetricTuple)
+        assert ([f.name for f in dataclasses.fields(form)]
+                == ["matrices", "p", "q", "degenerate"])
+        assert not form.matrices.flags.writeable and (form.n, form.m) == (n, m)
+        assert _same_ddvv_bits(form)
+        plain = SymmetricTuple.from_matrices(form.matrices)
+        assert dumps(tuple_json(form)) == dumps(tuple_json(plain))
 
 
 class TestCliffordModel:

@@ -122,7 +122,7 @@ class TestCommutatorKernelExactness:
         for k, (n, m) in enumerate(self.GRID):
             if m > n * (n + 1) // 2:
                 continue
-            red = canonical_reduce(random_tuple(RandomStream(sub_seed(92, k)), n, m)).reduced
+            red = canonical_reduce(random_tuple(RandomStream(sub_seed(92, k)), n, m))
             lead = np.linalg.norm(red.matrices[0])
             t = SymmetricTuple.from_matrices([a / lead for a in red.matrices])
             ref = _pair_norms_in_order(t.matrices)[: m - 1]
@@ -216,7 +216,7 @@ class TestCanonicalReduce:
         form = canonical_reduce(t)
         # the Gram spectrum is preserved and the reduced tuple stays equivalent
         before = np.sort(np.linalg.eigvalsh(t.gram()))
-        after = np.sort(np.linalg.eigvalsh(form.reduced.gram()))
+        after = np.sort(np.linalg.eigvalsh(form.gram()))
         assert_allclose(after, before, atol=1e-12)
         assert not form.degenerate
 
@@ -225,13 +225,13 @@ class TestCanonicalReduce:
         form = canonical_reduce(t)
         assert form.degenerate
         assert_allclose(form.p, np.eye(3), atol=0.0)
-        for a in form.reduced.matrices:
+        for a in form.matrices:
             assert_allclose(a, np.zeros((3, 3)), atol=0.0)
 
     @pytest.mark.parametrize("t", [extremal_case_b(3, 0.4),
                                    SymmetricTuple.from_matrices([np.zeros((2, 2))])])
     def test_reduced_tuple_is_read_only(self, t):
-        reduced = canonical_reduce(t).reduced.matrices
+        reduced = canonical_reduce(t).matrices
         assert not reduced.flags.writeable
         with pytest.raises(ValueError):
             reduced[0, 0, 0] = 1.0
@@ -252,16 +252,45 @@ class TestCanonicalReduce:
         with pytest.raises(NumericalFailure, match=r"^\(p, q\) does not reproduce reduced member 1$"):
             canonical_reduce(t)
 
+    def test_replay_off_by_a_millionth_is_numerical_failure(self, monkeypatch):
+        # the replay must match within 1e-9 relative, not merely to three digits
+        real = ddvv.group_act
+        monkeypatch.setattr(ddvv, "group_act", lambda t, p, q: SymmetricTuple(
+            real(t, p, q).matrices * (1.0 + 1e-6)))
+        with pytest.raises(NumericalFailure, match=r"^\(p, q\) does not reproduce reduced member 1$"):
+            canonical_reduce(extremal_case_b(3, 0.4))
+
+    def test_unsound_frame_is_numerical_failure(self, monkeypatch):
+        # identity eigenvectors keep the Gram matrix diagonal here, but leave
+        # the leader undiagonalized: the audit refuses before any replay
+        real = ddvv.eigh_descending
+        monkeypatch.setattr(ddvv, "eigh_descending", lambda a: (real(a)[0], np.eye(a.shape[0])))
+        t = SymmetricTuple.from_matrices([offdiag2(1.0), np.diag([0.5, -0.5])])
+        with pytest.raises(NumericalFailure, match=r"^reduced A_1 not diagonal \(off mass"):
+            canonical_reduce(t)
+
+    def test_tiny_tuple_is_not_degenerate(self):
+        # degenerate means zero up to rounding (1e-14 relative), not merely small
+        t = SymmetricTuple.from_matrices(1e-9 * extremal_case_a(3, 0.5).matrices)
+        form = canonical_reduce(t)
+        assert not form.degenerate
+        assert np.linalg.norm(form.matrices[0]) == pytest.approx(1e-9, rel=1e-12)
+
+    def test_sign_set_by_a_small_leading_entry(self):
+        # the first diagonal entry 1e-8 is nonzero and positive, so no flip
+        form = canonical_reduce(SymmetricTuple.from_matrices([np.diag([1e-8, -1.0])]))
+        assert_allclose(np.diag(form.matrices[0]), [1e-8, -1.0], rtol=1e-12, atol=0.0)
+
     def test_random_postconditions(self):
         for k in range(200):
             stream = RandomStream(sub_seed(31, k))
             n, m = 2 + k % 5, 2 + k % 4
             t = random_tuple(stream, n, m)
             form = canonical_reduce(t)  # postconditions audited internally
-            before, after = ddvv_slack(t), ddvv_slack(form.reduced)
+            before, after = ddvv_slack(t), ddvv_slack(form)
             assert after.lhs == pytest.approx(before.lhs, rel=1e-9)
             assert after.rhs == pytest.approx(before.rhs, rel=1e-9, abs=1e-9)
-            a1 = form.reduced.matrices[0]
+            a1 = form.matrices[0]
             diag = np.diag(a1)
             nonzero = diag[np.abs(diag) > 1e-12 * (1 + np.linalg.norm(a1))]
             if nonzero.size:
@@ -278,7 +307,7 @@ class TestCanonicalReduce:
             for mats in (RandomStream(sub_seed(33, k)).symmetric_tuple(n, m),
                          g + np.swapaxes(g, 1, 2)):
                 t = SymmetricTuple.from_matrices(mats)
-                before, after = ddvv_slack(t), ddvv_slack(canonical_reduce(t).reduced)
+                before, after = ddvv_slack(t), ddvv_slack(canonical_reduce(t))
                 assert after.lhs == pytest.approx(before.lhs, rel=1e-9)
                 assert after.rhs == pytest.approx(before.rhs, rel=1e-9, abs=1e-9)
 
@@ -381,7 +410,7 @@ class TestKeyLemma:
             stream = RandomStream(sub_seed(61, k))
             n, m = 2 + k % 5, 2 + k % 4
             t = random_tuple(stream, n, m)
-            red = canonical_reduce(t).reduced
+            red = canonical_reduce(t)
             lead = np.linalg.norm(red.matrices[0])
             if lead < 1e-8:
                 continue
@@ -403,6 +432,19 @@ class TestKeyLemma:
             [np.diag([S2, -S2, 0.0]), 0.1 * offdiag2(S2, 3), _sym13(0.5)]
         )
         with pytest.raises(InputRejected, match="nonincreasing"):
+            key_lemma_slack(t)
+
+    def test_preconditions_at_their_tolerances(self):
+        # members 2 and 3 out of order by one part in 1e9, past the 1e-12 allowance
+        t = SymmetricTuple.from_matrices(
+            [np.diag([S2, -S2, 0.0]), offdiag2(0.5, 3), _sym13(0.5 * (1.0 + 1e-9))])
+        with pytest.raises(InputRejected, match="^precondition failed: member norms not "
+                                                "nonincreasing at member 2$"):
+            key_lemma_slack(t)
+        # <A_1, A_2> = 1.4e-8, past 1e-10 (1 + ||A_1|| ||A_2||)
+        t = SymmetricTuple.from_matrices([np.diag([S2, -S2]),
+                                          offdiag2(S2) + np.diag([1e-8, -1e-8])])
+        with pytest.raises(InputRejected, match="^precondition failed: members 1,2 not orthogonal"):
             key_lemma_slack(t)
 
 
@@ -442,6 +484,13 @@ class TestSharpPair:
     def test_rejects_nonunit(self):
         with pytest.raises(InputRejected, match="need 1"):
             sharp_pair_bound(np.diag([1.0, -1.0]), offdiag2(1.0))
+
+    def test_rejects_at_the_tolerances(self):
+        # off-diagonal mass 1.4e-8 and a norm 5e-9 from 1, each past 1e-10
+        with pytest.raises(InputRejected, match="^a not diagonal"):
+            sharp_pair_bound(np.diag([S2, -S2]) + offdiag2(1e-8), offdiag2(S2))
+        with pytest.raises(InputRejected, match="need 1 within 1e-10$"):
+            sharp_pair_bound(np.diag([S2 * (1.0 + 1e-8), -S2]), offdiag2(S2))
 
 
 class TestExtremalConstructors:
@@ -585,7 +634,7 @@ class TestLemmaChain:
             for a in stream.symmetric_tuple(n, m):
                 a = a - np.trace(a) / n * np.eye(n)
                 mats.append(a)
-            red = canonical_reduce(SymmetricTuple.from_matrices(mats)).reduced
+            red = canonical_reduce(SymmetricTuple.from_matrices(mats))
             lead = np.linalg.norm(red.matrices[0])
             if lead < 1e-8:
                 continue

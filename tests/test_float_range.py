@@ -14,8 +14,8 @@ import pytest
 import ineqlab
 from ineqlab.bw import bw_case_matrix_bound, bw_slack
 from ineqlab.curvature import SecondFundamentalForm, curvature_report, fundamental_report
-from ineqlab.ddvv import (SymmetricTuple, canonical_reduce, ddvv_slack, key_lemma_slack,
-                          p_matrix_bound)
+from ineqlab.ddvv import (SymmetricTuple, canonical_reduce, ddvv_slack, group_act,
+                          key_lemma_slack, p_matrix_bound)
 from ineqlab.errors import InputRejected, NumericalFailure
 from ineqlab.linalg import eigh_descending, eigvalsh
 from ineqlab.report import SlackReport, holds, tolerance
@@ -132,6 +132,13 @@ class TestOverflowingLibraryResults:
         # the overflowed Gram matrix once failed the audit, a NumericalFailure
         with pytest.raises(InputRejected, match=OUT_OF_RANGE):
             canonical_reduce(SymmetricTuple.from_matrices([_S, _S / 2]))
+
+    def test_group_act(self):
+        # the overflowed product was once refused as a non-finite input member
+        t = SymmetricTuple.from_matrices([np.full((2, 2), 1.5e308), np.eye(2)])
+        c, s = np.cos(np.pi / 7), np.sin(np.pi / 7)
+        with pytest.raises(InputRejected, match=OUT_OF_RANGE):
+            group_act(t, [[c, -s], [s, c]], np.eye(2))
 
     def test_key_lemma(self):
         # an inf norm once failed the sorted-norms precondition

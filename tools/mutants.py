@@ -55,6 +55,24 @@ MUTANTS = [
      "self.matrices.flags.writeable = False", "self.matrices.flags.writeable = True"),
     ("reduce-float-range", "ddvv.py",
      "    tolerance(gram)  #", "    pass  #"),
+    ("group-act-float-range", "ddvv.py",
+     "    tolerance(mixed)  #", "    pass  #"),
+    ("replay-tol", "ddvv.py",
+     "errs > 1e-9 * (1.0 + norms)", "errs > 1e-3 * (1.0 + norms)"),
+    ("degenerate-tol", "ddvv.py",
+     "<= 1e-14 * (1.0 + frobenius_norm(t.matrices))",
+     "<= 1e-6 * (1.0 + frobenius_norm(t.matrices))"),
+    ("sorted-tol", "ddvv.py",
+     "tail[1:] - 1e-12 * (1.0 + tail[1:])", "tail[1:] - 1e-6 * (1.0 + tail[1:])"),
+    ("diagonal-tol", "ddvv.py",
+     "off_mass > 1e-10 * (1.0 + frobenius_norm(a))", "off_mass > 1e-6 * (1.0 + frobenius_norm(a))"),
+    ("unit-tol", "ddvv.py", "if abs(nrm - 1.0) > 1e-10:", "if abs(nrm - 1.0) > 1e-6:"),
+    ("orthogonal-pair-tol", "ddvv.py",
+     "(np.abs(gram[r, s]) > 1e-10 * (1.0 + norms[r] * norms[s]))",
+     "(np.abs(gram[r, s]) > 1e-6 * (1.0 + norms[r] * norms[s]))"),
+    ("sign-nonzero-tol", "ddvv.py",
+     "(np.abs(diag) > 1e-12 * (1.0 + frobenius_norm(reduced_stack[0])))",
+     "(np.abs(diag) > 1e-6 * (1.0 + frobenius_norm(reduced_stack[0])))"),
 ]
 
 # Mutants that change no verdict, with the reason: they still run, and a survivor
