@@ -30,7 +30,7 @@ PROPERTY_K_DIM_CAP = 16
 SIGN_ZERO_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CopositivityVerdict:
     copositive: bool
     certificate: Optional[np.ndarray] = None
@@ -60,14 +60,6 @@ def _violation(pm: np.ndarray, subsets: np.ndarray, values: np.ndarray, vectors:
     verified = float(certificate @ pm @ certificate) < 0.0
     return CopositivityVerdict(False, certificate if verified else None,
                                tuple(subsets[row].tolist()))
-
-
-def _solve(pm: np.ndarray, subsets: np.ndarray, neg_eps: float) -> Optional[CopositivityVerdict]:
-    """Eigendecompose the principal submatrices on the rows of `subsets` as
-    one stack and return the verdict of its first violation, or None.  The
-    stack's eigenpairs are freed on return."""
-    values, vectors = eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])
-    return _violation(pm, subsets, values, vectors, neg_eps)
 
 
 # the shift of the PSD-plus-nonnegative certificate, as a fraction of ||P||
@@ -113,11 +105,13 @@ def copositive_property_k(p, *, normal=None) -> CopositivityVerdict:
     (_psd_plus_nonnegative).
 
     So P itself is solved first, and the call returns copositive at once
-    in either case.  Otherwise the sizes 1..m-1 are solved bottom-up, one
-    stack per size, and the first violation found is returned; P's own
-    eigenpairs decide last.  A matrix's eigenpairs do not depend on the
-    stack it is solved in, so the verdict, failing submatrix and
-    certificate are those of the scan over every subset, bit for bit.
+    in either case.  Otherwise one loop scans the sizes 1..m bottom-up, one
+    stack per size, and returns the first violation found; P's eigenpairs,
+    solved already, are the size-m stack, so P decides last.  Each stack's
+    eigenpairs live only for their loop step, so one stack is alive at a
+    time.  A matrix's eigenpairs do not depend on the stack it is solved
+    in, so the verdict, failing submatrix and certificate are those of the
+    scan over every subset, bit for bit.
 
     normal, if given, is the (P, e, ||P||) that linalg.check_symmetric
     returned for p, and p is not checked again.
@@ -132,16 +126,18 @@ def copositive_property_k(p, *, normal=None) -> CopositivityVerdict:
     neg_eps = 1e-10 * (1.0 + norm)
     margin = 0.5 * neg_eps
     values, vectors = eigh_descending(pm[None])
-    if values[0, -1] >= -margin:
+    if (values[0, -1] >= -margin
+            or _psd_plus_nonnegative(pm, values[0], vectors[0], SPN_SHIFT * norm, margin)):
         return CopositivityVerdict(True)
-    if _psd_plus_nonnegative(pm, values[0], vectors[0], SPN_SHIFT * norm, margin):
-        return CopositivityVerdict(True)
-    for size in range(1, m):
-        verdict = _solve(pm, _subsets(m, size), neg_eps)
+    for size in range(1, m + 1):
+        subsets = _subsets(m, size)
+        # a stack's eigenpairs are temporaries of the call, freed before the next solve
+        verdict = _violation(pm, subsets, *(
+            (values, vectors) if size == m
+            else eigh_descending(pm[subsets[:, :, None], subsets[:, None, :]])), neg_eps)
         if verdict is not None:
             return verdict
-    verdict = _violation(pm, np.arange(m)[None], values, vectors, neg_eps)
-    return verdict or CopositivityVerdict(True)
+    return CopositivityVerdict(True)
 
 
 # simplices examined x m^2 before the oracle refuses (32 MiB of float64)

@@ -120,7 +120,9 @@ def _write(obj, out: list) -> None:
 def _decode(text: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
+    # ValueError: a JSONDecodeError, or an int literal over Python's 4300-digit
+    # limit; RecursionError: too deeply nested
+    except (ValueError, RecursionError) as exc:
         raise InputRejected(f"invalid JSON: {exc}") from exc
 
 

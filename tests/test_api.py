@@ -95,7 +95,8 @@ def test_records_that_hold_arrays_compare_by_identity():
               lambda: bw.t_operator(np.diag([1.0, 2.0])),
               lambda: curvature.fundamental_report(
                   curvature.SecondFundamentalForm.from_array(pair, c=1.0)),
-              lambda: bw.maximize_ratio(2, 7, 5)]
+              lambda: bw.maximize_ratio(2, 7, 5),
+              lambda: copositive.copositive_property_k([[1, -3], [-3, 1]])]
     for make in makers:
         a, b = make(), make()
         assert a == a and a != b and not (a == b)

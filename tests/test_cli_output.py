@@ -114,6 +114,39 @@ def test_unreadable_file_is_an_input_error(tmp_path, command, name):
     assert "Traceback" not in proc.stderr
 
 
+# one valid file of each JSON format, with the place of an entry marked ENTRY
+# and the value of its field 'n' marked COUNT
+JSON_FORMATS = {
+    "matrix": '{"n": COUNT, "entries": [[ENTRY, 0], [0, 1]]}',
+    "tuple": '{"n": COUNT, "m": 1, "matrices": [{"n": 2, "entries": [[ENTRY, 0], [0, 1]]}]}',
+    "pair": '{"n": COUNT, "x": {"n": 2, "entries": [[ENTRY, 0], [0, 1]]}, '
+            '"y": {"n": 2, "entries": [[0, 1], [1, 0]]}}',
+    "h": '{"n": COUNT, "m": 1, "c": 1, "h": [[[ENTRY, 0], [0, 1]]]}',
+}
+OVER_LONG = "9" * 4301  # one digit past Python's default int_max_str_digits
+
+
+@pytest.mark.parametrize("where", ["entry", "n"])
+@pytest.mark.parametrize("fmt, command", [("matrix", "copositive"), ("matrix", "spectrum"),
+                                          ("tuple", "ddvv-verify"), ("tuple", "reduce"),
+                                          ("pair", "bw-verify"), ("h", "curvature")])
+def test_over_long_integer_literal_is_invalid_json(capsys, tmp_path, fmt, command, where):
+    # json.loads refuses the literal with a plain ValueError, not a JSONDecodeError
+    out = tmp_path / "out.json"
+
+    def run_on(entry, count):
+        path = tmp_path / "in.json"
+        path.write_text(JSON_FORMATS[fmt].replace("ENTRY", entry).replace("COUNT", count))
+        return run(capsys, [command, "--input", str(path), "--format", "json",
+                            "--output", str(out)])
+
+    assert run_on("1", "2")[0] in (0, 1)  # the file is valid without the literal
+    out.unlink()
+    code, _, err = run_on(OVER_LONG, "2") if where == "entry" else run_on("1", OVER_LONG)
+    assert code == 2 and err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestOverflow:
     """Sides that overflow the float range are an input error (exit 2)."""
 

@@ -229,12 +229,12 @@ class TestPropertyK:
         p = g @ g.T + np.abs(g + g.T)
         assert np.linalg.eigvalsh(p)[0] < 0.0
         assert certified(p)
-        assert copositive_property_k(p) == CopositivityVerdict(True)
+        assert bits(copositive_property_k(p)) == (True, None, None)
         # the Horn matrix is copositive but not PSD plus nonnegative: the scan decides
         horn = np.array([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
                          [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]], dtype=float)
         assert not certified(horn)
-        assert copositive_property_k(horn) == full_scan(horn) == CopositivityVerdict(True)
+        assert bits(copositive_property_k(horn)) == bits(full_scan(horn)) == (True, None, None)
         # a matrix that is not copositive has no such decomposition
         q = p.copy()
         q[0, 1] = q[1, 0] = -np.sqrt(p[0, 0] * p[1, 1]) - 0.5
@@ -253,7 +253,7 @@ class TestPropertyK:
         solved, kernel = [], copositive.eigh_descending
         monkeypatch.setattr(copositive, "eigh_descending",
                             lambda a: solved.append(a.shape) or kernel(a))
-        assert copositive_property_k(p) == CopositivityVerdict(True)
+        assert bits(copositive_property_k(p)) == (True, None, None)
         assert solved == [(1, 12, 12), (12, 12)]  # P, then the certificate's X
 
     def test_sign_tolerance_leaves_the_proof_its_margin(self):
@@ -423,7 +423,7 @@ class TestOracle:
             verdict = copositive_oracle(np.array([[1.0, -root2], [-root2, 2.0]]), 40)
         finally:
             sys.settrace(previous)
-        assert verdict == CopositivityVerdict(True)
+        assert bits(verdict) == (True, None, None)
         assert stop in lines
 
     def test_m_squared_over_budget_refused_unbuilt(self, monkeypatch):

@@ -73,6 +73,13 @@ MUTANTS = [
     ("sign-nonzero-tol", "ddvv.py",
      "(np.abs(diag) > 1e-12 * (1.0 + frobenius_norm(reduced_stack[0])))",
      "(np.abs(diag) > 1e-6 * (1.0 + frobenius_norm(reduced_stack[0])))"),
+    ("decode-value-error", "serialize.py",
+     "except (ValueError, RecursionError) as exc:",
+     "except (json.JSONDecodeError, RecursionError) as exc:"),
+    ("property-k-skips-p", "copositive.py",
+     "for size in range(1, m + 1):", "for size in range(1, m):"),
+    ("verdict-value-eq", "copositive.py",
+     "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)"),
 ]
 
 # Mutants that change no verdict, with the reason: they still run, and a survivor
