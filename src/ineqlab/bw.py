@@ -96,6 +96,35 @@ def t_matrices(xu: np.ndarray) -> np.ndarray:
     return images.reshape(xu.shape[:-2] + (n * n, n * n)).swapaxes(-1, -2)
 
 
+# The margin of a Cholesky certificate of lambda_max(T): bw-verify's screen
+# certifies a block's lambda_max SCREEN_MARGIN below the least one that could
+# change its summary, and a search half-step certifies lambda_max(T) below
+# its Rayleigh quotient plus SCREEN_MARGIN.  For unit X, ||T||_2 <= 4
+# ||X||_2^2 <= 4 (each commutator at most doubles a norm), so for
+# 0 < mu <= 4 the matrix mu I - T has norm at most 4.  A Cholesky of it that
+# runs to completion factors mu I - T + E with ||E||_2 <= gamma_{N+1} N
+# ||mu I - T||_2, about 9.3e-12 at N = n^2 = 144 (Higham, Accuracy and
+# Stability of Numerical Algorithms, Thm 10.5), so every eigenvalue of T is
+# below mu + 9.3e-12; eigvalsh's own error is about N u ||T||_2 = 6.4e-14.
+# 1e-9 is ~100x both.  mu I - T is formed as -T plus mu on the diagonal: the
+# same numbers but for the sign of a zero, which no pivot of the Cholesky
+# depends on.
+SCREEN_MARGIN = 1e-9
+
+
+def certified_below(tms: np.ndarray, mu) -> bool:
+    """Whether one stacked Cholesky of mu I - T proves lambda_max < mu + 1e-11
+    for every T matrix of the stack; mu is one number, or a (k, 1) array of
+    one per matrix.  It fails for mu <= 0, T being positive semidefinite."""
+    shifted = -tms
+    np.einsum("...ii->...i", shifted)[...] += mu
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def t_operator(x) -> TOperator:
     """Build the T operator of a nonzero matrix, rescaled to ||x|| = 1.
 
@@ -244,11 +273,65 @@ class RatioSearchResult:
     trajectory: tuple
 
 
-def _top_eigenmatrices(x: np.ndarray) -> tuple:
+# Squarings of T behind a warm-started top eigenvector: T^128 shrinks an
+# eigenvalue at 0.8 lambda_max to 4e-13 of the top one.  Squares 1, 3, 5 and 7
+# are divided by their trace, which puts the top eigenvalue in [1 / n^2, 1];
+# the square between keeps it in [1 / n^4, 1], far from under- and overflow.
+# Dividing every square took 11% longer per bw-search op at n = 5-6.
+_SQUARINGS = 7
+
+# Largest n whose T stacks go straight to eigh: there squaring took 54% longer
+# per bw-search op at n = 3, and 3.5% longer at n = 4.
+_EIGH_UP_TO = 4
+
+
+def _eigh_tops(tms: np.ndarray) -> tuple:
+    """Top eigenvalues and eigenvectors of a stack of T matrices, by eigh."""
+    values, vectors = eigh_descending(tms)
+    return values[:, 0], vectors[:, :, 0]
+
+
+def _power(tms: np.ndarray) -> np.ndarray:
+    """T^128 over a stack of T matrices, scaled as _SQUARINGS says; the squares
+    before it are freed on return, before any eigh."""
+    power = tms
+    for k in range(_SQUARINGS):
+        power = power @ power
+        if k % 2 == 0:
+            power /= np.einsum("...ii->...", power)[:, None, None]
+    return power
+
+
+def _top_eigenmatrices(x: np.ndarray, start: np.ndarray) -> tuple:
     """Top eigenvalues of the T operators of a (k, n, n) stack of unit
-    iterates, and their unit eigenmatrices; unchecked."""
-    values, vectors = eigh_descending(t_matrices(unit_stack(x)))
-    return values[:, 0], unit_stack(vectors[:, :, 0].reshape(x.shape))
+    iterates, and their unit eigenmatrices, warm-started at the (k, n, n)
+    stack `start`; unchecked.
+
+    From n = _EIGH_UP_TO + 1, T^128 (_power) maps vec(start) to v, and
+    lambda is v's Rayleigh quotient.  A row is kept when ||T v - lambda v||
+    <= 1e-10 ||v|| and a Cholesky certifies lambda_max < lambda +
+    SCREEN_MARGIN (certified_below); every other row goes to eigh.  Every
+    slice of a stacked matmul, Cholesky or eigh has the bits of its
+    standalone call, so each row's result is the same in any stack.
+    """
+    tms = t_matrices(unit_stack(x))
+    if x.shape[-1] <= _EIGH_UP_TO:
+        values, vectors = _eigh_tops(tms)
+        return values, unit_stack(vectors.reshape(x.shape))
+    v = _power(tms) @ start.reshape(len(x), -1, 1)
+    tv = tms @ v
+    vv, vtv = ((v * a).sum(axis=(-2, -1)) for a in (v, tv))
+    values = vtv / vv
+    residual = tv - values[:, None, None] * v
+    kept = (residual * residual).sum(axis=(-2, -1)) <= 1e-20 * vv
+    mu = values[kept, None] + SCREEN_MARGIN
+    if kept.any() and not certified_below(tms[kept], mu):
+        # row by row, unless the failed stack was a single row
+        kept[kept] = [len(mu) > 1 and certified_below(t[None], m) for t, m in zip(tms[kept], mu)]
+    vectors = v.reshape(len(x), -1)
+    if not kept.all():
+        values[~kept], vectors[~kept] = _eigh_tops(tms[~kept])
+    return values, unit_stack(vectors.reshape(x.shape))
 
 
 def maximize_ratios(n: int, seeds: np.ndarray, max_iters: int) -> list:
@@ -259,11 +342,14 @@ def maximize_ratios(n: int, seeds: np.ndarray, max_iters: int) -> list:
     T operator built from the other (valid since ||[x, y]|| = ||[y, x]||),
     so each ratio trajectory never decreases.  A search stops, and leaves
     the stack, when its improvement drops below 1e-12 or at max_iters; a
-    half-step is one T build and one eigensolve over the stack.  Stacked
-    draws and kernels equal the per-matrix ones bit for bit, so search k is
-    maximize_ratio(n, seeds[k], max_iters).  A Gaussian start x is almost
-    surely no multiple of the identity, whose zero T is a fixed point: 2000
-    seeded starts at each n = 2..12 all had lambda_max(T) >= 0.04.
+    half-step is one T build over the stack and _top_eigenmatrices, which
+    from n = 5 warm-starts each top eigenvector at the iterate it replaces
+    and keeps it when certified, and otherwise, and at n <= 4, takes eigh's.
+    Powers of a positive semidefinite T never lower a Rayleigh quotient.
+    Stacked draws and kernels equal the per-matrix ones bit for bit, so
+    search k is maximize_ratio(n, seeds[k], max_iters).  A Gaussian start x
+    is almost surely no multiple of the identity, whose zero T is a fixed
+    point: 2000 seeded starts at each n = 2..12 all had lambda_max(T) >= 0.04.
     """
     if not 2 <= n <= DIM_CAP:
         raise InputRejected(f"n = {n} outside the documented cap 2..{DIM_CAP}")
@@ -276,15 +362,20 @@ def maximize_ratios(n: int, seeds: np.ndarray, max_iters: int) -> list:
     last = (commutator(x, y) ** 2).sum(axis=(-2, -1))
     trajectories = [[ratio] for ratio in last.tolist()]
     live = np.arange(seeds.size)
+    xs, ys = x, y  # the live searches' iterates
     for _ in range(max_iters):
-        _, y[live] = _top_eigenmatrices(x[live])
-        ratios, x[live] = _top_eigenmatrices(y[live])
+        _, ys = _top_eigenmatrices(xs, ys)
+        ratios, xs = _top_eigenmatrices(ys, xs)
         for k, ratio in zip(live.tolist(), ratios.tolist()):
             trajectories[k].append(ratio)
         keep = ~(ratios - last < 1e-12)
-        live, last = live[keep], ratios[keep]
+        if not keep.all():  # searches leave: store their iterates, compact the stacks
+            x[live], y[live] = xs, ys
+            live, ratios, xs, ys = live[keep], ratios[keep], xs[keep], ys[keep]
+        last = ratios
         if not live.size:
             break
+    x[live], y[live] = xs, ys
     running = set(live.tolist())
     return [RatioSearchResult(best_ratio=t[-1], x=x[k], y=y[k], iterations=len(t) - 1,
                               converged=k not in running, trajectory=tuple(t))

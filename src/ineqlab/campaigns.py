@@ -17,7 +17,10 @@ draws its pairs in chunks on 16 n^2 elements per trial and screens their
 T matrices in blocks on 4 n^4, first solving the first chunk's likely
 largest lambda_max as a block of its own (run_bw_campaign).  The ratio
 search runs a chunk's seeds in lockstep the same way, each search bit for
-bit the standalone one from its sub-seed.
+bit the standalone one from its sub-seed: a half-step builds the live
+seeds' T matrices once, and from n = 5 keeps each seed's warm-started
+power iterate where a residual and a Cholesky certify it as a top
+eigenvector; the other seeds, and all at n <= 4, go to one stacked eigh.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bw import BW_CONSTANT, bw_sides, maximize_ratios, t_matrices, unit_stack
+from .bw import (BW_CONSTANT, SCREEN_MARGIN, bw_sides, certified_below, maximize_ratios,
+                 t_matrices, unit_stack)
 from .ddvv import ddvv_sides
 from .errors import InputRejected
 from .linalg import CHUNK_ELEMENTS, DIM_CAP, commutator, eigvalsh
@@ -88,33 +92,6 @@ def run_ddvv_campaign(seed: int, trials: int, n: int, m: int,
     return summary
 
 
-# How far below the least lambda_max(T) that could change the spectral
-# summary a chunk must be certified.  For unit X, ||T||_2 <= 4 ||X||_2^2 <= 4
-# (each commutator at most doubles a norm), so for 0 < mu <= 4 the matrix
-# mu I - T has norm at most 4.  A Cholesky of it that runs to completion
-# factors mu I - T + E with ||E||_2 <= gamma_{N+1} N ||mu I - T||_2, about
-# 9.3e-12 at N = n^2 = 144 (Higham, Accuracy and Stability of Numerical
-# Algorithms, Thm 10.5), so every eigenvalue of T is below mu + 9.3e-12;
-# eigvalsh's own error is about N u ||T||_2 = 6.4e-14.  1e-9 is ~100x both.
-# mu I - T is formed as -T plus mu on the diagonal: the same numbers but for
-# the sign of a zero, which no pivot of the Cholesky depends on.
-SCREEN_MARGIN = 1e-9
-
-
-def _certified_below(tms: np.ndarray, mu: float) -> bool:
-    """Whether one stacked Cholesky of mu I - T proves lambda_max < mu + 1e-11
-    for every T matrix of the stack."""
-    if not mu > 0.0:
-        return False
-    shifted = -tms
-    np.einsum("...ii->...i", shifted)[...] += mu
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 # Power steps behind each first-chunk trial's lower bound of lambda_max(T).
 _POWER_STEPS = 5
 
@@ -171,8 +148,8 @@ def run_bw_campaign(seed: int, trials: int, n: int,
             blocks = [all_rows[lead:lead + 1]] + [b[b != lead] for b in blocks]
         for rows in filter(len, blocks):
             tms = t_matrices(xu[rows])
-            level = min(BW_CONSTANT - spectral.min_slack, ceiling)
-            if not _certified_below(tms, level - SCREEN_MARGIN):
+            mu = min(BW_CONSTANT - spectral.min_slack, ceiling) - SCREEN_MARGIN
+            if not (mu > 0.0 and certified_below(tms, mu)):
                 tops = eigvalsh(tms)[:, -1]
                 spectral.update(BW_CONSTANT - tops, tops, seeds[rows])
     return pairs, spectral
@@ -182,6 +159,7 @@ def run_search_campaign(seed: int, seeds: int, n: int, max_iters: int):
     """Run the alternating ratio search once per sub-seed, each chunk's seeds in
     lockstep (maximize_ratios checks the configuration); yields the results in
     seed order, one chunk at a time."""
-    # as in run_bw_campaign, a search's T build holds four n^4-element temporaries
+    # a half-step peaks at about four n^4-element arrays per seed, as run_bw_campaign's
+    # T build: T and two squares where certified, T, its rows' copy and eigh's where not
     for chunk in _chunks(seed, seeds, 4 * n**4):
         yield from maximize_ratios(n, chunk, max_iters)

@@ -176,6 +176,10 @@ def parse_matrix_json(obj) -> np.ndarray:
     return entries
 
 
+# Characters of an unparsable header line that its error message quotes.
+_ECHO_CHARS = 40
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -183,7 +187,10 @@ def parse_matrix_text(text: str) -> np.ndarray:
     try:
         n = int(lines[0].strip())
     except ValueError as exc:
-        raise InputRejected(f"line 1: expected the dimension n, got {lines[0]!r}") from exc
+        got = repr(lines[0][:_ECHO_CHARS])
+        if len(lines[0]) > _ECHO_CHARS:
+            got += f"... ({len(lines[0])} characters)"
+        raise InputRejected(f"line 1: expected the dimension n, got {got}") from exc
     if n < 1:
         raise InputRejected("line 1: n must be positive")
     if len(lines) != n + 1:
@@ -201,8 +208,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 def loads_matrix(text: str) -> np.ndarray:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    # a BOM is no whitespace: a JSON file behind one goes to json, which refuses it
+    if text.removeprefix("\ufeff").lstrip().startswith("{"):
         return parse_matrix_json(_decode(text))
     return parse_matrix_text(text)
 

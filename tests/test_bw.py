@@ -20,7 +20,7 @@ from ineqlab.bw import (
 )
 from ineqlab import bw
 from ineqlab.errors import InputRejected, NumericalFailure
-from ineqlab.linalg import commutator, frobenius_norm, norm_sq
+from ineqlab.linalg import commutator, eigh_descending, frobenius_norm, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed, sub_seeds
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -394,3 +394,92 @@ class TestMaximizeRatio:
                   for k in range(100)]
         assert max(ratios) == pytest.approx(2.0, abs=1e-6)
         assert all(r <= 2.0 + 1e-9 for r in ratios)
+
+
+def _record_choleskies(monkeypatch):
+    """[rows, certified] of each np.linalg.cholesky call, in call order."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def recorded(a):
+        calls.append([len(a), False])
+        factor = cholesky(a)
+        calls[-1][1] = True
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return calls
+
+
+def _by_eigh(x):
+    """eigh's top eigenvalues and unit eigenmatrices of a stack's T, the bits
+    a half-step that falls back returns."""
+    values, vectors = eigh_descending(t_matrices(bw.unit_stack(x)))
+    return values[:, 0], bw.unit_stack(vectors[:, :, 0].reshape(x.shape))
+
+
+class TestCertifiedHalfStep:
+    """From n = 5 a half-step keeps the warm-started power iterate of a row
+    only when its residual and a Cholesky certify it as a top eigenvector;
+    every other row falls back to eigh.  Either way it returns the top eigenvalue."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_search_half_steps_reach_the_top(self, monkeypatch, n):
+        steps = []
+        half_step = bw._top_eigenmatrices
+
+        def recorded(x, start):
+            values, vectors = half_step(x, start)
+            steps.append((x.copy(), values, vectors))
+            return values, vectors
+
+        monkeypatch.setattr(bw, "_top_eigenmatrices", recorded)
+        bw.maximize_ratios(n, sub_seeds(5000 + n, 0, 3), 40)
+        rows = certified = 0
+        for x, values, vectors in steps:
+            want, eigh_vectors = _by_eigh(x)
+            assert np.all(np.abs(values - want) <= 1e-12 * want)
+            rows += len(x)
+            certified += int((vectors != eigh_vectors).any(axis=(-2, -1)).sum())
+        # n <= 4 always takes eigh; from n = 5 most rows are certified
+        assert certified > rows // 2 if n >= 5 else certified == 0
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_close_third_eigenvalue_fails_the_residual(self, monkeypatch, n):
+        # diag(-1, ..., 0.98, 1) plus a seeded 1e-3 perturbation: lambda_3 is
+        # about 0.98 lambda_1, which 128 powers damp only to 0.07 of it
+        stream = RandomStream(sub_seeds(6000 + n, 0, 3))
+        d = np.linspace(-1.0, 1.0, n)
+        d[-2] = 0.98
+        x = bw.unit_stack(np.diag(d) + 1e-3 * stream.gaussian_matrix(n))
+        start = bw.unit_stack(stream.gaussian_matrix(n))
+        spectra = np.linalg.eigvalsh(t_matrices(x))
+        assert np.all(spectra[:, -3] >= 0.95 * spectra[:, -1])
+        calls = _record_choleskies(monkeypatch)
+        values, vectors = bw._top_eigenmatrices(x, start)
+        want, eigh_vectors = _by_eigh(x)
+        assert calls == []  # no row reached the Cholesky
+        assert np.array_equal(values, want) and np.array_equal(vectors, eigh_vectors)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_start_annihilated_by_t_falls_back(self, n):
+        x = bw.unit_stack(RandomStream(sub_seeds(7000 + n, 0, 4)).gaussian_matrix(n))
+        start = np.broadcast_to(np.eye(n) / np.sqrt(n), x.shape).copy()
+        values, vectors = bw._top_eigenmatrices(x, start)
+        want, eigh_vectors = _by_eigh(x)
+        assert np.array_equal(values, want) and np.array_equal(vectors, eigh_vectors)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_lower_eigenvector_start_fails_the_cholesky(self, monkeypatch, n):
+        # T of a diagonal x is diagonal, with eigenvector E_ij at (d_i - d_j)^2:
+        # started at E_{0, n-2}, below the top pair E_{0, n-1} and E_{n-1, 0},
+        # the power iterate stays E_{0, n-2} and its residual is at rounding level
+        d = np.linspace(-1.0, 1.0, n)
+        x = (np.diag(d) / np.linalg.norm(d))[None]
+        start = eij(n, 0, n - 2)[None]
+        calls = _record_choleskies(monkeypatch)
+        values, vectors = bw._top_eigenmatrices(x, start)
+        want, eigh_vectors = _by_eigh(x)
+        assert calls == [[1, False]]  # the row passed the residual, not the Cholesky
+        assert np.array_equal(values, want) and np.array_equal(vectors, eigh_vectors)
+        assert values[0] == pytest.approx(4.0 / (d @ d), rel=1e-12)

@@ -114,6 +114,18 @@ def test_unreadable_file_is_an_input_error(tmp_path, command, name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["spectrum", "copositive"])
+def test_bom_before_a_json_matrix_is_invalid_json(capsys, tmp_path, command):
+    # a BOM is no whitespace, yet the sniff looks past it: json refuses the
+    # file, as it refuses a tuple, pair or h file behind a BOM
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / "spectrum_n4.json").read_bytes())
+    code, out, err = run(capsys, [command, "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                   "line 1 column 1 (char 0)\n")
+
+
 # one valid file of each JSON format, with the place of an entry marked ENTRY
 # and the value of its field 'n' marked COUNT
 JSON_FORMATS = {

@@ -233,7 +233,11 @@ class TestParserRefusals:
         ("0\n", "^line 1: n must be positive$"),
         ("-2\n1 0\n0 1\n", "^line 1: n must be positive$"),
         ("2\n1 0\n0 x\n", "^line 3: could not convert string to float: 'x'$"),
-    ], ids=["invalid-json", "empty", "blank", "n-zero", "n-negative", "bad-float"])
+        # a 6 KB header is quoted by its first 40 characters
+        ("[" * 3000 + "1" + "]" * 3000 + "\n",
+         "^line 1: expected the dimension n, got '" + r"\[" * 40 + r"'\.\.\. \(6001 characters\)$"),
+    ], ids=["invalid-json", "empty", "blank", "n-zero", "n-negative", "bad-float",
+            "long-header"])
     def test_matrix_text(self, text, message):
         with pytest.raises(InputRejected, match=message):
             loads_matrix(text)

@@ -30,7 +30,7 @@ MUTANTS = [
      "finest = 2.0 / resolution**2", "finest = 8.0 / resolution**2"),
     ("sign-zero-tol", "copositive.py", "SIGN_ZERO_TOL = 1e-10", "SIGN_ZERO_TOL = 1e-6"),
     ("spn-shift", "copositive.py", "SPN_SHIFT = 0.1", "SPN_SHIFT = 0.5"),
-    ("screen-margin", "campaigns.py", "SCREEN_MARGIN = 1e-9", "SCREEN_MARGIN = -1e-6"),
+    ("screen-margin", "bw.py", "SCREEN_MARGIN = 1e-9", "SCREEN_MARGIN = -1e-6"),
     ("property-k-neg-eps", "copositive.py",
      "neg_eps = 1e-10 * (1.0 + norm)", "neg_eps = 1e-6 * (1.0 + norm)"),
     ("symmetry-tol", "linalg.py", "SYMMETRY_TOL = 1e-12", "SYMMETRY_TOL = 1e-6"),
@@ -43,7 +43,8 @@ MUTANTS = [
     ("holds-boundary", "report.py",
      "return slack >= -_tolerance(", "return slack > -_tolerance("),
     ("oracle-budget", "copositive.py", "ORACLE_BUDGET = 1 << 22", "ORACLE_BUDGET = 1 << 20"),
-    ("screen-positive", "campaigns.py", "if not mu > 0.0:", "if not mu >= 0.0:"),
+    ("screen-positive", "campaigns.py",
+     "if not (mu > 0.0 and certified_below(", "if not (mu >= 0.0 and certified_below("),
     ("bw-constant", "bw.py", "BW_CONSTANT = 2.0", "BW_CONSTANT = 2.5"),
     ("bw-lhs-halved", "bw.py",
      "return lhs, BW_CONSTANT * scale", "return 0.5 * lhs, BW_CONSTANT * scale"),
@@ -80,6 +81,9 @@ MUTANTS = [
      "for size in range(1, m + 1):", "for size in range(1, m):"),
     ("verdict-value-eq", "copositive.py",
      "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)"),
+    ("half-step-residual", "bw.py", "<= 1e-20 * vv", "<= 1e-4 * vv"),
+    ("half-step-top", "bw.py",
+     "    if kept.any() and not certified_below(tms[kept], mu):", "    if False:"),
 ]
 
 # Mutants that change no verdict, with the reason: they still run, and a survivor
