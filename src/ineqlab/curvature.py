@@ -4,7 +4,11 @@ fundamental (Gram) matrix with its pinching quantity, and the exact model
 configurations (Clifford-type products of spheres, Veronese surface).
 
 Everything is pointwise algebra on a second fundamental form h^a_ij;
-no covariant derivatives enter.
+no covariant derivatives enter.  The normal scalar curvature inequality
+rho + rho_perp <= |H|^2 + c is reduced, as in Lu's proof, to DDVV for the
+traceless shape operators B_r = A_r - (tr A_r / n) I: with ||B||^2 the sum
+of ||B_r||^2 and P the square root of DDVV's 2 sum_{r<s} ||[B_r, B_s]||^2,
+n(n-1) rho_perp = P and n(n-1) (|H|^2 + c - rho) = ||B||^2.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import numpy as np
 
 from .ddvv import SymmetricTuple, extremal_case_a
 from .errors import InputRejected
-from .linalg import (DIM_CAP, as_vector, commutator_norms_sq, eigh_descending, pair_indices,
-                     sum_in_order)
+from .linalg import DIM_CAP, as_vector, commutator_norms_sq, eigh_descending, sum_in_order
 from .report import tolerance
 
 __all__ = ["CurvatureReport", "FundamentalReport", "SecondFundamentalForm",
@@ -75,53 +78,35 @@ def traceless(form: SecondFundamentalForm) -> SecondFundamentalForm:
 
 
 def curvature_report(form: SecondFundamentalForm) -> CurvatureReport:
-    """Scalar and normal scalar curvature plus the two pinching slacks.
+    """Scalar and normal scalar curvature plus the two pinching slacks, from
+    the traceless part B of h (the module's reduction):
 
-    rho is normalized so that h = 0 recovers the ambient value c.  The
-    geometric slack is |H|^2 + c - rho - rho_perp, c cancelled; the shape slack is the
-    equivalent inequality on the traceless part,
-    sum_r sum_{i<j} (h^r_ii - h^r_jj)^2 + 2n sum_r sum_{i<j} (h^r_ij)^2
-      - 2n sqrt(normal curvature sum),
-    which equals n^2 (n-1) times the geometric slack.
+        rho = c + |H|^2 - ||B||^2 / (n(n-1)),   rho_perp = P / (n(n-1)),
+        geometric slack = |H|^2 + c - rho - rho_perp = (||B||^2 - P) / (n(n-1)),
+        shape slack = n (||B||^2 - P) = n^2 (n-1) times the geometric slack,
+
+    P = sqrt(2 sum_{r<s} ||[B_r, B_s]||^2), bit for bit the square root of
+    ddvv_sides' rhs for B.  rho is normalized so that h = 0 recovers c.
+    Neither slack cancels against |H|^2, and ||B||^2 is never squared.
     """
     if form.n < 2:
         raise InputRejected("rho is undefined for n < 2")
-    n, h = form.n, form.matrices
-    coeff = 2.0 / (n * (n - 1.0))
-    iu, ju = pair_indices(n)
-    mean = h.trace(axis1=1, axis2=2) / n
-
-    # Each slice's sums are np.sum over a row of a C-contiguous array, which adds
-    # them as over the slice alone; sum_in_order adds them slice by slice, for
-    # gauss a slice's 1/2 (total^2 - sum diag^2) and then its -off.  Removing the
-    # trace part keeps a slice's off-diagonal entries and shifts its diagonal to
-    # diag - mean, so the shape slack's sums are read off h itself.
-    diag = h.diagonal(axis1=1, axis2=2).copy()
-    off = (np.ascontiguousarray(h[:, iu, ju]) ** 2).sum(axis=1)
-    halves = 0.5 * (diag.sum(axis=1) ** 2 - (diag ** 2).sum(axis=1))
-    gauss = float(sum_in_order(np.column_stack([halves, -off]).ravel()))
-    gaps = diag - mean[:, None]
-    gap_sq = (gaps.take(iu, axis=1) - gaps.take(ju, axis=1)) ** 2
-    diag_part = float(sum_in_order(gap_sq.sum(axis=1)))
-    off_part = float(sum_in_order(off))
-    rho = form.c + coeff * gauss
-
-    # sum_{r<s} sum_{i<j} ([A_r, A_s]_ij)^2: commutators of symmetric slices are
-    # antisymmetric, so this is half of sum_{r<s} ||[A_r, A_s]||^2.  Removing the
-    # trace part changes no commutator, so the traceless form has the same sum.
-    perp_sum = 0.5 * float(commutator_norms_sq(h).sum())
-    rho_perp = coeff * float(np.sqrt(perp_sum))
-
+    n, pairs = form.n, form.n * (form.n - 1.0)
+    mean = form.matrices.trace(axis1=1, axis2=2) / n
     h2 = float((mean * mean).sum())
-    geometric_slack = h2 - coeff * gauss - rho_perp
-    shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(np.sqrt(perp_sum))
+    b = traceless(form).matrices
+    b_sq = float((b * b).sum(axis=(-2, -1)).sum(axis=-1))  # summed as ddvv_sides' total
+    p = float(np.sqrt(2.0 * sum_in_order(commutator_norms_sq(b))))
+    rho = form.c + h2 - b_sq / pairs
+    rho_perp = p / pairs
+    geometric_slack = (b_sq - p) / pairs
     tolerance(np.array([rho, rho_perp, geometric_slack]))  # refused past the float range
     return CurvatureReport(
         rho=rho,
         rho_perp=rho_perp,
         mean_curv_sq=h2,
         geometric_slack=geometric_slack,
-        shape_slack=shape_slack,
+        shape_slack=n * (b_sq - p),
     )
 
 

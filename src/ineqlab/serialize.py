@@ -176,8 +176,14 @@ def parse_matrix_json(obj) -> np.ndarray:
     return entries
 
 
-# Characters of an unparsable header line that its error message quotes.
+# Characters of an unparsable header line or row token that its error message quotes.
 _ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    """repr of text's first _ECHO_CHARS characters, and its length if it is longer."""
+    got = repr(text[:_ECHO_CHARS])
+    return got + f"... ({len(text)} characters)" if len(text) > _ECHO_CHARS else got
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
@@ -187,24 +193,23 @@ def parse_matrix_text(text: str) -> np.ndarray:
     try:
         n = int(lines[0].strip())
     except ValueError as exc:
-        got = repr(lines[0][:_ECHO_CHARS])
-        if len(lines[0]) > _ECHO_CHARS:
-            got += f"... ({len(lines[0])} characters)"
-        raise InputRejected(f"line 1: expected the dimension n, got {got}") from exc
+        raise InputRejected(f"line 1: expected the dimension n, got {_echo(lines[0])}") from exc
     if n < 1:
         raise InputRejected("line 1: n must be positive")
     if len(lines) != n + 1:
         raise InputRejected(f"expected {n} rows after the header, found {len(lines) - 1}")
-    rows = []
+    entries = []
     for k, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != n:
             raise InputRejected(f"line {k}: expected {n} values, found {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise InputRejected(f"line {k}: {exc}") from exc
-    return np.array(rows)
+        for part in parts:
+            try:
+                entries.append(float(part))
+            except ValueError as exc:
+                raise InputRejected(
+                    f"line {k}: could not convert string to float: {_echo(part)}") from exc
+    return np.array(entries).reshape(n, n)
 
 
 def loads_matrix(text: str) -> np.ndarray:

@@ -54,7 +54,6 @@ CALLERLESS = {
     "sub_seed": "the seed-to-trial rule a trial is replayed with",
     **dict.fromkeys(["sym_eigen", "maximize_ratio"],
                     "patched by the bench tracer's SPAN_TARGETS until spans replace them"),
-    "traceless": "the first link of the planned DDVV chain",
     "vectorize_sym": "the basis of the planned DDVV boundary search",
 }
 

@@ -1,11 +1,13 @@
 """A seeded corpus of malformed inputs, run through the command line in
 process.  Each input file under tests/data is mutated: an over-long integer,
-NaN, Infinity, 1e400, 3000-deep nesting, a BOM, CRs, truncation, byte flips,
-or a count ('n', 'm', a text file's first line) at its cap - 1, the cap or
-the cap + 1.  Every case must end in one of two ways: exit 0 or 1 with a
-document that parses, or exit 2 or 3 with a single line on stderr.  No
-exception may escape main.  JSON booleans are not among the mutations: they
-are read as the entries 1 and 0."""
+NaN, Infinity, 1e400, 3000-deep nesting, a boolean, a BOM, CRs, truncation,
+byte flips, an empty file, a second 'n' key, a row with one value more or
+less, or a count ('n', 'm', a text file's first line) at its cap - 1, the cap
+or the cap + 1.  Every case must end in one of two ways: exit 0 or 1 with a
+document that parses, or exit 2 or 3 with a single stderr line of at most
+MESSAGE_CHARS characters.  No exception may escape main.  A JSON boolean in
+place of a number is still read as the entry 1 or 0; whether to refuse it is
+left open."""
 
 import json
 import random
@@ -20,9 +22,16 @@ DATA = Path(__file__).parent / "data"
 
 CASES = 3000
 
+# the longest error line a case may print, newline included: a message quotes
+# at most the first 40 characters of what it could not read
+MESSAGE_CHARS = 300
+
 # a JSON or text number, and a count: a JSON 'n' or 'm' field, or a text matrix's first line
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 COUNT = re.compile(r'"[nm]":\s*\d+|\A\d+')
+# a row: an innermost JSON list, or a text matrix's line after the first
+JSON_ROW = re.compile(r"\[[^\[\]]*\]")
+TEXT_ROW = re.compile(r"(?<=\n)[^\n]+")
 
 
 def sources():
@@ -73,6 +82,30 @@ def insert_cr(rng, text):
     return text[:at] + "\r" + text[at:]
 
 
+def duplicate_n(rng, text):
+    """a second 'n' key, last in the top-level object, so that it is the one
+    read; a text matrix gets a second first line"""
+    value = str(rng.randint(0, DIM_CAP + 1))
+    if text.startswith("{"):
+        end = text.rindex("}")
+        return text[:end] + f', "n": {value}' + text[end:]
+    return value + "\n" + text
+
+
+def row_off_by_one(rng, text):
+    """one row, an innermost JSON list or a text line after the first, with a
+    value more or one fewer"""
+    def change(row):
+        bracketed = row.startswith("[")
+        values = row[1:-1].split(",") if bracketed else row.split()
+        if rng.random() < 0.5:
+            values.append("0")
+        else:
+            values.pop()
+        return f"[{','.join(values)}]" if bracketed else " ".join(values)
+    return replace_one(rng, text, JSON_ROW if text.startswith("{") else TEXT_ROW, change)
+
+
 def at_cap(rng, text, cap):
     value = str(cap + rng.choice((-1, 0, 1)))
     return replace_one(rng, text, COUNT, lambda token: re.sub(r"\d+$", value, token))
@@ -88,10 +121,15 @@ MUTATIONS = {
         rng, text, NUMBER, lambda _: rng.choice(["1e400", "-1e400"])),
     "deep": lambda rng, text, cap: replace_one(
         rng, text, NUMBER, lambda token: "[" * 3000 + token + "]" * 3000),
+    "bool": lambda rng, text, cap: replace_one(
+        rng, text, NUMBER, lambda _: rng.choice(["true", "false"])),
     "bom": lambda rng, text, cap: "\ufeff" + text,
     "cr": lambda rng, text, cap: insert_cr(rng, text),
     "truncate": lambda rng, text, cap: text[:rng.randrange(len(text))],
     "flip": lambda rng, text, cap: flip_bits(rng, text.encode()),
+    "empty": lambda rng, text, cap: b"",
+    "duplicate-key": lambda rng, text, cap: duplicate_n(rng, text),
+    "row-off-by-one": lambda rng, text, cap: row_off_by_one(rng, text),
     "cap": at_cap,
 }
 
@@ -126,7 +164,8 @@ def test_no_input_escapes_main(capsys, tmp_path):
             except ValueError as exc:
                 broken.append((*case, code, str(exc)[:200]))
         elif code in (2, 3):
-            if out or err.count("\n") != 1 or not err.endswith("\n"):
+            if (out or err.count("\n") != 1 or not err.endswith("\n")
+                    or len(err) > MESSAGE_CHARS):
                 broken.append((*case, code, (out + err)[:200]))
         else:
             broken.append((*case, code, err[:200]))

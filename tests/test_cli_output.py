@@ -12,6 +12,7 @@ import pytest
 
 import ineqlab
 from ineqlab.cli import main
+from ineqlab.seeded import RandomStream, sub_seed
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +160,18 @@ def test_over_long_integer_literal_is_invalid_json(capsys, tmp_path, fmt, comman
     assert not out.exists()
 
 
+def test_an_umbilic_shift_leaves_the_slack(capsys, tmp_path):
+    # h + 1e8 I has h's traceless part, so its exact slack is h's, 0.8686837167813017;
+    # sums over h + 1e8 I itself cancel against |H|^2 = 3e16 and read -0.684
+    h = RandomStream(sub_seed(91, 1)).symmetric_tuple(4, 3) + 1e8 * np.eye(4)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 4, "m": 3, "c": 0.0, "h": h.tolist()}))
+    code, out, _ = run(capsys, ["curvature", "--input", str(path)])
+    assert code == 0
+    assert "curvature.rho_perp: 0.68423893318015183\n" in out
+    assert "curvature.geometric_slack: 0.86868371678130174\n" in out
+
+
 class TestOverflow:
     """Sides that overflow the float range are an input error (exit 2)."""
 
@@ -212,10 +225,9 @@ class TestOverflow:
 
     @pytest.mark.parametrize("n, slices, err", [
         (2, [[[1e100, 0.0], [0.0, -1e100]], [[0.0, 1e100], [1e100, 0.0]]], OVERFLOW),
-        (12, [(1e307 ** 0.5 * np.eye(12)).tolist()], OVERFLOW),  # slack -inf
         (3, [np.diag([0.6e308 ** 0.5, -0.6e308 ** 0.5, 0.0]).tolist()],
          "error: cannot serialize non-finite number\n"),
-    ], ids=["slices-1e100", "umbilic-rho-inf", "shape-slack-inf"])
+    ], ids=["slices-1e100", "shape-slack-inf"])
     def test_curvature_refusal_leaves_no_output_file(self, tmp_path, n, slices, err):
         # refused by the verdict rule before the document is made; the shape
         # slack, which no verdict reads, by the writer before it opens the file
@@ -226,6 +238,17 @@ class TestOverflow:
                                            "--output", str(out), "--format", "json"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
         assert not out.exists()
+
+    def test_umbilic_near_the_float_range_gets_its_verdict(self, tmp_path):
+        # sqrt(1e307) I at n = 12: |H|^2 = 1e307 is finite and the traceless
+        # part is 0, so the verdict is its unit twin's, equality
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 12, "m": 1, "c": 1.0,
+                                    "h": [(1e307 ** 0.5 * np.eye(12)).tolist()]}))
+        proc = run_apart(["-W", "error"], ["curvature", "--input", str(path), "--format", "json"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        curvature = json.loads(proc.stdout)["curvature"]
+        assert (curvature["geometric_slack"], curvature["rho_perp"]) == (0, 0)
 
     def test_curvature_of_1e300_in_a_subprocess(self, tmp_path):
         # the CLI run apart, with the default warning filters a user has

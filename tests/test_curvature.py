@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import json
 
 import numpy as np
@@ -15,10 +16,10 @@ from ineqlab.curvature import (
     veronese_immersion,
     veronese_tuple,
 )
-from ineqlab.ddvv import (CanonicalForm, SymmetricTuple, canonical_reduce, ddvv_slack,
-                          extremal_case_a, extremal_case_b, group_act)
+from ineqlab.ddvv import (CanonicalForm, SymmetricTuple, canonical_reduce, ddvv_sides,
+                          ddvv_slack, extremal_case_a, extremal_case_b, group_act)
 from ineqlab.errors import InputRejected
-from ineqlab.linalg import commutator_norms_sq
+from ineqlab.linalg import commutator, norm_sq
 from ineqlab.seeded import RandomStream, sub_seed
 from ineqlab.serialize import dumps, parse_sff_json, parse_tuple_json, sff_json, tuple_json
 
@@ -135,28 +136,20 @@ class TestCurvatureReport:
 
 
 def _three_pass_report(form):
-    """Reference: the report's three passes over the slices (Gauss term,
-    then the traceless form's gap and off-diagonal sums), squares as products."""
+    """Reference: the reduction in three passes of loops (each slice's
+    traceless part, its squared norm, then the commutator pairs left to right)."""
     n, m, h = form.n, form.m, form.matrices
-    coeff = 2.0 / (n * (n - 1.0))
-    iu, ju = np.triu_indices(n, k=1)
-    gauss = 0.0
-    for al in range(m):
-        diag = np.diag(h[al])
-        total = float(np.sum(diag))
-        gauss += 0.5 * (total * total - float(np.sum(diag * diag)))
-        gauss -= float(np.sum(h[al][iu, ju] * h[al][iu, ju]))
-    rho = form.c + coeff * gauss
-    perp_sum = 0.5 * float(np.sum(commutator_norms_sq(h)))
-    rho_perp = coeff * float(np.sqrt(perp_sum))
+    pairs = n * (n - 1.0)
     traces = h.trace(axis1=1, axis2=2) / n
     h2 = float((traces * traces).sum())
-    t = traceless(form).matrices
-    gaps = [np.diag(t[al])[iu] - np.diag(t[al])[ju] for al in range(m)]
-    diag_part = sum(float(np.sum(g * g)) for g in gaps)
-    off_part = sum(float(np.sum(t[al][iu, ju] * t[al][iu, ju])) for al in range(m))
-    shape_slack = diag_part + 2.0 * n * off_part - 2.0 * n * float(np.sqrt(perp_sum))
-    return (rho, rho_perp, h2, h2 - coeff * gauss - rho_perp, shape_slack)
+    b = [h[r] - traces[r] * np.eye(n) for r in range(m)]
+    b_sq = float(np.sum([np.sum(b[r] * b[r]) for r in range(m)]))
+    perp_sum = 0.0
+    for r in range(m):
+        for s in range(r + 1, m):
+            perp_sum += norm_sq(commutator(b[r], b[s]))
+    p = float(np.sqrt(2.0 * perp_sum))
+    return (form.c + h2 - b_sq / pairs, p / pairs, h2, (b_sq - p) / pairs, n * (b_sq - p))
 
 
 class TestSinglePassReport:
@@ -176,15 +169,60 @@ class TestSinglePassReport:
                         want = np.array(_three_pass_report(form))
                         assert got.tobytes() == want.tobytes(), (n, m, scale, c)
 
-    def test_gauss_sum_of_negative_zeros_is_the_loops_zero(self):
-        # 1/2 (total^2 - sum diag^2) rounds to -0.0 here; a loop from 0.0 gives
-        # gauss 0.0, so rho = -0.0 + coeff * gauss is 0.0
-        h = np.array([[[2.0 ** -537, 0.0], [0.0, -(2.0 ** -538)]]])
-        form = SecondFundamentalForm.from_array(h, c=-0.0)
+    def test_zero_form_at_negative_zero_c_reads_positive_zeros(self):
+        # -0.0 + |H|^2 - ||B||^2 / (n(n-1)) is -0.0 + 0.0 - 0.0, which is +0.0
+        form = SecondFundamentalForm.from_array(np.zeros((2, 3, 3)), c=-0.0)
         got = np.array(dataclasses.astuple(curvature_report(form)))
-        want = np.array(_three_pass_report(form))
-        assert got.tobytes() == want.tobytes()
-        assert not np.signbit(curvature_report(form).rho)
+        assert got.tobytes() == np.zeros(5).tobytes()
+
+
+def _decimal_reduction(h):
+    """(geometric slack, rho_perp, (||B||^2 + P) / (n(n-1))) of the float
+    slices h, in 80-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        n = h.shape[1]
+        b = []
+        for a in h:
+            a = [[decimal.Decimal(float(x)) for x in row] for row in a]
+            mean = sum(a[i][i] for i in range(n)) / n
+            b.append([[a[i][j] - (mean if i == j else 0) for j in range(n)] for i in range(n)])
+        b_sq = sum(x * x for br in b for row in br for x in row)
+        perp = decimal.Decimal(0)
+        for r in range(len(b)):
+            for s in range(r + 1, len(b)):
+                for i in range(n):
+                    for j in range(n):
+                        c = sum(b[r][i][k] * b[s][k][j] - b[s][i][k] * b[r][k][j]
+                                for k in range(n))
+                        perp += c * c
+        p = (2 * perp).sqrt()
+        pairs = n * (n - 1)
+        return (b_sq - p) / pairs, p / pairs, (b_sq + p) / pairs
+
+
+class TestReduction:
+    """The report is DDVV for the traceless part, so an umbilic shift of h,
+    which |H|^2 absorbs, moves neither slack nor rho_perp."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e6, 1e8])
+    def test_slack_and_rho_perp_agree_with_decimal_under_umbilic_shifts(self, shift):
+        u = 2.0 ** -53
+        for k in range(40):
+            n, m = 3 + k % 3, 2 + k % 3
+            h = RandomStream(sub_seed(3901, k)).symmetric_tuple(n, m) + shift * np.eye(n)
+            rep = curvature_report(SecondFundamentalForm.from_array(h, c=0.0))
+            slack, rho_perp, scale = _decimal_reduction(h)
+            bound = decimal.Decimal(16 * u) * scale
+            assert abs(decimal.Decimal(rep.geometric_slack) - slack) <= bound, (k, shift)
+            assert abs(decimal.Decimal(rep.rho_perp) - rho_perp) <= bound, (k, shift)
+
+    def test_rho_perp_is_the_root_of_ddvv_rhs_for_the_traceless_part(self):
+        for k in range(500):
+            stream = RandomStream(sub_seed(3911, k))
+            n, m = 2 + k % 11, 1 + (k // 11) % 12
+            form = random_form(stream, n, m, 1.0)
+            want = np.sqrt(ddvv_sides(traceless(form).matrices)[1]) / (n * (n - 1))
+            assert curvature_report(form).rho_perp == want, (k, n, m)
 
 
 class TestFundamentalReport:

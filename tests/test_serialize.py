@@ -236,8 +236,12 @@ class TestParserRefusals:
         # a 6 KB header is quoted by its first 40 characters
         ("[" * 3000 + "1" + "]" * 3000 + "\n",
          "^line 1: expected the dimension n, got '" + r"\[" * 40 + r"'\.\.\. \(6001 characters\)$"),
+        # and so is a 6 KB token in a row
+        ("2\n1 0\n0 " + "[" * 3000 + "1" + "]" * 3000 + "\n",
+         "^line 3: could not convert string to float: '" + r"\[" * 40
+         + r"'\.\.\. \(6001 characters\)$"),
     ], ids=["invalid-json", "empty", "blank", "n-zero", "n-negative", "bad-float",
-            "long-header"])
+            "long-header", "long-row-token"])
     def test_matrix_text(self, text, message):
         with pytest.raises(InputRejected, match=message):
             loads_matrix(text)

@@ -84,6 +84,11 @@ MUTANTS = [
     ("half-step-residual", "bw.py", "<= 1e-20 * vv", "<= 1e-4 * vv"),
     ("half-step-top", "bw.py",
      "    if kept.any() and not certified_below(tms[kept], mu):", "    if False:"),
+    ("rho-perp-root-of-one", "curvature.py",
+     "p = float(np.sqrt(2.0 * sum_in_order(commutator_norms_sq(b))))",
+     "p = float(np.sqrt(1.0 * sum_in_order(commutator_norms_sq(b))))"),
+    ("shape-slack-factor", "curvature.py",
+     "shape_slack=n * (b_sq - p),", "shape_slack=(n - 1) * (b_sq - p),"),
 ]
 
 # Mutants that change no verdict, with the reason: they still run, and a survivor
